@@ -9,10 +9,11 @@ Exit codes (stable for CI use):
     0  success / verification passed
     1  verification failure
     2  usage or parse error (including broken input invariants)
-    3  domain or numeric error (pole proximity, truncation, ...)
+    3  domain or numeric error (pole proximity, truncation, overflow, ...)
 
-All randomness flows from one seeded generator echoed in the report, so
-identical seed and flags give byte-identical output.
+Each command builds its result rows once; JSON, CSV and text are written from
+them.  All randomness flows from one seeded generator echoed in the report,
+so identical seed and flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,42 +24,31 @@ import io
 import json
 import math
 import sys
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 
 from . import __version__
 from .dedekind import dedekind_sum_fast, eta_multiplier, theta_multiplier
-from .errors import (
-    DomainError,
-    GeometryError,
-    NonConvergenceError,
-    QuadratureError,
-    ThetamodError,
-    TruncationError,
-    ValidationError,
-)
+from .errors import ThetamodError, TruncationError, ValidationError
 from .modular import ModularMatrix, moebius_apply, neg_mod_inverse, reduce_to_fundamental_domain
-from .residues import (
-    VerifierParams,
-    closure_residual,
-    log_identity_residual,
-    origin_report,
-    simple_pole_report,
-)
+from .residues import VerifierParams, closure_residual, log_identity_residual
+from .residues import origin_report, simple_pole_report
 from .theta import TruncationControl, eta_info, theta1_series_info
 from .transform import theta1_fast_info, transform_sweep
 
 DEFAULT_SEED = 20260810
 # terms at which `eval` switches from the direct series to the reduced path
 DIRECT_TERM_LIMIT = 64
+CLOSURE_TOL = 1e-6
+IDENTITY_TOL = 1e-8
 
 
 def _parse_complex(text: str) -> complex:
-    cleaned = text.strip().replace("i", "j")
     try:
-        value = complex(cleaned)
+        value = complex(text.strip().replace("i", "j"))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse complex literal {text!r}; use the form a+bi"
-        ) from exc
+        message = f"cannot parse complex literal {text!r}; use the form a+bi"
+        raise argparse.ArgumentTypeError(message) from exc
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise argparse.ArgumentTypeError(f"complex literal {text!r} must be finite")
     return value
@@ -67,14 +57,12 @@ def _parse_complex(text: str) -> complex:
 def _parse_matrix_entries(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"matrix must be four comma-separated integers a,b,c,d, got {text!r}"
-        )
+        message = f"matrix must be four comma-separated integers a,b,c,d, got {text!r}"
+        raise argparse.ArgumentTypeError(message)
     try:
-        a, b, c, d = (int(part) for part in parts)
+        return tuple(int(part) for part in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"matrix entries must be integers: {text!r}") from exc
-    return a, b, c, d
 
 
 def _parse_tolerance(text: str) -> float:
@@ -83,418 +71,232 @@ def _parse_tolerance(text: str) -> float:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse tolerance {text!r}") from exc
     if not (0.0 < value <= 1e-3):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be in (0, 1e-3], got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"tolerance must be in (0, 1e-3], got {text!r}")
     return value
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--out", default=None, help="write the report to this path")
+@dataclass(frozen=True)
+class Report:
+    """One command's result rows (dicts in output key order), the row fields
+    written as CSV, the JSON fields after `results`, and the text layout."""
+
+    params: dict
+    rows: list[dict]
+    columns: tuple[str, ...]
+    text: list[str]
+    summary: dict = field(default_factory=dict)
+    code: int = 0
 
 
-def _emit(args, report: dict, text_lines: list[str], csv_table: tuple[list[str], list[list]] | None) -> None:
+def _emit(args, report: Report) -> int:
     if args.format == "json":
-        payload = json.dumps(report, indent=2) + "\n"
+        document = {"command": args.command, "params": report.params, "results": report.rows,
+                    **report.summary, "version": __version__}
+        payload = json.dumps(document, indent=2) + "\n"
     elif args.format == "csv":
-        if csv_table is None:
-            raise ValidationError(f"command {report['command']} has no CSV form")
-        header, rows = csv_table
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(report.columns)
+        writer.writerows([row[name] for name in report.columns] for row in report.rows)
         payload = buffer.getvalue()
     else:
-        payload = "\n".join(text_lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+        payload = "\n".join(report.text) + "\n"
+    target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with target as handle:
+        handle.write(payload)
+    return report.code
 
 
-def _report(command: str, params: dict, results: list, **extra) -> dict:
-    report = {"command": command, "params": params, "results": results}
-    report.update(extra)
-    report["version"] = __version__
-    return report
+def _parts(prefix: str, value: complex) -> dict:
+    return {f"{prefix}_re": value.real, f"{prefix}_im": value.imag}
 
 
-def _cmd_eval(args) -> int:
+def _value_row(info) -> dict:
+    return {**_parts("value", info.value), "terms": info.terms, "err_bound": info.error_bound}
+
+
+def _bound_line(info) -> str:
+    return f"terms: {info.terms}   certified error bound: {info.error_bound!r}"
+
+
+def _verdict(passed: bool) -> str:
+    return f"result: {'PASS' if passed else 'FAIL'}"
+
+
+def _cmd_eval(args) -> Report:
     ctl = TruncationControl(tolerance=max(args.tol, 1e-15))
-    method = args.method
-    direct_info = None
-    if method in ("auto", "direct"):
+    info, method = None, "direct"
+    if args.method != "reduced":
         try:
-            direct_info = theta1_series_info(args.z, args.tau, ctl)
+            info = theta1_series_info(args.z, args.tau, ctl)
         except TruncationError:
-            if method == "direct":
+            if args.method == "direct":
                 raise
-    use_direct = direct_info is not None and (
-        method == "direct" or direct_info.terms <= DIRECT_TERM_LIMIT
-    )
-    if use_direct:
-        value, terms, err = direct_info.value, direct_info.terms, direct_info.error_bound
-        result = {
-            "value_re": value.real,
-            "value_im": value.imag,
-            "terms": terms,
-            "err_bound": err,
-            "method": "direct",
-        }
-        trace_lines = []
-    else:
-        fast = theta1_fast_info(args.z, args.tau, ctl)
-        value, terms, err = fast.value, fast.terms, fast.error_bound
-        trace = fast.trace
-        result = {
-            "value_re": value.real,
-            "value_im": value.imag,
-            "terms": terms,
-            "err_bound": err,
-            "method": "reduced",
-            "reduction": {
-                "matrix": list(trace.matrix.entries()),
-                "tau_reduced_re": trace.tau_reduced.real,
-                "tau_reduced_im": trace.tau_reduced.imag,
-                "z_reduced_re": trace.z_reduced.real,
-                "z_reduced_im": trace.z_reduced.imag,
-                "lattice_shift": list(trace.lattice_shift),
-            },
-        }
+    if info is None or (args.method == "auto" and info.terms > DIRECT_TERM_LIMIT):
+        info, method = theta1_fast_info(args.z, args.tau, ctl), "reduced"
+    row = {**_value_row(info), "method": method}
+    columns = tuple(row)
+    text = [
+        f"theta1({args.z!r}, {args.tau!r}) = {info.value!r}",
+        f"method: {method}   {_bound_line(info)}",
+    ]
+    if method == "reduced":
+        trace = info.trace
         a, b, c, d = trace.matrix.entries()
-        trace_lines = [
+        row["reduction"] = {
+            "matrix": [a, b, c, d],
+            **_parts("tau_reduced", trace.tau_reduced),
+            **_parts("z_reduced", trace.z_reduced),
+            "lattice_shift": list(trace.lattice_shift),
+        }
+        text += [
             f"reduction: matrix ({a},{b};{c},{d}), lattice shift {trace.lattice_shift}",
             f"reduced point: z = {trace.z_reduced!r}, tau = {trace.tau_reduced!r}",
         ]
-    text = [
-        f"theta1({args.z!r}, {args.tau!r}) = {value!r}",
-        f"method: {result['method']}   terms: {terms}   certified error bound: {err!r}",
-    ] + trace_lines
-    report = _report(
-        "eval",
-        {
-            "z_re": args.z.real,
-            "z_im": args.z.imag,
-            "tau_re": args.tau.real,
-            "tau_im": args.tau.imag,
-            "tolerance": args.tol,
-            "method": method,
-        },
-        [result],
-    )
-    csv_table = (
-        ["value_re", "value_im", "terms", "err_bound", "method"],
-        [[value.real, value.imag, terms, err, result["method"]]],
-    )
-    _emit(args, report, text, csv_table)
-    return 0
+    params = {**_parts("z", args.z), **_parts("tau", args.tau)}
+    return Report({**params, "tolerance": args.tol, "method": args.method}, [row], columns, text)
 
 
-def _cmd_eta(args) -> int:
-    ctl = TruncationControl(tolerance=max(args.tol, 1e-15))
-    info = eta_info(args.tau, ctl)
-    value = info.value
-    result = {
-        "value_re": value.real,
-        "value_im": value.imag,
-        "terms": info.terms,
-        "err_bound": info.error_bound,
-    }
-    text = [
-        f"eta({args.tau!r}) = {value!r}",
-        f"terms: {info.terms}   certified error bound: {info.error_bound!r}",
-    ]
-    report = _report(
-        "eta",
-        {"tau_re": args.tau.real, "tau_im": args.tau.imag, "tolerance": args.tol},
-        [result],
-    )
-    csv_table = (
-        ["value_re", "value_im", "terms", "err_bound"],
-        [[value.real, value.imag, info.terms, info.error_bound]],
-    )
-    _emit(args, report, text, csv_table)
-    return 0
+def _cmd_eta(args) -> Report:
+    info = eta_info(args.tau, TruncationControl(tolerance=max(args.tol, 1e-15)))
+    row = _value_row(info)
+    text = [f"eta({args.tau!r}) = {info.value!r}", _bound_line(info)]
+    return Report({**_parts("tau", args.tau), "tolerance": args.tol}, [row], tuple(row), text)
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> Report:
     mat, tau_red = reduce_to_fundamental_domain(args.tau)
     replay = abs(moebius_apply(mat, args.tau) - tau_red)
     a, b, c, d = mat.entries()
-    result = {
-        "a": a,
-        "b": b,
-        "c": c,
-        "d": d,
-        "tau_re": tau_red.real,
-        "tau_im": tau_red.imag,
-        "replay_residual": replay,
-    }
-    text = [
-        f"matrix: ({a},{b};{c},{d})",
-        f"tau reduced: {tau_red!r}",
-        f"replay residual: {replay!r}",
-    ]
-    report = _report(
-        "reduce", {"tau_re": args.tau.real, "tau_im": args.tau.imag}, [result]
-    )
-    csv_table = (
-        ["a", "b", "c", "d", "tau_re", "tau_im", "replay_residual"],
-        [[a, b, c, d, tau_red.real, tau_red.imag, replay]],
-    )
-    _emit(args, report, text, csv_table)
-    return 0
+    row = {"a": a, "b": b, "c": c, "d": d, **_parts("tau", tau_red), "replay_residual": replay}
+    text = [f"matrix: ({a},{b};{c},{d})", f"tau reduced: {tau_red!r}", f"replay residual: {replay!r}"]
+    return Report(_parts("tau", args.tau), [row], tuple(row), text)
 
 
-def _cmd_multiplier(args) -> int:
+def _cmd_multiplier(args) -> Report:
     mat = ModularMatrix(*args.matrix)
     if mat.c <= 0:
         raise ValidationError("multiplier requires c > 0; negate the matrix first")
     eps = eta_multiplier(mat)
     eps1 = theta_multiplier(mat)
-    result = {
-        "eta_phase": str(eps.phase),
-        "eta_re": eps.value.real,
-        "eta_im": eps.value.imag,
-        "theta_phase": str(eps1.phase),
-        "theta_re": eps1.value.real,
-        "theta_im": eps1.value.imag,
-    }
+    row = {"eta_phase": str(eps.phase), **_parts("eta", eps.value),
+           "theta_phase": str(eps1.phase), **_parts("theta", eps1.value)}
     text = [
         f"eta multiplier:   exp(i pi * {eps.phase}) = {eps.value!r}",
         f"theta multiplier: exp(i pi * {eps1.phase}) = {eps1.value!r}",
     ]
-    report = _report("multiplier", {"matrix": list(args.matrix)}, [result])
-    csv_table = (
-        ["eta_phase", "eta_re", "eta_im", "theta_phase", "theta_re", "theta_im"],
-        [[str(eps.phase), eps.value.real, eps.value.imag, str(eps1.phase), eps1.value.real, eps1.value.imag]],
-    )
-    _emit(args, report, text, csv_table)
-    return 0
+    return Report({"matrix": list(args.matrix)}, [row], tuple(row), text)
 
 
-def _cmd_dedekind(args) -> int:
-    value = dedekind_sum_fast(args.h, args.k)
-    result = {"h": args.h, "k": args.k, "value": str(value)}
-    report = _report("dedekind", {"h": args.h, "k": args.k}, [result])
-    csv_table = (["h", "k", "value"], [[args.h, args.k, str(value)]])
-    _emit(args, report, [str(value)], csv_table)
-    return 0
+def _cmd_dedekind(args) -> Report:
+    value = str(dedekind_sum_fast(args.h, args.k))
+    row = {"h": args.h, "k": args.k, "value": value}
+    return Report({"h": args.h, "k": args.k}, [row], tuple(row), [value])
 
 
-def _sweep_rows(result) -> list[list]:
-    rows = []
-    for case in result.cases:
-        a, b, c, d = case.matrix.entries()
-        rows.append(
-            [a, b, c, d, case.z.real, case.z.imag, case.tau.real, case.tau.imag, case.residual]
-        )
-    return rows
+def _case_row(case) -> dict:
+    a, b, c, d = case.matrix.entries()
+    return {"a": a, "b": b, "c": c, "d": d, **_parts("z", case.z), **_parts("tau", case.tau),
+            "residual": case.residual}
 
 
-def _cmd_verify_transform(args) -> int:
+def _cmd_verify_transform(args) -> Report:
     sweep = transform_sweep(args.count, args.seed, kind="theta")
     passed = sweep.max_residual < args.tol
-    results = [
-        {
-            "a": case.matrix.a,
-            "b": case.matrix.b,
-            "c": case.matrix.c,
-            "d": case.matrix.d,
-            "z_re": case.z.real,
-            "z_im": case.z.imag,
-            "tau_re": case.tau.real,
-            "tau_im": case.tau.imag,
-            "residual": case.residual,
-        }
-        for case in sweep.cases
-    ]
+    rows = [_case_row(case) for case in sweep.cases]
     text = [
         f"verify-transform: {args.count} cases, seed {args.seed}",
         f"max residual:    {sweep.max_residual!r}",
         f"median residual: {sweep.median_residual!r}",
         f"tolerance:       {args.tol!r}",
-        f"result: {'PASS' if passed else 'FAIL'}",
+        _verdict(passed),
     ]
-    if not passed:
-        for case in sweep.cases:
-            if case.residual >= args.tol:
-                a, b, c, d = case.matrix.entries()
-                text.append(
-                    f"  exceeds tolerance: A=({a},{b};{c},{d}) z={case.z!r} "
-                    f"tau={case.tau!r} residual={case.residual!r}"
-                )
-    report = _report(
-        "verify-transform",
-        {"count": args.count, "tolerance": args.tol},
-        results,
-        max_residual=sweep.max_residual,
-        median_residual=sweep.median_residual,
-        seed=args.seed,
-        **{"pass": passed},
-    )
-    csv_table = (
-        ["a", "b", "c", "d", "z_re", "z_im", "tau_re", "tau_im", "residual"],
-        _sweep_rows(sweep),
-    )
-    _emit(args, report, text, csv_table)
-    return 0 if passed else 1
+    for row, case in zip(rows, sweep.cases):
+        if case.residual >= args.tol:
+            text.append(
+                f"  exceeds tolerance: A=({row['a']},{row['b']};{row['c']},{row['d']}) "
+                f"z={case.z!r} tau={case.tau!r} residual={case.residual!r}"
+            )
+    summary = {"max_residual": sweep.max_residual, "median_residual": sweep.median_residual,
+               "seed": args.seed, "pass": passed}
+    params = {"count": args.count, "tolerance": args.tol}
+    return Report(params, rows, tuple(rows[0]), text, summary, 0 if passed else 1)
 
 
-def _cmd_sweep(args) -> int:
-    theta_sweep = transform_sweep(args.count, args.seed, kind="theta")
-    eta_sweep = transform_sweep(args.count, args.seed, kind="eta")
-    passed = theta_sweep.max_residual < args.tol and eta_sweep.max_residual < args.tol
-    results = []
-    rows = []
-    for sweep in (theta_sweep, eta_sweep):
-        for case in sweep.cases:
-            a, b, c, d = case.matrix.entries()
-            results.append(
-                {
-                    "kind": sweep.kind,
-                    "a": a,
-                    "b": b,
-                    "c": c,
-                    "d": d,
-                    "z_re": case.z.real,
-                    "z_im": case.z.imag,
-                    "tau_re": case.tau.real,
-                    "tau_im": case.tau.imag,
-                    "residual": case.residual,
-                }
-            )
-            rows.append(
-                [sweep.kind, a, b, c, d, case.z.real, case.z.imag, case.tau.real, case.tau.imag, case.residual]
-            )
+def _cmd_sweep(args) -> Report:
+    sweeps = [transform_sweep(args.count, args.seed, kind=kind) for kind in ("theta", "eta")]
+    theta_max, eta_max = (sweep.max_residual for sweep in sweeps)
+    passed = theta_max < args.tol and eta_max < args.tol
+    rows = [{"kind": sweep.kind, **_case_row(case)} for sweep in sweeps for case in sweep.cases]
     text = [
         f"sweep: {args.count} theta cases and {args.count} eta cases, seed {args.seed}",
-        f"theta max residual: {theta_sweep.max_residual!r}",
-        f"eta max residual:   {eta_sweep.max_residual!r}",
+        f"theta max residual: {theta_max!r}",
+        f"eta max residual:   {eta_max!r}",
         f"tolerance:          {args.tol!r}",
-        f"result: {'PASS' if passed else 'FAIL'}",
+        _verdict(passed),
     ]
-    report = _report(
-        "sweep",
-        {"count": args.count, "tolerance": args.tol},
-        results,
-        max_residual=max(theta_sweep.max_residual, eta_sweep.max_residual),
-        seed=args.seed,
-        **{"pass": passed},
-    )
-    csv_table = (
-        ["kind", "a", "b", "c", "d", "z_re", "z_im", "tau_re", "tau_im", "residual"],
-        rows,
-    )
-    _emit(args, report, text, csv_table)
-    return 0 if passed else 1
+    summary = {"max_residual": max(theta_max, eta_max), "seed": args.seed, "pass": passed}
+    params = {"count": args.count, "tolerance": args.tol}
+    return Report(params, rows, tuple(rows[0]), text, summary, 0 if passed else 1)
 
 
-CLOSURE_TOL = 1e-6
-IDENTITY_TOL = 1e-8
+def _pole_row(family: str, n: int, pole: complex, closed: complex, oracle: complex, diff: float):
+    return {"family": family, "n": n, **_parts("pole", pole), **_parts("closed", closed),
+            **_parts("oracle", oracle), "discrepancy": diff}
 
 
-def _cmd_verify_residues(args) -> int:
+def _cmd_verify_residues(args) -> Report:
     if math.gcd(args.h, args.k) != 1:
         raise ValidationError(f"h={args.h} and k={args.k} must be coprime")
-    params = VerifierParams(
-        h=args.h,
-        k=args.k,
-        H=neg_mod_inverse(args.h, args.k),
-        v=args.v,
-        z=args.z,
-        m=args.m,
-    )
-    pole_rows = []
-    results = []
+    H = neg_mod_inverse(args.h, args.k)
+    params = VerifierParams(h=args.h, k=args.k, H=H, v=args.v, z=args.z, m=args.m)
     origin = origin_report(params)
-    results.append(
-        {
-            "family": "origin",
-            "n": 0,
-            "pole_re": 0.0,
-            "pole_im": 0.0,
-            "closed_re": origin.origin.assembled.real,
-            "closed_im": origin.origin.assembled.imag,
-            "oracle_re": origin.oracle.real,
-            "oracle_im": origin.oracle.imag,
-            "discrepancy": origin.discrepancy_assembled,
-            "compact_form_discrepancy": origin.discrepancy_compact,
-        }
-    )
-    pole_rows.append(
-        ["origin", 0, 0.0, 0.0, origin.origin.assembled.real, origin.origin.assembled.imag,
-         origin.oracle.real, origin.oracle.imag, origin.discrepancy_assembled]
-    )
+    assembled, oracle = origin.origin.assembled, origin.oracle
+    rows = [_pole_row("origin", 0, 0j, assembled, oracle, origin.discrepancy_assembled)]
+    columns = tuple(rows[0])
+    rows[0]["compact_form_discrepancy"] = origin.discrepancy_compact
     for family in ("imag", "real"):
-        for n in range(-args.m, args.m + 1):
-            if n == 0:
-                continue
+        for n in filter(None, range(-args.m, args.m + 1)):
             rep = simple_pole_report(params, family, n)
-            results.append(
-                {
-                    "family": family,
-                    "n": n,
-                    "pole_re": rep.pole.real,
-                    "pole_im": rep.pole.imag,
-                    "closed_re": rep.closed_form.real,
-                    "closed_im": rep.closed_form.imag,
-                    "oracle_re": rep.oracle.real,
-                    "oracle_im": rep.oracle.imag,
-                    "discrepancy": rep.discrepancy,
-                }
-            )
-            pole_rows.append(
-                [family, n, rep.pole.real, rep.pole.imag, rep.closed_form.real,
-                 rep.closed_form.imag, rep.oracle.real, rep.oracle.imag, rep.discrepancy]
-            )
+            rows.append(_pole_row(family, n, rep.pole, rep.closed_form, rep.oracle, rep.discrepancy))
     closure = closure_residual(params)
     identity = log_identity_residual(params, args.cap)
     gap = abs(closure.contour - (-math.log(params.v)))
     passed = closure.residual < CLOSURE_TOL and identity < IDENTITY_TOL
     text = [
-        f"verify-residues: h={args.h} k={args.k} H={params.H} v={args.v!r} z={args.z!r} m={args.m}",
+        f"verify-residues: h={args.h} k={args.k} H={H} v={args.v!r} z={args.z!r} m={args.m}",
         f"{'family':>8} {'n':>4} {'closed form':>28} {'oracle':>28} {'|diff|':>12}",
     ]
-    for row in pole_rows:
-        closed = complex(row[4], row[5])
-        oracle = complex(row[6], row[7])
-        text.append(f"{row[0]:>8} {row[1]:>4} {closed:>28.16g} {oracle:>28.16g} {row[8]:>12.3e}")
+    for row in rows:
+        closed = complex(row["closed_re"], row["closed_im"])
+        oracle = complex(row["oracle_re"], row["oracle_im"])
+        text.append(
+            f"{row['family']:>8} {row['n']:>4} {closed:>28.16g} {oracle:>28.16g} {row['discrepancy']:>12.3e}"
+        )
     text += [
         f"compact origin form differs from the assembled residue by {origin.origin.discrepancy!r}",
         f"residue-theorem closure residual: {closure.residual!r} (tolerance {CLOSURE_TOL!r})",
         f"log-identity residual (cap {args.cap}): {identity!r} (tolerance {IDENTITY_TOL!r})",
         f"contour vs -log(v) gap at m={args.m}: {gap!r}",
-        f"result: {'PASS' if passed else 'FAIL'}",
+        _verdict(passed),
     ]
-    report = _report(
-        "verify-residues",
-        {
-            "h": args.h,
-            "k": args.k,
-            "H": params.H,
-            "v": args.v,
-            "z_re": args.z.real,
-            "z_im": args.z.imag,
-            "m": args.m,
-            "cap": args.cap,
-        },
-        results,
-        closure_residual=closure.residual,
-        identity_residual=identity,
-        contour_gap=gap,
-        max_residual=max(closure.residual, identity),
-        **{"pass": passed},
-    )
-    csv_table = (
-        ["family", "n", "pole_re", "pole_im", "closed_re", "closed_im", "oracle_re", "oracle_im", "discrepancy"],
-        pole_rows,
-    )
-    _emit(args, report, text, csv_table)
-    return 0 if passed else 1
+    summary = {"closure_residual": closure.residual, "identity_residual": identity,
+               "contour_gap": gap, "max_residual": max(closure.residual, identity), "pass": passed}
+    report_params = {"h": args.h, "k": args.k, "H": H, "v": args.v, **_parts("z", args.z),
+                     "m": args.m, "cap": args.cap}
+    return Report(report_params, rows, columns, text, summary, 0 if passed else 1)
+
+
+COMMANDS = {
+    "eval": (_cmd_eval, "evaluate theta1(z, tau)"),
+    "eta": (_cmd_eta, "evaluate eta(tau)"),
+    "reduce": (_cmd_reduce, "reduce tau to the fundamental domain"),
+    "multiplier": (_cmd_multiplier, "eta and theta multipliers of a matrix"),
+    "dedekind": (_cmd_dedekind, "exact Dedekind sum s(h, k)"),
+    "verify-transform": (_cmd_verify_transform, "random sweep of the theta transformation law"),
+    "sweep": (_cmd_sweep, "theta and eta residual sweeps (plot-ready rows)"),
+    "verify-residues": (_cmd_verify_residues, "closed-form residues vs quadrature, closure, identity"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,61 +306,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate theta1(z, tau)")
-    p_eval.add_argument("--z", type=_parse_complex, required=True)
-    p_eval.add_argument("--tau", type=_parse_complex, required=True)
-    p_eval.add_argument("--tol", type=_parse_tolerance, default=1e-12)
-    p_eval.add_argument("--method", choices=("auto", "direct", "reduced"), default="auto")
-    _add_output_flags(p_eval)
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_eta = sub.add_parser("eta", help="evaluate eta(tau)")
-    p_eta.add_argument("--tau", type=_parse_complex, required=True)
-    p_eta.add_argument("--tol", type=_parse_tolerance, default=1e-12)
-    _add_output_flags(p_eta)
-    p_eta.set_defaults(func=_cmd_eta)
-
-    p_reduce = sub.add_parser("reduce", help="reduce tau to the fundamental domain")
-    p_reduce.add_argument("--tau", type=_parse_complex, required=True)
-    _add_output_flags(p_reduce)
-    p_reduce.set_defaults(func=_cmd_reduce)
-
-    p_mult = sub.add_parser("multiplier", help="eta and theta multipliers of a matrix")
-    p_mult.add_argument("--matrix", type=_parse_matrix_entries, required=True)
-    _add_output_flags(p_mult)
-    p_mult.set_defaults(func=_cmd_multiplier)
-
-    p_ded = sub.add_parser("dedekind", help="exact Dedekind sum s(h, k)")
-    p_ded.add_argument("--h", type=int, required=True)
-    p_ded.add_argument("--k", type=int, required=True)
-    _add_output_flags(p_ded)
-    p_ded.set_defaults(func=_cmd_dedekind)
-
-    p_vt = sub.add_parser("verify-transform", help="random sweep of the theta transformation law")
-    p_vt.add_argument("--count", type=int, default=200)
-    p_vt.add_argument("--tol", type=_parse_tolerance, default=1e-9)
-    p_vt.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_output_flags(p_vt)
-    p_vt.set_defaults(func=_cmd_verify_transform)
-
-    p_sw = sub.add_parser("sweep", help="theta and eta residual sweeps (plot-ready rows)")
-    p_sw.add_argument("--count", type=int, default=100)
-    p_sw.add_argument("--tol", type=_parse_tolerance, default=1e-9)
-    p_sw.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_output_flags(p_sw)
-    p_sw.set_defaults(func=_cmd_sweep)
-
-    p_vr = sub.add_parser("verify-residues", help="closed-form residues vs quadrature, closure, identity")
-    p_vr.add_argument("--m", type=int, required=True)
-    p_vr.add_argument("--k", type=int, required=True)
-    p_vr.add_argument("--h", type=int, required=True)
-    p_vr.add_argument("--v", type=float, required=True)
-    p_vr.add_argument("--z", type=_parse_complex, required=True)
-    p_vr.add_argument("--cap", type=int, default=400)
-    _add_output_flags(p_vr)
-    p_vr.set_defaults(func=_cmd_verify_residues)
-
+    p = {name: sub.add_parser(name, help=help_text) for name, (_, help_text) in COMMANDS.items()}
+    p["eval"].add_argument("--z", type=_parse_complex, required=True)
+    for name in ("eval", "eta", "reduce"):
+        p[name].add_argument("--tau", type=_parse_complex, required=True)
+    for name in ("eval", "eta"):
+        p[name].add_argument("--tol", type=_parse_tolerance, default=1e-12)
+    p["eval"].add_argument("--method", choices=("auto", "direct", "reduced"), default="auto")
+    p["multiplier"].add_argument("--matrix", type=_parse_matrix_entries, required=True)
+    p["dedekind"].add_argument("--h", type=int, required=True)
+    p["dedekind"].add_argument("--k", type=int, required=True)
+    for name, count in (("verify-transform", 200), ("sweep", 100)):
+        p[name].add_argument("--count", type=int, default=count)
+        p[name].add_argument("--tol", type=_parse_tolerance, default=1e-9)
+        p[name].add_argument("--seed", type=int, default=DEFAULT_SEED)
+    for flag, kind in (("--m", int), ("--k", int), ("--h", int), ("--v", float), ("--z", _parse_complex)):
+        p["verify-residues"].add_argument(flag, type=kind, required=True)
+    p["verify-residues"].add_argument("--cap", type=int, default=400)
+    for sub_parser in p.values():
+        sub_parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        sub_parser.add_argument("--out", default=None, help="write the report to this path")
     return parser
 
 
@@ -567,18 +334,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, TruncationError, NonConvergenceError, GeometryError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _emit(args, COMMANDS[args.command][0](args))
     except ThetamodError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ValidationError) else 3
+    except (ArithmeticError, ValueError) as exc:
+        # a raw numeric failure inside the library is still a numeric error
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

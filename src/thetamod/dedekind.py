@@ -95,9 +95,6 @@ class MultiplierValue:
     def value(self) -> complex:
         return cmath.exp(1j * math.pi * float(self.phase))
 
-    def inverse(self) -> "MultiplierValue":
-        return MultiplierValue(_normalize_phase(-self.phase))
-
 
 def eta_multiplier(mat: ModularMatrix) -> MultiplierValue:
     """Multiplier of eta: exp(pi i ((a + d)/(12 c) + s(-d, c))), c > 0."""

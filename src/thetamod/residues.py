@@ -133,21 +133,30 @@ def _cot(x: complex) -> complex:
     return 1j * (1 + e) / (1 - e)
 
 
-def _nearby_pole_candidates(p: VerifierParams, x: complex) -> list[complex]:
-    n_order = p.order
-    candidates = [0j]
-    n_imag = round(x.imag * n_order)
-    n_real = round(-x.real * n_order * p.v)
-    for dn in (-1, 0, 1):
-        candidates.append(1j * (n_imag + dn) / n_order)
-        candidates.append(-(n_real + dn) / (n_order * p.v))
-    return candidates
+def _pole(p: VerifierParams, family: str, n: int) -> complex:
+    """Simple pole n of a family: i n/N for "imag", -n/(N v) for "real"."""
+    if family == "imag":
+        return 1j * n / p.order
+    return -n / (p.order * p.v)
+
+
+def _pole_lattice(p: VerifierParams, n_max: int):
+    """(family, n, pole) for the origin, then imag +-n and real +-n, n = 1..n_max."""
+    yield "origin", 0, 0j
+    for n in range(1, n_max + 1):
+        for family in ("imag", "real"):
+            for signed in (n, -n):
+                yield family, signed, _pole(p, family, signed)
 
 
 def nearest_pole_distance(p: VerifierParams, x: complex) -> float:
     """Distance from x to the closest pole of the kernel (any family)."""
     xx = complex(x)
-    return min(abs(xx - pole) for pole in _nearby_pole_candidates(p, xx))
+    n_order = p.order
+    return min(
+        abs(xx - _pole(p, "imag", round(xx.imag * n_order))),
+        abs(xx - _pole(p, "real", round(-xx.real * n_order * p.v))),
+    )
 
 
 def _require_off_poles(p: VerifierParams, x: complex, min_distance: float = 1e-12) -> complex:
@@ -328,14 +337,8 @@ def circle_residue(func, pole: complex, radius: float, points: int = 128) -> com
 
 
 def _nearest_other_pole_distance(p: VerifierParams, pole: complex) -> float:
-    n_order = p.order
-    best = math.inf
-    for n in range(-p.m - 4, p.m + 5):
-        for candidate in (1j * n / n_order, -n / (n_order * p.v)):
-            d = abs(pole - candidate)
-            if d > 1e-13:
-                best = min(best, d)
-    return best
+    distances = (abs(pole - other) for _family, _n, other in _pole_lattice(p, p.m + 4))
+    return min(d for d in distances if d > 1e-13)
 
 
 def numeric_residue(
@@ -373,14 +376,10 @@ class ResidueReport:
 
 def simple_pole_report(p: VerifierParams, family: str, n: int, points: int = 128) -> ResidueReport:
     """Report for the simple pole of the given family ("imag" or "real")."""
-    if family == "imag":
-        closed = residue_at_imag_pole(p, n)
-        pole = 1j * n / p.order
-    elif family == "real":
-        closed = residue_at_real_pole(p, n)
-        pole = -n / (p.order * p.v)
-    else:
+    if family not in ("imag", "real"):
         raise ValidationError(f"family must be 'imag' or 'real', got {family!r}")
+    closed = (residue_at_imag_pole if family == "imag" else residue_at_real_pole)(p, n)
+    pole = _pole(p, family, n)
     oracle = numeric_residue(p, pole, points=points)
     return ResidueReport(pole=pole, order=1, closed_form=closed, oracle=oracle)
 
@@ -407,14 +406,7 @@ def origin_report(p: VerifierParams, points: int = 128) -> OriginReport:
 
 def enclosed_poles(p: VerifierParams) -> list[tuple[str, int, complex]]:
     """All poles inside the parallelogram contour: (family, n, location)."""
-    n_order = p.order
-    poles = [("origin", 0, 0j)]
-    for n in range(1, p.m + 1):
-        poles.append(("imag", n, 1j * n / n_order))
-        poles.append(("imag", -n, -1j * n / n_order))
-        poles.append(("real", n, -n / (n_order * p.v)))
-        poles.append(("real", -n, n / (n_order * p.v)))
-    return poles
+    return list(_pole_lattice(p, p.m))
 
 
 @dataclass(frozen=True)
@@ -518,13 +510,8 @@ def contour_integral(
     if spec is None:
         spec = ContourSpec.for_params(p)
     verts = [complex(v) for v in spec.vertices]
-    n_order = p.order
-    path_poles = [0j]
-    for n in range(1, p.m + 4):
-        path_poles += [1j * n / n_order, -1j * n / n_order]
-        path_poles += [n / (n_order * p.v), -n / (n_order * p.v)]
     edges = [(verts[i], verts[(i + 1) % 4]) for i in range(4)]
-    for pole in path_poles:
+    for _family, _n, pole in _pole_lattice(p, p.m + 3):
         for a, b in edges:
             if _segment_distance(pole, a, b) < 1e-6:
                 raise GeometryError(
@@ -604,7 +591,8 @@ def edge_limit_probe(p: VerifierParams, edge_index: int, t: float) -> complex:
 
 
 def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
-    """|LHS - RHS| of the logarithmic transformation identity at (h, k, H, v, z).
+    """|LHS - RHS| of the logarithmic transformation identity at (h, k, H, v, z),
+    with the imaginary part of the difference reduced modulo 2 pi.
 
     The left side combines six double sums (three per side of the change of
     variables v <-> 1/v, h <-> H) with the closed terms
@@ -615,7 +603,8 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     the right side is -(1/2) log v.  Every inner n-sum is truncated at
     sum_cap; the sums are the m -> infinity limits of the enclosed-residue
     totals, so a small residual here is the identity the whole contour
-    argument proves.
+    argument proves.  Each side is a sum of principal-branch logarithms, so
+    the identity holds only modulo 2 pi i.
     """
     if sum_cap < 1:
         raise ValidationError(f"sum_cap must be positive, got {sum_cap}")
@@ -660,4 +649,5 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
         - math.pi * z / v
     )
     rhs = -0.5 * math.log(v)
-    return abs(lhs - rhs)
+    diff = lhs - rhs
+    return abs(complex(diff.real, math.remainder(diff.imag, _TWO_PI)))

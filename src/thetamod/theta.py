@@ -244,7 +244,7 @@ def jacobi_triple_product_check(
     w2 = ww * ww
     w2i = 1 / w2
     big = max(abs(w2), abs(w2i), 1.0)
-    log_q = math.log(abs(qq)) if qq != 0 else -math.inf
+    log_q = math.log(abs(qq))
     log_big = math.log(big)
     log_target = math.log(0.1 * ctl.tolerance)
 
@@ -254,7 +254,7 @@ def jacobi_triple_product_check(
     w2n = 1 + 0j
     w2in = 1 + 0j
     n = 0
-    while qq != 0:
+    while True:
         n += 1
         qn2 *= qodd
         qodd *= qq * qq
@@ -362,42 +362,35 @@ def _check_log_sum_domain(a: complex, r: float) -> None:
         )
 
 
-def geometric_log_sum(a: complex, r: float, cap: int) -> complex:
-    """sum_{n=1}^{cap} a^n / (n (1 - r^n)) for real 0 < r < 1.
+def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
+    """sum_{n=1}^{cap} a^n / (n (1 - r^n)) for a ratio 0 < |r| < 1.
 
-    For |a| <= 3/4 the sum is taken term by term.  For larger |a| the head
-    sum_n a^n / n (slowly convergent on |a| = 1, formally divergent beyond)
-    is replaced by its closed form -log(1 - a) and only the remainder, whose
-    terms shrink like (|a| r)^n, is summed; that remainder evaluation is the
-    analytic continuation of the defining sum and agrees with it wherever
-    both converge.
+    A real r keeps float arithmetic; a complex r (the ratio e^{-2 pi v} of a
+    complex v) is carried exactly.  For |a| <= 3/4 the sum is taken term by
+    term.  For larger |a| the head sum_n a^n / n (slowly convergent on
+    |a| = 1, formally divergent beyond) is replaced by its closed form
+    -log(1 - a) and only the remainder, whose terms shrink like (|a| |r|)^n,
+    is summed; that remainder evaluation is the analytic continuation of the
+    defining sum and agrees with it wherever both converge.
     """
     aa = complex(a)
-    rr = float(r)
-    if not 0.0 < rr < 1.0:
-        raise DomainError(f"r must be in (0, 1), got {rr}")
+    rr = r if isinstance(r, complex) else float(r)
+    if not 0.0 < abs(rr) < 1.0:
+        raise DomainError(f"|r| must be in (0, 1), got r = {rr}")
     if cap < 1:
         raise ValidationError(f"cap must be at least 1, got {cap}")
-    _check_log_sum_domain(aa, rr)
+    _check_log_sum_domain(aa, abs(rr))
     if abs(aa) <= 0.75:
-        total = 0j
-        an = 1 + 0j
-        rn = 1.0
-        for n in range(1, cap + 1):
-            an *= aa
-            rn *= rr
-            total += an / (n * (1.0 - rn))
-            if abs(an) < 1e-320:
-                break
-        return total
-    total = -cmath.log(1 - aa)
-    arn = 1 + 0j
-    rn = 1.0
+        total, step = 0j, aa
+    else:
+        total, step = -cmath.log(1 - aa), aa * rr
+    term = 1 + 0j
+    rn = 1 + 0j if isinstance(rr, complex) else 1.0
     for n in range(1, cap + 1):
-        arn *= aa * rr
+        term *= step
         rn *= rr
-        total += arn / (n * (1.0 - rn))
-        if abs(arn) < 1e-320:
+        total += term / (n * (1.0 - rn))
+        if abs(term) < 1e-320:
             break
     return total
 
@@ -444,8 +437,8 @@ def log_theta1_by_residue_classes(
         )
     h, k = params.h, params.k
     r = math.exp(-_TWO_PI * v.real)
-    # complex v keeps a residual phase; fold it into the class values
-    phase_v = cmath.exp(-_TWO_PI * 1j * v.imag) if v.imag else 1.0
+    # complex v keeps a residual phase in the ratio e^{-2 pi v}
+    ratio = r * cmath.exp(-_TWO_PI * 1j * v.imag) if v.imag else r
 
     def class_value(residue_index: int) -> complex:
         return cmath.exp(
@@ -460,37 +453,6 @@ def log_theta1_by_residue_classes(
         a3 = class_value(mu - 1) * e_minus
         for a in (a1, a1 * e_plus, a3):
             cap = _log_sum_cap(a, r, ctl)
-            total -= _geometric_log_sum_complex_ratio(a, v, r, phase_v, cap)
+            total -= geometric_log_sum(a, ratio, cap)
     return total
 
-
-def _geometric_log_sum_complex_ratio(
-    a: complex, v: complex, r: float, phase_v: complex, cap: int
-) -> complex:
-    """geometric_log_sum with ratio e^{-2 pi v} for possibly complex v."""
-    if v.imag == 0.0:
-        return geometric_log_sum(a, r, cap)
-    # same split as geometric_log_sum, with the complex ratio kept exact
-    ratio = r * phase_v
-    _check_log_sum_domain(a, abs(ratio))
-    if abs(a) <= 0.75:
-        total = 0j
-        an = 1 + 0j
-        rn = 1 + 0j
-        for n in range(1, cap + 1):
-            an *= a
-            rn *= ratio
-            total += an / (n * (1 - rn))
-            if abs(an) < 1e-320:
-                break
-        return total
-    total = -cmath.log(1 - a)
-    arn = 1 + 0j
-    rn = 1 + 0j
-    for n in range(1, cap + 1):
-        arn *= a * ratio
-        rn *= ratio
-        total += arn / (n * (1 - rn))
-        if abs(arn) < 1e-320:
-            break
-    return total

@@ -75,6 +75,16 @@ TINY = 1e-300
 _TWO_PI = 2.0 * math.pi
 
 
+def _theta_law_factor(mat: ModularMatrix, z: complex, tau: complex) -> complex:
+    """The law factor eps1 * (-i(c tau+d))^{1/2} * exp(pi i c z^2/(c tau+d)), for c > 0."""
+    den = mat.c * tau + mat.d
+    return (
+        theta_multiplier(mat).value
+        * principal_power(-1j * den, 0.5)
+        * cmath.exp(1j * math.pi * mat.c * z * z / den)
+    )
+
+
 def transform_rhs(
     mat: ModularMatrix, z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
 ) -> complex:
@@ -83,13 +93,7 @@ def transform_rhs(
         raise ValidationError(f"transformation law requires c > 0, got c={mat.c}")
     t = require_upper_half(tau)
     zz = complex(z)
-    den = mat.c * t + mat.d
-    return (
-        theta_multiplier(mat).value
-        * principal_power(-1j * den, 0.5)
-        * cmath.exp(1j * math.pi * mat.c * zz * zz / den)
-        * theta1_series(zz, t, ctl)
-    )
+    return _theta_law_factor(mat, zz, t) * theta1_series(zz, t, ctl)
 
 
 def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
@@ -150,13 +154,8 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
     else:
         if mat.c < 0:
             mat = -mat
-        den = mat.c * t + mat.d
-        zeta = zz / den
-        law_factor = (
-            theta_multiplier(mat).value
-            * principal_power(-1j * den, 0.5)
-            * cmath.exp(1j * math.pi * mat.c * zz * zz / den)
-        )
+        zeta = zz / (mat.c * t + mat.d)
+        law_factor = _theta_law_factor(mat, zz, t)
     z_red, m_shift, n_shift, z_prefactor = reduce_z(zeta, tau_red)
     # theta1(zeta, tau_red) = law_factor * theta1(z, tau)
     #                      = z_prefactor * theta1(z_red, tau_red)

@@ -1,5 +1,10 @@
+import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -216,3 +221,55 @@ class TestUsageErrors:
 
     def test_out_of_range_tolerance(self, capsys):
         assert run_cli(capsys, "verify-transform", "--count", "1", "--tol", "0.5")[0] == 2
+
+
+CSV_COMMANDS = [
+    ("eval", "--z", "0.3+0i", "--tau", "0+1i"),
+    ("eval", "--z", "0.2+0i", "--tau", "0.3+0.002i"),
+    ("eta", "--tau", "0+2i"),
+    ("reduce", "--tau", "5.3+0.8i"),
+    ("multiplier", "--matrix", "0,-1,1,0"),
+    ("dedekind", "--h", "1", "--k", "3"),
+    ("verify-transform", "--count", "3", "--seed", "11"),
+    ("sweep", "--count", "2", "--seed", "2"),
+    ("verify-residues", "--m", "2", "--k", "3", "--h", "1", "--v", "1.3", "--z", "0.2+0.1i"),
+]
+
+
+@pytest.mark.parametrize("argv", CSV_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+def test_csv_rows_equal_json_results(capsys, argv):
+    code_csv, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    code_json, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code_csv == code_json == 0
+    header, *rows = list(csv.reader(io.StringIO(out_csv)))
+    results = json.loads(out_json)["results"]
+    assert len(rows) == len(results)
+    for row, result in zip(rows, results):
+        # csv writes str() of each field, the shortest round-trip form for floats
+        assert row == [str(result[name]) for name in header]
+
+
+class TestExitCodes:
+    def test_verify_residues_identity_holds_modulo_two_pi_i(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "verify-residues",
+            "--m", "3", "--k", "7", "--h", "3", "--v", "0.8", "--z", "0.35-0.4i",
+        )
+        assert code == 0
+        assert "result: PASS" in out
+
+    def test_raw_numeric_error_exits_3_without_traceback(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetamod.cli", "eval", "--z", "0.2+0i", "--tau", "0.3+1e-6i"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.strip().splitlines()) == 1

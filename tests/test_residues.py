@@ -19,6 +19,7 @@ from thetamod import (
     eval_kernel,
     eval_kernel_block,
     log_identity_residual,
+    neg_mod_inverse,
     numeric_residue,
     origin_report,
     residue_at_imag_pole,
@@ -26,7 +27,7 @@ from thetamod import (
     residue_at_real_pole,
     simple_pole_report,
 )
-from thetamod.residues import EDGE_LIMITS
+from thetamod.residues import EDGE_LIMITS, nearest_pole_distance
 
 BASE = VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=2)
 
@@ -344,6 +345,13 @@ class TestLogIdentity:
         with pytest.raises(ValidationError):
             log_identity_residual(BASE, 0)
 
+    @pytest.mark.parametrize("h, k", [(3, 7), (2, 5)])
+    def test_difference_of_two_pi_i_is_not_a_residual(self, h, k):
+        # at these points the two sides differ by exactly -2 pi i, which the
+        # identity (a statement about logarithms) allows
+        params = VerifierParams(h=h, k=k, H=neg_mod_inverse(h, k), v=0.8, z=0.35 - 0.4j, m=3)
+        assert log_identity_residual(params, 400) < 1e-8
+
     def test_equivalence_with_transformation_law(self):
         # the identity at (h, k, H, v) is the logarithm of the law at the
         # matrix (H, b; k, -h) with b = -(H h + 1)/k, evaluated at
@@ -363,3 +371,20 @@ class TestLogIdentity:
                 params = VerifierParams(h=h, k=k, H=H, v=v, z=z, m=2)
                 assert log_identity_residual(params, 400) < 1e-8
                 assert verify_transformation(mat, z, tau) < 1e-9
+
+
+class TestNearestPoleDistance:
+    @pytest.mark.parametrize("m, v", [(1, 0.8), (3, 1.5), (10, 0.3), (40, 2.5)])
+    def test_matches_explicit_enumeration(self, m, v):
+        import random
+
+        params = VerifierParams(h=1, k=2, H=1, v=v, z=0.2 + 0.1j, m=m)
+        n_order = m + 0.5
+        rng = random.Random(m)
+        for _ in range(300):
+            x = complex(rng.uniform(-2.0, 2.0) / v, rng.uniform(-2.0, 2.0))
+            # every kernel pole within |n| <= 3m + 3 covers the sampled box
+            poles = [0j]
+            for n in range(1, 3 * m + 4):
+                poles += [1j * n / n_order, -1j * n / n_order, n / (n_order * v), -n / (n_order * v)]
+            assert nearest_pole_distance(params, x) == min(abs(x - pole) for pole in poles)
