@@ -31,7 +31,6 @@ from .modular import (
 )
 from .residues import (
     ClosureReport,
-    ContourSpec,
     EDGE_LIMITS,
     OriginResidue,
     ResidueReport,

@@ -46,7 +46,6 @@ from .theta import geometric_log_sum
 
 __all__ = [
     "VerifierParams",
-    "ContourSpec",
     "ResidueReport",
     "OriginResidue",
     "eval_kernel_block",
@@ -374,13 +373,13 @@ class ResidueReport:
         return abs(self.closed_form - self.oracle)
 
 
-def simple_pole_report(p: VerifierParams, family: str, n: int, points: int = 128) -> ResidueReport:
+def simple_pole_report(p: VerifierParams, family: str, n: int) -> ResidueReport:
     """Report for the simple pole of the given family ("imag" or "real")."""
     if family not in ("imag", "real"):
         raise ValidationError(f"family must be 'imag' or 'real', got {family!r}")
     closed = (residue_at_imag_pole if family == "imag" else residue_at_real_pole)(p, n)
     pole = _pole(p, family, n)
-    oracle = numeric_residue(p, pole, points=points)
+    oracle = numeric_residue(p, pole)
     return ResidueReport(pole=pole, order=1, closed_form=closed, oracle=oracle)
 
 
@@ -400,51 +399,13 @@ class OriginReport:
         return abs(self.origin.assembled - self.oracle)
 
 
-def origin_report(p: VerifierParams, points: int = 128) -> OriginReport:
-    return OriginReport(origin=residue_at_origin(p), oracle=numeric_residue(p, 0j, points=points))
+def origin_report(p: VerifierParams) -> OriginReport:
+    return OriginReport(origin=residue_at_origin(p), oracle=numeric_residue(p, 0j))
 
 
 def enclosed_poles(p: VerifierParams) -> list[tuple[str, int, complex]]:
     """All poles inside the parallelogram contour: (family, n, location)."""
     return list(_pole_lattice(p, p.m))
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """The parallelogram contour (1/v, i, -1/v, -i), traversed counterclockwise,
-    plus quadrature knobs: Gauss-Legendre points per panel and the dyadic
-    refinement depth toward the vertices (where the poles crowd the path)."""
-
-    vertices: tuple[complex, complex, complex, complex]
-    points_per_edge: int = 24
-    refinement_depth: int = 10
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) != 4:
-            raise ValidationError("contour needs exactly four vertices")
-        v0, v1, v2, v3 = (complex(v) for v in self.vertices)
-        if not (v0.imag == 0.0 and v0.real > 0):
-            raise ValidationError(f"first vertex must be the positive real 1/v, got {v0}")
-        if v1 != 1j or v3 != -1j or v2 != -v0:
-            raise ValidationError(
-                "vertices must be (1/v, i, -1/v, -i) in counterclockwise order"
-            )
-        if self.points_per_edge < 4:
-            raise ValidationError("points_per_edge must be at least 4")
-        if self.refinement_depth < 0:
-            raise ValidationError("refinement_depth must be nonnegative")
-
-    @classmethod
-    def for_params(
-        cls,
-        p: VerifierParams,
-        points_per_edge: int = 24,
-        refinement_depth: int | None = None,
-    ) -> "ContourSpec":
-        if refinement_depth is None:
-            # resolve down to ~1/(8 N), safely below the pole-to-path distance
-            refinement_depth = max(8, math.ceil(math.log2(8.0 * p.order)))
-        return cls((1.0 / p.v, 1j, -1.0 / p.v, -1j), points_per_edge, refinement_depth)
 
 
 @lru_cache(maxsize=8)
@@ -463,20 +424,20 @@ def _segment_distance(x: complex, a: complex, b: complex) -> float:
     return abs(x - (a + t * d))
 
 
-def _gl_panel(f, a: complex, b: complex, nodes, weights) -> complex:
+def _gl_panel(p: VerifierParams, a: complex, b: complex, nodes, weights) -> complex:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     total = 0j
     for x, w in zip(nodes, weights):
-        total += w * f(mid + half * x)
+        total += w * eval_kernel(p, mid + half * x)
     return total * half
 
 
-def _adaptive_panel(f, a, b, nodes, weights, tol, depth) -> complex:
-    whole = _gl_panel(f, a, b, nodes, weights)
+def _adaptive_panel(panel, a, b, whole, tol, depth) -> complex:
+    """Refine [a, b], whose one-panel value is whole, until its halves agree."""
     mid = 0.5 * (a + b)
-    left = _gl_panel(f, a, mid, nodes, weights)
-    right = _gl_panel(f, mid, b, nodes, weights)
+    left = panel(a, mid)
+    right = panel(mid, b)
     fine = left + right
     err = abs(fine - whole)
     if err <= tol or err <= 1e-12 * abs(fine):
@@ -485,31 +446,28 @@ def _adaptive_panel(f, a, b, nodes, weights, tol, depth) -> complex:
         raise QuadratureError(
             f"contour quadrature not converged on [{a}, {b}]: panel error {err:.3g}"
         )
-    return _adaptive_panel(f, a, mid, nodes, weights, 0.5 * tol, depth - 1) + _adaptive_panel(
-        f, mid, b, nodes, weights, 0.5 * tol, depth - 1
+    return _adaptive_panel(panel, a, mid, left, 0.5 * tol, depth - 1) + _adaptive_panel(
+        panel, mid, b, right, 0.5 * tol, depth - 1
     )
 
 
 def _dyadic_breakpoints(depth: int) -> list[float]:
     left = [0.5**j for j in range(depth, 0, -1)]
     right = [1.0 - 0.5**j for j in range(1, depth + 1)]
-    points = sorted(set([0.0] + left + right + [1.0]))
-    return points
+    return sorted(set([0.0] + left + right + [1.0]))
 
 
-def contour_integral(
-    p: VerifierParams, spec: ContourSpec | None = None, tol: float = 1e-9
-) -> complex:
-    """Integral of the kernel over the parallelogram contour.
+def contour_integral(p: VerifierParams) -> complex:
+    """Integral of the kernel over the parallelogram (1/v, i, -1/v, -i),
+    traversed counterclockwise.
 
-    Composite adaptive Gauss-Legendre per edge, with dyadic pre-subdivision
-    toward the vertices where the pole families accumulate.  Raises
-    GeometryError if any kernel pole sits within 1e-6 of the path and
-    QuadratureError if refinement stalls.
+    Composite adaptive 24-point Gauss-Legendre per edge, with dyadic
+    pre-subdivision toward the vertices where the pole families accumulate,
+    down to ~1/(8 N), safely below the pole-to-path distance; the panel
+    tolerances add up to 1e-9.  Raises GeometryError if any kernel pole sits
+    within 1e-6 of the path and QuadratureError if refinement stalls.
     """
-    if spec is None:
-        spec = ContourSpec.for_params(p)
-    verts = [complex(v) for v in spec.vertices]
+    verts = [complex(v) for v in (1.0 / p.v, 1j, -1.0 / p.v, -1j)]
     edges = [(verts[i], verts[(i + 1) % 4]) for i in range(4)]
     for _family, _n, pole in _pole_lattice(p, p.m + 3):
         for a, b in edges:
@@ -517,24 +475,23 @@ def contour_integral(
                 raise GeometryError(
                     f"kernel pole at {pole} lies within 1e-6 of contour edge [{a}, {b}]"
                 )
-    nodes, weights = _gl_rule(spec.points_per_edge)
-    breaks = _dyadic_breakpoints(spec.refinement_depth)
-    f = lambda x: eval_kernel(p, x)
-    panel_count = 4 * (len(breaks) - 1)
+    nodes, weights = _gl_rule(24)
+    depth = max(8, math.ceil(math.log2(8.0 * p.order)))
+    breaks = _dyadic_breakpoints(depth)
+    panel = lambda a, b: _gl_panel(p, a, b, nodes, weights)
+    panel_tol = 1e-9 / (4 * (len(breaks) - 1))
     total = 0j
     for a, b in edges:
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             pa = a + (b - a) * lo
             pb = a + (b - a) * hi
-            total += _adaptive_panel(
-                f, pa, pb, nodes, weights, tol / panel_count, spec.refinement_depth
-            )
+            total += _adaptive_panel(panel, pa, pb, panel(pa, pb), panel_tol, depth)
     return total
 
 
-def contour_gap(p: VerifierParams, spec: ContourSpec | None = None, tol: float = 1e-9) -> float:
+def contour_gap(p: VerifierParams) -> float:
     """|contour integral - (-log v)|: the finite-m gap to the limit value."""
-    return abs(contour_integral(p, spec, tol) - (-math.log(p.v)))
+    return abs(contour_integral(p) - (-math.log(p.v)))
 
 
 @dataclass(frozen=True)
@@ -549,12 +506,7 @@ class ClosureReport:
         return abs(self.contour - 2j * math.pi * self.residue_sum)
 
 
-def closure_residual(
-    p: VerifierParams,
-    spec: ContourSpec | None = None,
-    tol: float = 1e-9,
-    points: int = 128,
-) -> ClosureReport:
+def closure_residual(p: VerifierParams) -> ClosureReport:
     """Check contour = 2 pi i * sum of quadrature residues over enclosed poles.
 
     Holds exactly at every finite m for any meromorphic integrand, so it
@@ -563,8 +515,8 @@ def closure_residual(
     """
     total = 0j
     for _family, _n, pole in enclosed_poles(p):
-        total += numeric_residue(p, pole, points=points)
-    return ClosureReport(contour=contour_integral(p, spec, tol), residue_sum=total)
+        total += numeric_residue(p, pole)
+    return ClosureReport(contour=contour_integral(p), residue_sum=total)
 
 
 # limits of x*F(x) on the open edges, indexed like the vertices:

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from thetamod import ClosureReport, enclosed_poles, numeric_residue
+from thetamod import cli
 from thetamod.cli import main
 
 
@@ -188,6 +190,28 @@ class TestVerifyResidues:
         families = {row["family"] for row in report["results"]}
         assert families == {"origin", "imag", "real"}
 
+    LARGE_RESIDUES = ("verify-residues", "--m", "40", "--k", "1", "--h", "0", "--v", "1.5",
+                      "--z", "0.2+0.1i")
+
+    def test_closure_tolerance_is_relative(self, capsys):
+        # residues of size ~3e8 leave a closure residual of ~7e-6 (5e-15 relative)
+        code, out, _ = run_cli(capsys, *self.LARGE_RESIDUES)
+        assert code == 0
+        assert "result: PASS" in out
+
+    def test_closure_off_by_1e_6_relative_fails(self, capsys, monkeypatch):
+        closure_residual = cli.closure_residual
+
+        def off(params):
+            report = closure_residual(params)
+            size = sum(abs(numeric_residue(params, pole)) for *_, pole in enclosed_poles(params))
+            return ClosureReport(report.contour + 1e-6 * 2 * math.pi * size, report.residue_sum)
+
+        monkeypatch.setattr(cli, "closure_residual", off)
+        code, out, _ = run_cli(capsys, *self.LARGE_RESIDUES)
+        assert code == 1
+        assert "result: FAIL" in out
+
 
 class TestSweep:
     def test_csv_rows(self, capsys):
@@ -210,6 +234,14 @@ class TestOutputFile:
         assert out == ""
         report = json.loads(target.read_text())
         assert report["results"][0]["value"] == "1/18"
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run_cli(capsys, "dedekind", "--h", "1", "--k", "3", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not target.exists()
 
 
 class TestUsageErrors:
@@ -258,6 +290,14 @@ class TestExitCodes:
         )
         assert code == 0
         assert "result: PASS" in out
+
+    def test_direct_series_overflow_exit_3(self, capsys):
+        argv = ("eval", "--method", "direct", "--z", "0.3+0.1i", "--tau", "0.1+0.0001i")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "theta1_fast" in err
 
     def test_raw_numeric_error_exits_3_without_traceback(self):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

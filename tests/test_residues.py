@@ -1,10 +1,11 @@
 import cmath
 import math
+from collections import Counter
 
 import pytest
 
+from thetamod import residues
 from thetamod import (
-    ContourSpec,
     DomainError,
     GeometryError,
     ValidationError,
@@ -291,9 +292,20 @@ class TestContour:
         with pytest.raises(GeometryError):
             contour_integral(params)
 
-    def test_vertex_invariant_enforced(self):
-        with pytest.raises(ValidationError):
-            ContourSpec(vertices=(1.0, 1j, -2.0, -1j))
+    def test_refinement_evaluates_each_panel_once(self, monkeypatch):
+        # at v = 10 the real-family poles crowd the vertices 1/v and -1/v,
+        # so adaptive refinement splits panels below the dyadic grid
+        calls = Counter()
+        panel = residues._gl_panel
+
+        def counted(*args):
+            calls[args[1], args[2]] += 1
+            return panel(*args)
+
+        monkeypatch.setattr(residues, "_gl_panel", counted)
+        contour_integral(VerifierParams(h=0, k=1, H=0, v=10.0, z=0.2 + 0.1j, m=3))
+        assert sum(calls.values()) > 3 * 64  # 64 dyadic panels, whole plus halves each
+        assert max(calls.values()) == 1
 
 
 class TestEdgeProbes:

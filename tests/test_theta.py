@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from conftest import mp_eta_direct, mp_theta1_direct, mp_theta1_jtheta
@@ -12,6 +13,7 @@ from thetamod import (
     TruncationError,
     ValidationError,
     eta,
+    eta_info,
     jacobi_triple_product_check,
     lattice_distance,
     log_theta1,
@@ -20,6 +22,7 @@ from thetamod import (
     theta1_series,
     theta1_series_info,
 )
+from thetamod.theta import DEFAULT_CONTROL, _triple_factors
 
 TIGHT = TruncationControl(tolerance=1e-15)
 
@@ -72,6 +75,17 @@ class TestTheta1Series:
         with pytest.raises(DomainError):
             theta1_series(0.1, -1j)
 
+    @pytest.mark.parametrize(
+        "z, tau",
+        [
+            (0.3 + 0.1j, 0.1 + 1e-4j),  # 2103 pairs, numpy sum: inf * 0 in the terms
+            (0.3 + 1.5j, 0.1 + 0.02j),  # 153 pairs, cmath loop: sin overflows alone
+        ],
+    )
+    def test_overflowing_terms_raise_truncation_error(self, z, tau):
+        with pytest.raises(TruncationError, match="theta1_fast"):
+            theta1_series_info(z, tau)
+
 
 class TestTheta1Product:
     def test_vanishes_at_zero(self):
@@ -80,6 +94,17 @@ class TestTheta1Product:
     def test_vanishes_on_lattice_point(self):
         # z = 1 = m + n tau with (m, n) = (1, 0): third factor is exactly 0 at n=1
         assert abs(theta1_product(1.0, 0.3 + 0.8j)) < 1e-13
+
+    def test_long_product_matches_direct_series(self):
+        # Im tau in [2.5e-3, 1.5e-2]: 256 or more factors per product
+        rng = random.Random(62)
+        for _ in range(12):
+            tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(math.log10(2.5e-3), math.log10(1.5e-2)))
+            z = _cell_point(rng, tau)
+            assert sum(1 for _ in _triple_factors(z, tau, DEFAULT_CONTROL)) >= 256
+            oracle = mp_theta1_direct(z, tau, terms=400)
+            assert abs(theta1_product(z, tau) - oracle) <= 1e-11 * abs(oracle)
+            assert abs(cmath.exp(log_theta1(z, tau)) - oracle) <= 1e-11 * abs(oracle)
 
     def test_matches_series(self):
         rng = random.Random(61)
@@ -150,6 +175,18 @@ class TestEta:
         oracle = mp_eta_direct(tau, terms=3000, dps=40)
         value = eta(tau, TruncationControl(tolerance=1e-13))
         assert abs(value - oracle) <= 1e-11 * abs(oracle)
+
+    def test_long_products_match_qp(self):
+        # Im tau in [3e-4, 3e-3]: ~1500 to ~15000 factors
+        rng = random.Random(43)
+        for _ in range(24):
+            tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(math.log10(3e-4), math.log10(3e-3)))
+            info = eta_info(tau)
+            assert info.terms >= 1000
+            with mp.workdps(30):
+                t = mp.mpc(tau)
+                oracle = complex(mp.exp(1j * mp.pi * t / 12) * mp.qp(mp.exp(2j * mp.pi * t)))
+            assert abs(info.value - oracle) <= 1e-10 * abs(oracle)
 
 
 def _cell_point(rng, tau):
