@@ -32,7 +32,7 @@ from .dedekind import dedekind_sum_fast, eta_multiplier, theta_multiplier
 from .errors import ThetamodError, TruncationError, ValidationError
 from .modular import ModularMatrix, moebius_apply, neg_mod_inverse, reduce_to_fundamental_domain
 from .residues import VerifierParams, closure_residual, log_identity_residual
-from .residues import origin_report, simple_pole_report
+from .residues import residue_at_imag_pole, residue_at_origin, residue_at_real_pole
 from .theta import TruncationControl, eta_info, theta1_series_info
 from .transform import theta1_fast_info, transform_sweep
 
@@ -254,19 +254,17 @@ def _cmd_verify_residues(args) -> Report:
         raise ValidationError(f"h={args.h} and k={args.k} must be coprime")
     H = neg_mod_inverse(args.h, args.k)
     params = VerifierParams(h=args.h, k=args.k, H=H, v=args.v, z=args.z, m=args.m)
-    origin = origin_report(params)
-    assembled, oracle = origin.origin.assembled, origin.oracle
-    rows = [_pole_row("origin", 0, 0j, assembled, oracle, origin.discrepancy_assembled)]
-    columns = tuple(rows[0])
-    rows[0]["compact_form_discrepancy"] = origin.discrepancy_compact
-    oracles = [oracle]
-    for family in ("imag", "real"):
-        for n in filter(None, range(-args.m, args.m + 1)):
-            rep = simple_pole_report(params, family, n)
-            oracles.append(rep.oracle)
-            rows.append(_pole_row(family, n, rep.pole, rep.closed_form, rep.oracle, rep.discrepancy))
     closure = closure_residual(params)
-    closure_tol = CLOSURE_REL_TOL * 2 * math.pi * sum(map(abs, oracles))
+    origin = residue_at_origin(params)
+    # the oracles are the closure's circle residues: each pole is integrated once
+    poles = sorted(closure.poles, key=lambda e: (("origin", "imag", "real").index(e.family), e.n))
+    closed = [origin.assembled] + [
+        (residue_at_imag_pole if e.family == "imag" else residue_at_real_pole)(params, e.n) for e in poles[1:]
+    ]
+    rows = [_pole_row(e.family, e.n, e.pole, c, e.residue, abs(c - e.residue)) for e, c in zip(poles, closed)]
+    columns = tuple(rows[0])
+    rows[0]["compact_form_discrepancy"] = abs(origin.compact - poles[0].residue)
+    closure_tol = CLOSURE_REL_TOL * 2 * math.pi * sum(abs(e.residue) for e in poles)
     identity = log_identity_residual(params, args.cap)
     gap = abs(closure.contour - (-math.log(params.v)))
     passed = closure.residual < closure_tol and identity < IDENTITY_TOL
@@ -281,7 +279,7 @@ def _cmd_verify_residues(args) -> Report:
             f"{row['family']:>8} {row['n']:>4} {closed:>28.16g} {oracle:>28.16g} {row['discrepancy']:>12.3e}"
         )
     text += [
-        f"compact origin form differs from the assembled residue by {origin.origin.discrepancy!r}",
+        f"compact origin form differs from the assembled residue by {origin.discrepancy!r}",
         f"residue-theorem closure residual: {closure.residual!r} (tolerance {closure_tol:.3g})",
         f"log-identity residual (cap {args.cap}): {identity!r} (tolerance {IDENTITY_TOL!r})",
         f"contour vs -log(v) gap at m={args.m}: {gap!r}",

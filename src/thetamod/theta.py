@@ -52,9 +52,10 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 # theta1_series_info sums with cmath below this many pairs, with numpy from here
-# on; each side has a workload: theta1_fast's reduced series needs 2-4 terms
-# (loop ~1 us, numpy ~14 us), law sweeps up to ~2200 (numpy ~5x faster at 1100).
-_VECTOR_CUTOFF = 256
+# on, where the two break even; theta1_fast's reduced series needs 2-6 terms
+# (loop ~1 us, numpy ~14 us), and numpy is 1.4-1.9x faster at 64 pairs and
+# 3-4x at 255.
+_VECTOR_CUTOFF = 32
 _SERIES_OVERFLOW = (
     "series terms overflow double precision at this (z, tau); "
     "reduce the argument first (transform.theta1_fast)"

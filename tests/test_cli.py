@@ -6,10 +6,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from thetamod import ClosureReport, enclosed_poles, numeric_residue
-from thetamod import cli
+from thetamod import ClosureReport, VerifierParams, enclosed_poles, neg_mod_inverse, numeric_residue
+from thetamod import cli, residues
 from thetamod.cli import main
 
 
@@ -205,12 +206,41 @@ class TestVerifyResidues:
         def off(params):
             report = closure_residual(params)
             size = sum(abs(numeric_residue(params, pole)) for *_, pole in enclosed_poles(params))
-            return ClosureReport(report.contour + 1e-6 * 2 * math.pi * size, report.residue_sum)
+            return ClosureReport(report.contour + 1e-6 * 2 * math.pi * size, report.residue_sum, report.poles)
 
         monkeypatch.setattr(cli, "closure_residual", off)
         code, out, _ = run_cli(capsys, *self.LARGE_RESIDUES)
         assert code == 1
         assert "result: FAIL" in out
+
+    K7_RESIDUES = ("verify-residues", "--m", "10", "--k", "7", "--h", "3", "--v", "1.5",
+                   "--z", "0.2+0.1i", "--format", "json")
+
+    def test_each_circle_integrated_once(self, capsys, monkeypatch):
+        # 41 closure circles of 128 points plus 4608 contour points; the pole
+        # rows reuse the closure's circles instead of integrating them again
+        points = []
+        kernel = residues.eval_kernel
+
+        def counted(p, x):
+            points.append(np.size(x))
+            return kernel(p, x)
+
+        monkeypatch.setattr(residues, "eval_kernel", counted)
+        code, _, _ = run_cli(capsys, *self.K7_RESIDUES)
+        assert code == 0
+        assert sum(points) <= 41 * 128 + 4608
+
+    def test_rows_carry_numeric_residues(self, capsys):
+        code, out, _ = run_cli(capsys, *self.K7_RESIDUES)
+        assert code == 0
+        report = json.loads(out)
+        params = VerifierParams(h=3, k=7, H=neg_mod_inverse(3, 7), v=1.5, z=0.2 + 0.1j, m=10)
+        assert len(report["results"]) == 41
+        for row in report["results"]:
+            oracle = complex(row["oracle_re"], row["oracle_im"])
+            expected = numeric_residue(params, complex(row["pole_re"], row["pole_im"]))
+            assert abs(oracle - expected) <= 1e-14 * abs(expected)
 
 
 class TestSweep:

@@ -2,12 +2,14 @@ import cmath
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from thetamod import residues
 from thetamod import (
     DomainError,
     GeometryError,
+    QuadratureError,
     ValidationError,
     VerifierParams,
     circle_residue,
@@ -65,7 +67,7 @@ class TestCircleResidue:
 
     def test_exp_over_cube(self):
         # e^{2x}/x^3 has residue 2^2/2! = 2
-        value = circle_residue(lambda x: cmath.exp(2 * x) / x**3, 0j, 0.3)
+        value = circle_residue(lambda x: np.exp(2 * x) / x**3, 0j, 0.3)
         assert abs(value - 2) < 1e-10
 
     def test_point_minimum(self):
@@ -171,6 +173,29 @@ class TestKernel:
 
         value = eval_kernel(params, x)
         assert abs(value - naive()) <= 1e-10 * abs(value)
+
+    @pytest.mark.parametrize("k, h, H", [(1, 0, 0), (2, 1, 1), (7, 3, 2)])
+    def test_array_matches_scalar_calls(self, k, h, H):
+        import random
+
+        rng = random.Random(k)
+        params = VerifierParams(h=h, k=k, H=H, v=1.5, z=0.2 - 0.1j, m=10)
+        xs = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(300)])
+        batch = eval_kernel(params, xs.reshape(20, 15))
+        assert batch.shape == (20, 15)
+        blocks = eval_kernel_block(params, xs, 1) if k > 1 else None
+        for j, x in enumerate(xs):
+            one = eval_kernel(params, complex(x))
+            assert type(one) is complex
+            assert abs(batch.flat[j] - one) <= 4 * np.finfo(float).eps * abs(one)
+            if blocks is not None:
+                single = eval_kernel_block(params, complex(x), 1)
+                assert abs(blocks[j] - single) <= 4 * np.finfo(float).eps * abs(single)
+
+    def test_array_pole_proximity_rejected(self):
+        xs = np.array([0.1 + 0.2j, 1j / BASE.order + 1e-14, 0.3 - 0.1j])
+        with pytest.raises(DomainError):
+            eval_kernel(BASE, xs)
 
 
 class TestClosedFormResidues:
@@ -296,16 +321,28 @@ class TestContour:
         # at v = 10 the real-family poles crowd the vertices 1/v and -1/v,
         # so adaptive refinement splits panels below the dyadic grid
         calls = Counter()
-        panel = residues._gl_panel
+        panels = residues._gl_panels
 
-        def counted(*args):
-            calls[args[1], args[2]] += 1
-            return panel(*args)
+        def counted(p, a, b):
+            calls.update(zip(a.tolist(), b.tolist()))
+            return panels(p, a, b)
 
-        monkeypatch.setattr(residues, "_gl_panel", counted)
+        monkeypatch.setattr(residues, "_gl_panels", counted)
         contour_integral(VerifierParams(h=0, k=1, H=0, v=10.0, z=0.2 + 0.1j, m=3))
         assert sum(calls.values()) > 3 * 64  # 64 dyadic panels, whole plus halves each
         assert max(calls.values()) == 1
+
+    @pytest.mark.parametrize("k, h, H", [(1, 0, 0), (2, 1, 1), (7, 3, 2)])
+    def test_extreme_points_raise_no_runtime_warning(self, k, h, H):
+        # RuntimeWarning is an error under pytest: no branch that overflows
+        # may be computed, not even where np.where discards it
+        cases = [(v, z, m) for v in (0.8, 1.5) for z in (0.2 + 0.1j, 0.2 - 0.1j) for m in (3, 40)]
+        for v, z, m in cases + [(1e3, 0.2 - 0.1j, 64)]:
+            value = contour_integral(VerifierParams(h=h, k=k, H=H, v=v, z=z, m=m))
+            assert math.isfinite(value.real) and math.isfinite(value.imag)
+        # at z = 0.2+0.1i the v = 1e3 contour does not converge near the vertex i
+        with pytest.raises(QuadratureError):
+            contour_integral(VerifierParams(h=h, k=k, H=H, v=1e3, z=0.2 + 0.1j, m=64))
 
 
 class TestEdgeProbes:
@@ -400,3 +437,21 @@ class TestNearestPoleDistance:
             for n in range(1, 3 * m + 4):
                 poles += [1j * n / n_order, -1j * n / n_order, n / (n_order * v), -n / (n_order * v)]
             assert nearest_pole_distance(params, x) == min(abs(x - pole) for pole in poles)
+
+
+class TestNearestOtherPoleDistance:
+    @pytest.mark.parametrize("m, v", [(1, 0.8), (3, 1.5), (10, 0.3), (40, 2.5), (64, 1.0), (64, 7.0)])
+    def test_matches_explicit_enumeration(self, m, v):
+        import random
+
+        params = VerifierParams(h=1, k=2, H=1, v=v, z=0.2 + 0.1j, m=m)
+        n_order = m + 0.5
+        poles = [0j]
+        for n in range(1, 3 * m + 4):
+            poles += [1j * n / n_order, -1j * n / n_order, n / (n_order * v), -n / (n_order * v)]
+        rng = random.Random(m)
+        points = [pole for *_, pole in enclosed_poles(params)]
+        points += [complex(rng.uniform(-2.0, 2.0) / v, rng.uniform(-2.0, 2.0)) for _ in range(200)]
+        for x in points:
+            expected = min(d for d in (abs(x - pole) for pole in poles) if d > 1e-13)
+            assert residues._nearest_other_pole_distance(params, x) == expected

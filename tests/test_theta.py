@@ -79,12 +79,22 @@ class TestTheta1Series:
         "z, tau",
         [
             (0.3 + 0.1j, 0.1 + 1e-4j),  # 2103 pairs, numpy sum: inf * 0 in the terms
-            (0.3 + 1.5j, 0.1 + 0.02j),  # 153 pairs, cmath loop: sin overflows alone
+            (0.3 + 1.5j, 0.1 + 0.02j),  # 153 pairs, numpy sum: sin overflows alone
+            (0.3 + 4j, 0.1 + 0.27j),  # 31 pairs, cmath loop: sin overflows alone
         ],
     )
     def test_overflowing_terms_raise_truncation_error(self, z, tau):
         with pytest.raises(TruncationError, match="theta1_fast"):
             theta1_series_info(z, tau)
+
+    @pytest.mark.parametrize("im_tau, pairs", [(0.0145, 32), (0.0144, 33)])
+    def test_both_sides_of_vector_cutoff(self, im_tau, pairs):
+        # n_cap 31 is the last sum of the cmath loop, 32 the first of numpy
+        z, tau = 0.23 + 0.1j, 0.31 + 1j * im_tau
+        info = theta1_series_info(z, tau)
+        assert info.terms == 2 * pairs
+        oracle = mp_theta1_direct(z, tau, terms=400)
+        assert abs(info.value - oracle) <= info.error_bound + 1e-15 * abs(oracle)
 
 
 class TestTheta1Product:
