@@ -44,6 +44,7 @@ from .residues import (
     eval_kernel,
     eval_kernel_block,
     log_identity_residual,
+    log_theta1_by_residue_classes,
     numeric_residue,
     origin_report,
     residue_at_imag_pole,
@@ -61,7 +62,6 @@ from .theta import (
     jacobi_triple_product_check,
     lattice_distance,
     log_theta1,
-    log_theta1_by_residue_classes,
     theta1_product,
     theta1_series,
     theta1_series_info,

@@ -41,9 +41,11 @@ from .errors import (
     DomainError,
     GeometryError,
     QuadratureError,
+    TruncationError,
     ValidationError,
 )
-from .theta import geometric_log_sum
+from .modular import TransformParams
+from .theta import DEFAULT_CONTROL, TruncationControl, geometric_log_sum
 
 __all__ = [
     "VerifierParams",
@@ -67,34 +69,27 @@ __all__ = [
     "edge_limit_probe",
     "EDGE_LIMITS",
     "log_identity_residual",
+    "log_theta1_by_residue_classes",
 ]
 
 _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class VerifierParams:
+class VerifierParams(TransformParams):
     """Kernel parameters (h, k, H, v, z, m); the order N = m + 1/2 derives.
 
-    Constraints: k positive, gcd(h, k) = 1, H h = -1 (mod k), v real positive
-    with v > |Im z| > 0, and 1 <= m <= 64 (poles crowd the contour vertices
-    at spacing ~1/(2m), so larger m would need more than double precision).
+    Constraints: those of TransformParams, v real positive with
+    v > |Im z| > 0, and 1 <= m <= 64 (poles crowd the contour vertices at
+    spacing ~1/(2m), so larger m would need more than double precision).
     """
 
-    h: int
-    k: int
-    H: int
     v: float
     z: complex
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k <= 0:
-            raise ValidationError(f"k must be a positive integer, got {self.k!r}")
-        if math.gcd(self.h, self.k) != 1:
-            raise ValidationError(f"h={self.h}, k={self.k} must be coprime")
-        if (self.H * self.h + 1) % self.k != 0:
-            raise ValidationError(f"H*h must be -1 mod k, got H={self.H}, h={self.h}, k={self.k}")
+        super().__post_init__()
         if not (isinstance(self.v, (int, float)) and math.isfinite(self.v) and self.v > 0):
             raise ValidationError(f"v must be a positive real, got {self.v!r}")
         zz = complex(self.z)
@@ -370,7 +365,6 @@ class ResidueReport:
     """Closed form vs quadrature oracle for one pole."""
 
     pole: complex
-    order: int
     closed_form: complex
     oracle: complex
 
@@ -386,7 +380,7 @@ def simple_pole_report(p: VerifierParams, family: str, n: int) -> ResidueReport:
     closed = (residue_at_imag_pole if family == "imag" else residue_at_real_pole)(p, n)
     pole = _pole(p, family, n)
     oracle = numeric_residue(p, pole)
-    return ResidueReport(pole=pole, order=1, closed_form=closed, oracle=oracle)
+    return ResidueReport(pole=pole, closed_form=closed, oracle=oracle)
 
 
 @dataclass(frozen=True)
@@ -395,10 +389,6 @@ class OriginReport:
 
     origin: OriginResidue
     oracle: complex
-
-    @property
-    def discrepancy_compact(self) -> float:
-        return abs(self.origin.compact - self.oracle)
 
     @property
     def discrepancy_assembled(self) -> float:
@@ -472,7 +462,8 @@ def contour_integral(p: VerifierParams) -> complex:
         if level == 0:
             j = np.flatnonzero(~done)[0]
             raise QuadratureError(
-                f"contour quadrature not converged on [{a[j]}, {b[j]}]: panel error {err[j]:.3g}"
+                f"contour quadrature not converged on [{a[j]}, {b[j]}]: panel error {err[j]:.3g}, "
+                f"midpoint {nearest_pole_distance(p, mid[j]):.2g} from the nearest kernel pole"
             )
         a, b = np.concatenate([a[~done], mid[~done]]), np.concatenate([mid[~done], b[~done]])
         whole = np.concatenate([left[~done], right[~done]])
@@ -547,27 +538,78 @@ def edge_limit_probe(p: VerifierParams, edge_index: int, t: float) -> complex:
     return x * eval_kernel(p, x)
 
 
-def _class_log_sums(g: int, k: int, decay, ratio: float, plus: complex, minus: complex, cap: int):
-    """sum_{mu=1}^{k} S(a_mu) + S(a_mu plus) + S(a_{mu-1} minus), with
-    a_j = e^{2 pi i g j/k} decay(j) and S the geometric log sum at this ratio."""
+def _log_sum_cap(a: complex, r: float, ctl: TruncationControl) -> int:
+    """Term cap so the largest omitted summand falls below the tolerance."""
+    ratio = abs(a) if abs(a) <= 0.75 else abs(a) * r
+    ratio = min(ratio, 1.0 - 1e-12)
+    if ratio <= 0.0:
+        return 1
+    target = ctl.tolerance * (1.0 - r)
+    if target >= ratio:
+        return 1
+    cap = math.ceil(math.log(target) / math.log(ratio))
+    if cap > ctl.max_terms:
+        raise TruncationError(
+            f"residue-class sum needs {cap} terms for tolerance {ctl.tolerance}"
+        )
+    return max(1, cap)
+
+
+def _class_log_sum(h: int, k: int, v: complex, z: complex, cap: int | TruncationControl) -> complex:
+    """The sums of log_theta1_by_residue_classes at (h, k, v, z), added:
+    sum_{mu=1}^{k} S(a_mu) + S(a_mu e^{2 pi i z}) + S(a_{mu-1} e^{-2 pi i z}) with
+    a_j = e^{2 pi i h j/k - 2 pi v j/k}, each S cut at cap terms or, for a
+    TruncationControl, where its tolerance is met.
+    """
+    v = complex(v)
+    r = math.exp(-_TWO_PI * v.real)
+    # complex v keeps a residual phase in the ratio e^{-2 pi v}
+    ratio = r * cmath.exp(-_TWO_PI * 1j * v.imag) if v.imag else r
+    a = [cmath.exp(2j * math.pi * h * j / k - _TWO_PI * v * j / k) for j in range(k + 1)]
+    e_plus = cmath.exp(2j * math.pi * z)
+    e_minus = cmath.exp(-2j * math.pi * z)
     total = 0j
     for mu in range(1, k + 1):
-        a1 = cmath.exp(2j * math.pi * g * mu / k) * decay(mu)
-        a3 = cmath.exp(2j * math.pi * g * (mu - 1) / k) * decay(mu - 1) * minus
-        total += (
-            geometric_log_sum(a1, ratio, cap)
-            + geometric_log_sum(a1 * plus, ratio, cap)
-            + geometric_log_sum(a3, ratio, cap)
-        )
+        for x in (a[mu], a[mu] * e_plus, a[mu - 1] * e_minus):
+            n = cap if isinstance(cap, int) else _log_sum_cap(x, r, cap)
+            total += geometric_log_sum(x, ratio, n)
     return total
+
+
+def log_theta1_by_residue_classes(
+    params: TransformParams, z: complex, ctl: TruncationControl = DEFAULT_CONTROL
+) -> complex:
+    """log theta1(z, (h + iv)/k) resolved into residue classes mu mod k:
+
+        -i pi/2 + i pi z + i pi (iv + h)/(4k)
+        - sum_{mu=1}^{k} S(e^{2 pi i h mu / k - 2 pi v mu / k})
+        - sum_{mu=1}^{k} S(e^{2 pi i z} e^{2 pi i h mu / k - 2 pi v mu / k})
+        - sum_{mu=1}^{k} S(e^{-2 pi i z} e^{2 pi i h (mu-1)/k - 2 pi v (mu-1)/k})
+
+    where S(a) = sum_{n>=1} a^n / (n (1 - e^{-2 pi v n})).  Equals
+    log_theta1(z, (h + iv)/k) modulo 2 pi i.  Requires Re v > 0 and
+    |Im z| < Re v so every S converges (after continuation of its geometric
+    head); z exactly on a branch cut or the zero lattice raises DomainError.
+    """
+    v = complex(params.v)
+    if not v.real > 0:
+        raise DomainError(f"Re v must be positive, got v={v}")
+    zz = complex(z)
+    if abs(zz.imag) >= v.real:
+        raise DomainError(
+            f"|Im z| = {abs(zz.imag):.6g} must stay below Re v = {v.real:.6g}"
+        )
+    closed = -0.5j * math.pi + 1j * math.pi * zz + 1j * math.pi * (1j * v + params.h) / (4 * params.k)
+    return closed - _class_log_sum(params.h, params.k, v, zz, ctl)
 
 
 def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     """|LHS - RHS| of the logarithmic transformation identity at (h, k, H, v, z),
     with the imaginary part of the difference reduced modulo 2 pi.
 
-    The left side combines six double sums (three per side of the change of
-    variables v <-> 1/v, h <-> H) with the closed terms
+    The left side is the residue-class expansion of log theta1 (the sums of
+    log_theta1_by_residue_classes) taken at (H, 1/v, -iz/v) minus the same
+    expansion at (h, v, z), six double sums in all, with the closed terms
 
         - i pi/2 + 3 i pi s(h,k) - (pi/(4k))(v - 1/v) + pi z^2 k / v
         + i pi z - pi z / v,
@@ -576,21 +618,17 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     sum_cap; the sums are the m -> infinity limits of the enclosed-residue
     totals, so a small residual here is the identity the whole contour
     argument proves.  Each side is a sum of principal-branch logarithms, so
-    the identity holds only modulo 2 pi i.
+    the identity holds only modulo 2 pi i.  Unlike
+    log_theta1_by_residue_classes this does not require |Re z| < 1 (that is,
+    |Im z'| < 1/v on the swapped side): the identity holds beyond it.
     """
     if sum_cap < 1:
         raise ValidationError(f"sum_cap must be positive, got {sum_cap}")
     z = complex(p.z)
     v, k = p.v, p.k
     s_hk = float(dedekind_sum_fast(p.h, p.k))
-    main_sums = _class_log_sums(
-        p.h, k, lambda j: math.exp(-_TWO_PI * v * j / k), math.exp(-_TWO_PI * v),
-        cmath.exp(2j * math.pi * z), cmath.exp(-2j * math.pi * z), sum_cap,
-    )
-    swap_sums = _class_log_sums(
-        p.H, k, lambda j: math.exp(-_TWO_PI * j / (k * v)), math.exp(-_TWO_PI / v),
-        cmath.exp(_TWO_PI * z / v), cmath.exp(-_TWO_PI * z / v), sum_cap,
-    )
+    main_sums = _class_log_sum(p.h, k, v, z, sum_cap)
+    swap_sums = _class_log_sum(p.H, k, 1.0 / v, -1j * z / v, sum_cap)
     lhs = (
         swap_sums
         - main_sums

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError, ValidationError
-from .modular import TransformParams, require_upper_half
+from .modular import require_upper_half
 
 __all__ = [
     "TruncationControl",
@@ -45,12 +45,10 @@ __all__ = [
     "eta",
     "eta_info",
     "log_theta1",
-    "log_theta1_by_residue_classes",
     "geometric_log_sum",
     "lattice_distance",
 ]
 
-_TWO_PI = 2.0 * math.pi
 # theta1_series_info sums with cmath below this many pairs, with numpy from here
 # on, where the two break even; theta1_fast's reduced series needs 2-6 terms
 # (loop ~1 us, numpy ~14 us), and numpy is 1.4-1.9x faster at 64 pairs and
@@ -373,66 +371,3 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
         if abs(term) < 1e-320:
             break
     return total
-
-
-def _log_sum_cap(a: complex, r: float, ctl: TruncationControl) -> int:
-    """Term cap so the largest omitted summand falls below the tolerance."""
-    ratio = abs(a) if abs(a) <= 0.75 else abs(a) * r
-    ratio = min(ratio, 1.0 - 1e-12)
-    if ratio <= 0.0:
-        return 1
-    target = ctl.tolerance * (1.0 - r)
-    if target >= ratio:
-        return 1
-    cap = math.ceil(math.log(target) / math.log(ratio))
-    if cap > ctl.max_terms:
-        raise TruncationError(
-            f"residue-class sum needs {cap} terms for tolerance {ctl.tolerance}"
-        )
-    return max(1, cap)
-
-
-def log_theta1_by_residue_classes(
-    params: TransformParams, z: complex, ctl: TruncationControl = DEFAULT_CONTROL
-) -> complex:
-    """log theta1(z, (h + iv)/k) resolved into residue classes mu mod k:
-
-        -i pi/2 + i pi z + i pi (iv + h)/(4k)
-        - sum_{mu=1}^{k} S(e^{2 pi i h mu / k - 2 pi v mu / k})
-        - sum_{mu=1}^{k} S(e^{2 pi i z} e^{2 pi i h mu / k - 2 pi v mu / k})
-        - sum_{mu=1}^{k} S(e^{-2 pi i z} e^{2 pi i h (mu-1)/k - 2 pi v (mu-1)/k})
-
-    where S(a) = sum_{n>=1} a^n / (n (1 - e^{-2 pi v n})).  Equals
-    log_theta1(z, (h + iv)/k) modulo 2 pi i.  Requires Re v > 0 and
-    |Im z| < Re v so every S converges (after continuation of its geometric
-    head); z exactly on a branch cut or the zero lattice raises DomainError.
-    """
-    v = complex(params.v)
-    if not v.real > 0:
-        raise DomainError(f"Re v must be positive, got v={v}")
-    zz = complex(z)
-    if abs(zz.imag) >= v.real:
-        raise DomainError(
-            f"|Im z| = {abs(zz.imag):.6g} must stay below Re v = {v.real:.6g}"
-        )
-    h, k = params.h, params.k
-    r = math.exp(-_TWO_PI * v.real)
-    # complex v keeps a residual phase in the ratio e^{-2 pi v}
-    ratio = r * cmath.exp(-_TWO_PI * 1j * v.imag) if v.imag else r
-
-    def class_value(residue_index: int) -> complex:
-        return cmath.exp(
-            2j * math.pi * h * residue_index / k - _TWO_PI * v * residue_index / k
-        )
-
-    e_plus = cmath.exp(2j * math.pi * zz)
-    e_minus = cmath.exp(-2j * math.pi * zz)
-    total = -0.5j * math.pi + 1j * math.pi * zz + 1j * math.pi * (1j * v + h) / (4 * k)
-    for mu in range(1, k + 1):
-        a1 = class_value(mu)
-        a3 = class_value(mu - 1) * e_minus
-        for a in (a1, a1 * e_plus, a3):
-            cap = _log_sum_cap(a, r, ctl)
-            total -= geometric_log_sum(a, ratio, cap)
-    return total
-

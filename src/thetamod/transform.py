@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from statistics import median
 
 from .dedekind import eta_multiplier, theta_multiplier
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .modular import (
     ModularMatrix,
     moebius_apply,
@@ -103,10 +103,13 @@ def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
     theta1(z, tau) = prefactor * theta1(z_red, tau), where
     prefactor = (-1)^{m+n} exp(-i pi n^2 tau - 2 i pi n z_red).  For very
     large n the prefactor is genuinely of size exp(pi n^2 Im tau) and may
-    overflow, as the function value itself does.
+    overflow, as the function value itself does.  A non-finite z raises
+    DomainError.
     """
     t = require_upper_half(tau)
     zz = complex(z)
+    if not (math.isfinite(zz.real) and math.isfinite(zz.imag)):
+        raise DomainError(f"z must be finite, got {zz}")
     n = round(zz.imag / t.imag)
     partial = zz - n * t
     m = round(partial.real)
@@ -123,8 +126,7 @@ class ReductionTrace:
     Semantics: theta1(z_reduced, tau_reduced) = prefactor * theta1(z, tau),
     so replaying the trace recovers the original value as
     (series at the reduced point) / prefactor.  lattice_shift holds the
-    (m, n) quasi-periodicity shift applied to z after the tau reduction;
-    prefactor_log_phase is the principal argument of the prefactor.
+    (m, n) quasi-periodicity shift applied to z after the tau reduction.
     """
 
     matrix: ModularMatrix
@@ -132,7 +134,6 @@ class ReductionTrace:
     z_reduced: complex
     lattice_shift: tuple[int, int]
     prefactor: complex
-    prefactor_log_phase: float
 
 
 def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
@@ -166,7 +167,6 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
         z_reduced=z_red,
         lattice_shift=(m_shift, n_shift),
         prefactor=prefactor,
-        prefactor_log_phase=cmath.phase(prefactor),
     )
 
 

@@ -10,6 +10,7 @@ from thetamod import (
     DomainError,
     GeometryError,
     QuadratureError,
+    TransformParams,
     ValidationError,
     VerifierParams,
     circle_residue,
@@ -56,6 +57,11 @@ class TestVerifierParams:
     def test_m_cap(self):
         with pytest.raises(ValidationError):
             VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=65)
+
+    def test_change_of_variables_checks_are_inherited(self):
+        assert isinstance(BASE, TransformParams)
+        with pytest.raises(ValidationError, match="must be a positive integer"):
+            VerifierParams(h=1, k=0, H=1, v=1.5, z=0.2 + 0.1j, m=2)
 
 
 class TestCircleResidue:
@@ -344,6 +350,13 @@ class TestContour:
         with pytest.raises(QuadratureError):
             contour_integral(VerifierParams(h=h, k=k, H=H, v=1e3, z=0.2 + 0.1j, m=64))
 
+    def test_stalled_refinement_names_the_pole_distance(self):
+        # the edge from 1/v to i passes ~8e-6 from the pole i 64/64.5: above the
+        # GeometryError threshold, too close for the panels to converge
+        params = VerifierParams(h=1, k=2, H=1, v=1e3, z=0.2 + 0.1j, m=64)
+        with pytest.raises(QuadratureError, match=r"midpoint 8\.1e-06 from the nearest kernel pole"):
+            contour_integral(params)
+
 
 class TestEdgeProbes:
     def test_probe_validation(self):
@@ -389,6 +402,11 @@ class TestLogIdentity:
         params = VerifierParams(h=1, k=2, H=1, v=1.5, z=0.3j, m=2)
         with pytest.raises(DomainError):
             log_identity_residual(params, 400)
+
+    def test_holds_beyond_unit_real_part(self):
+        # |Re z| >= 1 puts |Im z'| = |Re z|/v beyond 1/v on the swapped side
+        params = VerifierParams(h=1, k=2, H=1, v=1.5, z=1.3 + 0.1j, m=3)
+        assert log_identity_residual(params, 400) < 1e-8
 
     def test_cap_validation(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import mp_theta1_direct
 from thetamod import (
+    DomainError,
     ModularMatrix,
     S_INVERSION,
     TruncationControl,
@@ -84,6 +85,16 @@ class TestReduceZ:
             direct = theta1_series(z, tau, TIGHT)
             reduced = pref * theta1_series(z_red, tau, TIGHT)
             assert abs(direct - reduced) <= 1e-11 * max(abs(direct), 1e-30)
+
+    def test_non_finite_z_raises_domain_error(self):
+        calls = [
+            lambda: theta1_fast(math.nan, 1j),
+            lambda: reduce_z(math.nan, 1j),
+            lambda: theta1_fast(0.2 + math.inf * 1j, 1j),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="z must be finite"):
+                call()
 
 
 class TestTheta1Fast:
