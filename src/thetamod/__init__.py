@@ -20,7 +20,6 @@ from .errors import (
 from .modular import (
     IDENTITY,
     S_INVERSION,
-    T_SHIFT,
     ModularMatrix,
     TransformParams,
     moebius_apply,

@@ -23,7 +23,6 @@ __all__ = [
     "ModularMatrix",
     "IDENTITY",
     "S_INVERSION",
-    "T_SHIFT",
     "require_upper_half",
     "moebius_apply",
     "principal_power",
@@ -44,6 +43,13 @@ def require_upper_half(tau: complex) -> complex:
     return t
 
 
+def require_int(**values) -> None:
+    """Insist that every keyword value is an int and not a bool."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name}={value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class ModularMatrix:
     """Integer matrix (a, b; c, d) with a*d - b*c = 1 exactly."""
@@ -54,10 +60,7 @@ class ModularMatrix:
     d: int
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"matrix entry {name}={value!r} is not an integer")
+        require_int(a=self.a, b=self.b, c=self.c, d=self.d)
         det = self.a * self.d - self.b * self.c
         if det != 1:
             raise ValidationError(f"determinant must be 1, got {det}")
@@ -82,7 +85,6 @@ class ModularMatrix:
 
 IDENTITY = ModularMatrix(1, 0, 0, 1)
 S_INVERSION = ModularMatrix(0, -1, 1, 0)
-T_SHIFT = ModularMatrix(1, 1, 0, 1)
 
 
 def moebius_apply(mat: ModularMatrix, tau: complex) -> complex:
@@ -147,7 +149,8 @@ class TransformParams:
     v: complex
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k <= 0:
+        require_int(H=self.H, h=self.h, k=self.k)
+        if self.k <= 0:
             raise ValidationError(f"k must be a positive integer, got {self.k!r}")
         if math.gcd(self.h, self.k) != 1:
             raise ValidationError(f"h={self.h} and k={self.k} must be coprime")
@@ -176,6 +179,7 @@ def neg_mod_inverse(h: int, k: int) -> int:
     """The unique H in [0, k) with H*h = -1 (mod k); 0 when k = 1."""
     if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
+    require_int(h=h)
     if k == 1:
         return 0
     if math.gcd(h, k) != 1:

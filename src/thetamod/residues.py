@@ -41,11 +41,10 @@ from .errors import (
     DomainError,
     GeometryError,
     QuadratureError,
-    TruncationError,
     ValidationError,
 )
-from .modular import TransformParams
-from .theta import DEFAULT_CONTROL, TruncationControl, geometric_log_sum
+from .modular import TransformParams, require_int
+from .theta import DEFAULT_CONTROL, TruncationControl, _product_cutoff, geometric_log_sum
 
 __all__ = [
     "VerifierParams",
@@ -90,14 +89,18 @@ class VerifierParams(TransformParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not (isinstance(self.v, (int, float)) and math.isfinite(self.v) and self.v > 0):
+        real = isinstance(self.v, (int, float)) and not isinstance(self.v, bool)
+        if not (real and math.isfinite(self.v) and self.v > 0):
             raise ValidationError(f"v must be a positive real, got {self.v!r}")
+        if not isinstance(self.z, (int, float, complex)):
+            raise ValidationError(f"z must be a number, got {self.z!r}")
         zz = complex(self.z)
         if not 0.0 < abs(zz.imag) < self.v:
             raise ValidationError(
                 f"need v > |Im z| > 0, got v={self.v}, Im z={zz.imag}"
             )
-        if not (isinstance(self.m, int) and 1 <= self.m <= 64):
+        require_int(m=self.m)
+        if not 1 <= self.m <= 64:
             raise ValidationError(f"m must be an integer in [1, 64], got {self.m!r}")
 
     @property
@@ -539,20 +542,9 @@ def edge_limit_probe(p: VerifierParams, edge_index: int, t: float) -> complex:
 
 
 def _log_sum_cap(a: complex, r: float, ctl: TruncationControl) -> int:
-    """Term cap so the largest omitted summand falls below the tolerance."""
-    ratio = abs(a) if abs(a) <= 0.75 else abs(a) * r
-    ratio = min(ratio, 1.0 - 1e-12)
-    if ratio <= 0.0:
-        return 1
-    target = ctl.tolerance * (1.0 - r)
-    if target >= ratio:
-        return 1
-    cap = math.ceil(math.log(target) / math.log(ratio))
-    if cap > ctl.max_terms:
-        raise TruncationError(
-            f"residue-class sum needs {cap} terms for tolerance {ctl.tolerance}"
-        )
-    return max(1, cap)
+    """Term cap so the geometric tail of omitted summands falls below the tolerance."""
+    ratio = min(abs(a) if abs(a) <= 0.75 else abs(a) * r, 1.0 - 1e-12)
+    return _product_cutoff((1.0 - ratio) / (1.0 - r), ratio, ctl)
 
 
 def _class_log_sum(h: int, k: int, v: complex, z: complex, cap: int | TruncationControl) -> complex:

@@ -54,6 +54,8 @@ __all__ = [
 # (loop ~1 us, numpy ~14 us), and numpy is 1.4-1.9x faster at 64 pairs and
 # 3-4x at 255.
 _VECTOR_CUTOFF = 32
+# _ROOTS24[j] = e^{i pi j/12}: the phases of integer translations of tau
+_ROOTS24 = tuple(cmath.exp(1j * math.pi * j / 12) for j in range(24))
 _SERIES_OVERFLOW = (
     "series terms overflow double precision at this (z, tau); "
     "reduce the argument first (transform.theta1_fast)"
@@ -120,9 +122,9 @@ def _series_cutoff(tau_im: float, z_im: float, ctl: TruncationControl) -> tuple[
         return -a * (n + 1.5) ** 2 + (2 * n + 3) * b
 
     # peak of log t_n sits at n + 1/2 = b/a; if the peak itself overflows,
-    # no double-precision summation is meaningful
+    # no double-precision summation is meaningful (nor is any with a NaN z)
     peak = b * b / a
-    if peak - log_tol > 690.0:
+    if not peak - log_tol <= 690.0:
         raise TruncationError(_SERIES_OVERFLOW)
     disc = b * b - a * log_tol
     n = max(0, math.ceil((b + math.sqrt(disc)) / a - 1.5))
@@ -144,6 +146,8 @@ def theta1_series_info(
 ) -> SeriesEval:
     """theta1 by the sine series, with term count and certified error bound."""
     t = require_upper_half(tau)
+    b = round(t.real)  # theta1(z, tau) = e^{i pi b/4} theta1(z, tau - b), exact for any b
+    t -= b
     zz = complex(z)
     n_cap, error_bound = _series_cutoff(t.imag, zz.imag, ctl)
     terms = 2 * (n_cap + 1)  # summands of the two-sided series
@@ -172,7 +176,7 @@ def theta1_series_info(
             total = complex(np.sum(signs * vals))
     if not cmath.isfinite(total):
         raise TruncationError(_SERIES_OVERFLOW)
-    return SeriesEval(2.0 * total, terms, error_bound)
+    return SeriesEval(2.0 * total * _ROOTS24[3 * b % 24], terms, error_bound)
 
 
 def theta1_series(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> complex:
@@ -181,21 +185,20 @@ def theta1_series(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CON
 
 
 def _product_cutoff(deviation_scale: float, ratio: float, ctl: TruncationControl) -> int:
-    """Factor count so the remaining log-product tail stays below tolerance.
+    """Term count n so a geometric tail stays below tolerance.
 
-    Factor deviations are bounded by deviation_scale * ratio^n with ratio < 1;
-    the geometric tail past n is deviation_scale * ratio^(n+1) / (1 - ratio).
+    Terms (or log-factor deviations) are bounded by deviation_scale * ratio^n
+    with ratio < 1; the tail past n is deviation_scale * ratio^(n+1) / (1 - ratio).
     """
     if ratio >= 1.0:
-        raise DomainError("product does not converge (ratio >= 1)")
+        raise DomainError("geometric tail does not converge")
     target = ctl.tolerance * (1.0 - ratio) / deviation_scale
     if target >= ratio:
         return 1
     n = math.ceil(math.log(target) / math.log(ratio))
     if n > ctl.max_terms:
         raise TruncationError(
-            f"product needs {n} factors for tolerance {ctl.tolerance} "
-            f"(cap {ctl.max_terms}); reduce the argument first (transform.theta1_fast)"
+            f"geometric tail needs {n} terms for tolerance {ctl.tolerance} (cap {ctl.max_terms})"
         )
     return max(1, n)
 
@@ -246,33 +249,12 @@ def jacobi_triple_product_check(
         raise DomainError(f"|q| must be below 1, got {abs(qq)}")
     if qq == 0:
         return 1 + 0j, 1 + 0j  # only the n = 0 term; every product factor is 1
+    # the left side is theta1's series at q = e^{i pi tau}, e^{2 pi i z} = -w^2/q
+    tau = cmath.log(qq) / (1j * math.pi)
+    z = cmath.log(-ww * ww / qq) / (2j * math.pi)
+    lhs = 1j * cmath.exp(-1j * math.pi * (z + tau / 4)) * theta1_series_info(z, tau, ctl).value
     w2 = ww * ww
     w2i = 1 / w2
-    big = max(abs(w2), abs(w2i), 1.0)
-    log_q = math.log(abs(qq))
-    log_big = math.log(big)
-    log_target = math.log(0.1 * ctl.tolerance)
-
-    lhs = 1 + 0j
-    qn2 = 1 + 0j  # q^{n^2}, advanced by q^{2n+1} each step
-    qodd = qq
-    w2n = 1 + 0j
-    w2in = 1 + 0j
-    n = 0
-    while True:
-        n += 1
-        qn2 *= qodd
-        qodd *= qq * qq
-        w2n *= w2
-        w2in *= w2i
-        lhs += qn2 * (w2n + w2in)
-        bound = n * n * log_q + n * log_big
-        next_bound = (n + 1) ** 2 * log_q + (n + 1) * log_big
-        if bound < log_target and next_bound < bound:
-            break
-        if 2 * n + 1 > ctl.max_terms:
-            raise TruncationError("triple-product series did not reach tolerance within max_terms")
-
     aq = abs(qq)
     scale = (aq + abs(w2) + abs(w2i)) / aq  # deviations ~ |q|^{2m-1} * (|q| + |w^2| + |w^-2|)
     m_cap = _product_cutoff(scale, aq * aq, ctl)
@@ -289,6 +271,8 @@ def jacobi_triple_product_check(
 def eta_info(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEval:
     """Dedekind eta with factor count and a tail bound on the log-product."""
     t = require_upper_half(tau)
+    b = round(t.real)  # eta(tau) = e^{i pi b/12} eta(tau - b), exact for any b
+    t -= b
     q2 = cmath.exp(2j * math.pi * t)
     aq = abs(q2)
     n_cap = _product_cutoff(1.0, aq, ctl)
@@ -297,7 +281,7 @@ def eta_info(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEv
     for _ in range(n_cap):
         q2n *= q2
         prod *= 1 - q2n
-    value = cmath.exp(1j * math.pi * t / 12) * prod
+    value = cmath.exp(1j * math.pi * t / 12) * prod * _ROOTS24[b % 24]
     tail = aq ** (n_cap + 1) / (1.0 - aq)
     return SeriesEval(value, n_cap, abs(value) * 2.0 * tail + 1e-308)
 

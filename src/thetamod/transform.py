@@ -96,6 +96,13 @@ def transform_rhs(
     return _theta_law_factor(mat, zz, t) * theta1_series(zz, t, ctl)
 
 
+def _require_finite_z(z: complex) -> complex:
+    zz = complex(z)
+    if not cmath.isfinite(zz):
+        raise DomainError(f"z must be finite, got {zz}")
+    return zz
+
+
 def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
     """Shift z by the lattice into |Re| <= 1/2, |Im| <= Im(tau)/2.
 
@@ -107,9 +114,7 @@ def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
     DomainError.
     """
     t = require_upper_half(tau)
-    zz = complex(z)
-    if not (math.isfinite(zz.real) and math.isfinite(zz.imag)):
-        raise DomainError(f"z must be finite, got {zz}")
+    zz = _require_finite_z(z)
     n = round(zz.imag / t.imag)
     partial = zz - n * t
     m = round(partial.real)
@@ -144,14 +149,14 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
     for the c = 0 leg.
     """
     t = require_upper_half(tau)
-    zz = complex(z)
+    zz = _require_finite_z(z)
     mat, tau_red = reduce_to_fundamental_domain(t)
     if mat.c == 0:
         if mat.a < 0:
             mat = -mat
         # pure translation: theta1(z, tau + b) = e^{i pi b / 4} theta1(z, tau)
         zeta = zz
-        law_factor = cmath.exp(1j * math.pi * mat.b / 4)
+        law_factor = cmath.exp(0.25j * math.pi * ((mat.b + 4) % 8 - 4))  # b mod 8, centred
     else:
         if mat.c < 0:
             mat = -mat
@@ -194,7 +199,7 @@ def _prefactor_condition(mat: ModularMatrix, z: complex, tau: complex, trace: Re
         trace.z_reduced
     )
     if mat.c == 0:
-        gauss = 0.25 * math.pi * abs(mat.b)
+        gauss = 0.25 * math.pi * abs((mat.b + 4) % 8 - 4)
         kappa_den = 1.0
     else:
         den = mat.c * complex(tau) + mat.d

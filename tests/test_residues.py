@@ -64,6 +64,23 @@ class TestVerifierParams:
             VerifierParams(h=1, k=0, H=1, v=1.5, z=0.2 + 0.1j, m=2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: VerifierParams(h=1.0, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=2),
+        lambda: VerifierParams(h=1, k=2, H=1.0, v=1.5, z=0.2 + 0.1j, m=2),
+        lambda: VerifierParams(h=1, k=2, H=1, v=True, z=0.2 + 0.1j, m=2),
+        lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z="x", m=2),
+        lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=True),
+        lambda: neg_mod_inverse(1.0, 3),
+    ],
+    ids=["float h", "float H", "bool v", "str z", "bool m", "float h inverse"],
+)
+def test_parameter_types_raise_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
 class TestCircleResidue:
     def test_simple_pole(self):
         assert abs(circle_residue(lambda x: 1 / x, 0j, 0.3) - 1) < 1e-12

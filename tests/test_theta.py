@@ -87,6 +87,24 @@ class TestTheta1Series:
         with pytest.raises(TruncationError, match="theta1_fast"):
             theta1_series_info(z, tau)
 
+    @pytest.mark.parametrize(
+        "z, tau",
+        [  # law-sweep image points with Re tau > 1, where the bound is tightest
+            (-0.1689658269669927 - 0.0002910410860099922j, 2.350459651729203 + 0.0007033217923440839j),
+            (-0.4016043572354526 + 0.00042963414177040436j, 1.611841247497485 + 0.0009070174956209449j),
+            (0.3891682534458525 - 1.5323345227354762e-05j, 2.314194003212528 + 0.0003077735154994278j),
+            (-0.15194965898249535 + 0.0003648037833018942j, 2.1058400860556543 + 0.0008673990317249463j),
+        ],
+    )
+    def test_error_bound_holds_at_large_re_tau(self, z, tau):
+        info = theta1_series_info(z, tau)
+        assert abs(info.value - mp_theta1_direct(z, tau, terms=600)) <= info.error_bound
+
+    def test_huge_re_tau_is_translated_exactly(self):
+        # 1e308 is an integer divisible by 8, so theta1(z, 1e308 + i) = theta1(z, i)
+        info = theta1_series_info(0.2, 1e308 + 1j)
+        assert abs(info.value - mp_theta1_direct(0.2, 1j)) <= info.error_bound
+
     @pytest.mark.parametrize("im_tau, pairs", [(0.0145, 32), (0.0144, 33)])
     def test_both_sides_of_vector_cutoff(self, im_tau, pairs):
         # n_cap 31 is the last sum of the cmath loop, 32 the first of numpy
@@ -151,6 +169,27 @@ class TestJacobiTripleProduct:
             lhs, rhs = jacobi_triple_product_check(w, q, TIGHT)
             assert abs(lhs - rhs) < 1e-10
 
+    def test_overflowing_left_side_raises_truncation_error(self):
+        # w^{-2n} overflows long before q^{n^2} damps it
+        with pytest.raises(TruncationError):
+            jacobi_triple_product_check(1e-8, 0.5)
+
+    @pytest.mark.parametrize(
+        "w, q",
+        [
+            (1.3, 0.45),
+            (0.8 + 0.3j, -0.5),
+            (cmath.exp(0.7j), 0.6 * cmath.exp(2.1j)),
+            (0.6 - 0.9j, -0.3 + 0.55j),
+        ],
+    )
+    def test_left_side_matches_extended_precision_sum(self, w, q):
+        with mp.workdps(40):
+            ww, qq = mp.mpc(w), mp.mpc(q)
+            oracle = complex(mp.fsum(ww ** (2 * n) * qq ** (n * n) for n in range(-80, 81)))
+        lhs, _ = jacobi_triple_product_check(w, q, TIGHT)
+        assert abs(lhs - oracle) <= 1e-13 * abs(oracle)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             jacobi_triple_product_check(0.0, 0.1)
@@ -178,6 +217,18 @@ class TestEta:
         oracle = mp_eta_direct(tau)
         value = eta(tau, TIGHT)
         assert abs(value - oracle) <= 1e-13 * abs(oracle)
+
+    @pytest.mark.parametrize("b", [1, -3, 8, 25, 40])
+    def test_integer_translation(self, b):
+        # eta(tau + b) = e^{i pi b/12} eta(tau); Re tau = 0.25 keeps tau + b exact
+        tau = 0.25 + 0.8j
+        expected = cmath.exp(1j * math.pi * b / 12) * eta(tau, TIGHT)
+        assert abs(eta(tau + b, TIGHT) - expected) <= 1e-14 * abs(expected)
+
+    def test_huge_re_tau_is_translated_exactly(self):
+        b = int(1e308)
+        expected = cmath.exp(1j * math.pi * (b % 24) / 12) * mp_eta_direct(1j)
+        assert abs(eta(1e308 + 1j) - expected) <= 1e-14 * abs(expected)
 
     def test_vectorized_branch_matches_scalar(self):
         # push the factor count over the numpy cutoff and compare to mpmath

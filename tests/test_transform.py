@@ -96,6 +96,11 @@ class TestReduceZ:
             with pytest.raises(DomainError, match="z must be finite"):
                 call()
 
+    def test_non_finite_z_is_named_as_given(self):
+        # checked before the tau reduction maps z to z/(c tau + d)
+        with pytest.raises(DomainError, match=r"inf\+0\.1j"):
+            theta1_fast(complex(math.inf, 0.1), 0.3 + 0.01j)
+
 
 class TestTheta1Fast:
     def test_no_reduction_needed(self):
@@ -135,6 +140,12 @@ class TestTheta1Fast:
             a = theta1_fast(z, tau, ctl)
             b = theta1_series(z, tau, ctl)
             assert abs(a - b) <= 10 * ctl.tolerance + 1e-11 * abs(b)
+
+    def test_huge_re_tau(self):
+        # the c = 0 leg takes its phase from b mod 8, so the translation is exact
+        fast = theta1_fast_info(0.2, 1e308 + 1j)
+        oracle = mp_theta1_direct(0.2, 1j)
+        assert abs(fast.value - oracle) <= fast.error_bound < 1e-13
 
     def test_error_bound_covers_actual_error(self):
         rng = random.Random(127)
