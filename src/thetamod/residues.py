@@ -541,10 +541,10 @@ def edge_limit_probe(p: VerifierParams, edge_index: int, t: float) -> complex:
     return x * eval_kernel(p, x)
 
 
-def _log_sum_cap(a: complex, r: float, ctl: TruncationControl) -> int:
+def _log_sum_cap(a: complex, r: float, one_minus_r: float, ctl: TruncationControl) -> int:
     """Term cap so the geometric tail of omitted summands falls below the tolerance."""
     ratio = min(abs(a) if abs(a) <= 0.75 else abs(a) * r, 1.0 - 1e-12)
-    return _product_cutoff((1.0 - ratio) / (1.0 - r), ratio, ctl)
+    return _product_cutoff((1.0 - ratio) / one_minus_r, ratio, ctl)
 
 
 def _class_log_sum(h: int, k: int, v: complex, z: complex, cap: int | TruncationControl) -> complex:
@@ -555,6 +555,7 @@ def _class_log_sum(h: int, k: int, v: complex, z: complex, cap: int | Truncation
     """
     v = complex(v)
     r = math.exp(-_TWO_PI * v.real)
+    one_minus_r = -math.expm1(-_TWO_PI * v.real)  # stays nonzero where r rounds to 1
     # complex v keeps a residual phase in the ratio e^{-2 pi v}
     ratio = r * cmath.exp(-_TWO_PI * 1j * v.imag) if v.imag else r
     a = [cmath.exp(2j * math.pi * h * j / k - _TWO_PI * v * j / k) for j in range(k + 1)]
@@ -563,7 +564,7 @@ def _class_log_sum(h: int, k: int, v: complex, z: complex, cap: int | Truncation
     total = 0j
     for mu in range(1, k + 1):
         for x in (a[mu], a[mu] * e_plus, a[mu - 1] * e_minus):
-            n = cap if isinstance(cap, int) else _log_sum_cap(x, r, cap)
+            n = cap if isinstance(cap, int) else _log_sum_cap(x, r, one_minus_r, cap)
             total += geometric_log_sum(x, ratio, n)
     return total
 

@@ -18,7 +18,7 @@ exp(2 i pi tau)) so no spurious branch jump occurs when Re tau crosses a
 half-integer.
 
 Every truncation carries an explicit tail bound.  When the bound cannot be
-met within max_terms (tau very close to the real axis), TruncationError is
+met within the term cap (tau very close to the real axis), TruncationError is
 raised; that regime is what the argument-reduction evaluator in the
 transform module is for.
 """
@@ -56,6 +56,7 @@ __all__ = [
 _VECTOR_CUTOFF = 32
 # _ROOTS24[j] = e^{i pi j/12}: the phases of integer translations of tau
 _ROOTS24 = tuple(cmath.exp(1j * math.pi * j / 12) for j in range(24))
+_MAX_TERMS = 200_000  # cap on the terms or factors of any certified truncation
 _SERIES_OVERFLOW = (
     "series terms overflow double precision at this (z, tau); "
     "reduce the argument first (transform.theta1_fast)"
@@ -64,16 +65,13 @@ _SERIES_OVERFLOW = (
 
 @dataclass(frozen=True)
 class TruncationControl:
-    """Absolute tail tolerance plus a hard cap on summed/multiplied terms."""
+    """Absolute tail tolerance of every certified truncation."""
 
     tolerance: float = 1e-12
-    max_terms: int = 200_000
 
     def __post_init__(self) -> None:
         if not (1e-16 <= self.tolerance < 1.0):
             raise ValidationError(f"tolerance must be in [1e-16, 1), got {self.tolerance}")
-        if not (0 < self.max_terms <= 10**6):
-            raise ValidationError(f"max_terms must be in (0, 10^6], got {self.max_terms}")
 
 
 DEFAULT_CONTROL = TruncationControl()
@@ -130,9 +128,8 @@ def _series_cutoff(tau_im: float, z_im: float, ctl: TruncationControl) -> tuple[
     n = max(0, math.ceil((b + math.sqrt(disc)) / a - 1.5))
     while log_bound(n) >= log_tol:
         n += 1
-    # keep the tail ratio comfortably below 1 so the bound is a true bound
-    while -a * (2 * n + 4) + 2 * b > math.log(0.5):
-        n += 1
+    # keep the tail ratio e^{-a (2n + 4) + 2b} at most 1/2 so the bound is a true bound
+    n = max(n, math.ceil((2 * b - math.log(0.5)) / (2 * a)) - 2)
     rho = math.exp(-a * (2 * n + 4) + 2 * b)
     truncation = 2.0 * math.exp(log_bound(n)) / (1.0 - rho)
     # every term is bounded by e^{peak} (the continuous maximum of log t_n),
@@ -151,10 +148,10 @@ def theta1_series_info(
     zz = complex(z)
     n_cap, error_bound = _series_cutoff(t.imag, zz.imag, ctl)
     terms = 2 * (n_cap + 1)  # summands of the two-sided series
-    if terms > ctl.max_terms:
+    if terms > _MAX_TERMS:
         raise TruncationError(
             f"theta1 series needs {terms} terms for tolerance {ctl.tolerance} at "
-            f"Im tau = {t.imag:.3g} (cap {ctl.max_terms}); reduce the argument "
+            f"Im tau = {t.imag:.3g} (cap {_MAX_TERMS}); reduce the argument "
             "first (transform.theta1_fast)"
         )
     if n_cap < _VECTOR_CUTOFF:
@@ -196,9 +193,9 @@ def _product_cutoff(deviation_scale: float, ratio: float, ctl: TruncationControl
     if target >= ratio:
         return 1
     n = math.ceil(math.log(target) / math.log(ratio))
-    if n > ctl.max_terms:
+    if n > _MAX_TERMS:
         raise TruncationError(
-            f"geometric tail needs {n} terms for tolerance {ctl.tolerance} (cap {ctl.max_terms})"
+            f"geometric tail needs {n} terms for tolerance {ctl.tolerance} (cap {_MAX_TERMS})"
         )
     return max(1, n)
 
@@ -252,7 +249,13 @@ def jacobi_triple_product_check(
     # the left side is theta1's series at q = e^{i pi tau}, e^{2 pi i z} = -w^2/q
     tau = cmath.log(qq) / (1j * math.pi)
     z = cmath.log(-ww * ww / qq) / (2j * math.pi)
-    lhs = 1j * cmath.exp(-1j * math.pi * (z + tau / 4)) * theta1_series_info(z, tau, ctl).value
+    try:
+        lhs = 1j * cmath.exp(-1j * math.pi * (z + tau / 4)) * theta1_series_info(z, tau, ctl).value
+    except TruncationError as exc:
+        raise TruncationError(
+            f"jacobi_triple_product_check at w={ww}, q={qq}: the series side overflows "
+            "double precision or needs more terms than the cap"
+        ) from exc
     w2 = ww * ww
     w2i = 1 / w2
     aq = abs(qq)

@@ -19,9 +19,10 @@ series):
     theta1(z + m + n tau, tau)
         = (-1)^{m+n} exp(-i pi n^2 tau - 2 i pi n z) theta1(z, tau).
 
-The c = 0 leg of the reducer uses theta1(z, tau + 1) = e^{i pi/4}
-theta1(z, tau), another series identity, because the law above assumes c > 0
-and translations are exact.
+The reducer carries both prefactors as exponents and exponentiates their
+difference once: near the real axis each factor alone can overflow while
+their quotient does not.  Its law exponent also covers the c = 0 case, the
+exact series identity theta1(z, tau + 1) = e^{i pi/4} theta1(z, tau).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from statistics import median
 
 from .dedekind import eta_multiplier, theta_multiplier
-from .errors import DomainError, ValidationError
+from .errors import DomainError, TruncationError, ValidationError
 from .modular import (
     ModularMatrix,
     moebius_apply,
@@ -72,16 +73,21 @@ __all__ = [
 # absolute floor for relative residuals, so exact zeros do not divide by zero
 TINY = 1e-300
 
-_TWO_PI = 2.0 * math.pi
 
+def _theta_law_log(mat: ModularMatrix, z: complex, tau: complex) -> complex:
+    """L with theta1(z/(c tau+d), A tau) = e^L theta1(z, tau), for c > 0 or A = (1, b; 0, 1).
 
-def _theta_law_factor(mat: ModularMatrix, z: complex, tau: complex) -> complex:
-    """The law factor eps1 * (-i(c tau+d))^{1/2} * exp(pi i c z^2/(c tau+d)), for c > 0."""
+    For c > 0, L = i pi phase(eps1) + 1/2 Log(-i(c tau+d)) + pi i c z^2/(c tau+d);
+    Re(-i(c tau+d)) = c Im tau > 0 keeps the Log principal.  For a translation
+    L = i pi b/4, with b taken mod 8 so that a huge b stays exact.
+    """
+    if mat.c == 0:
+        return 0.25j * math.pi * ((mat.b + 4) % 8 - 4)
     den = mat.c * tau + mat.d
     return (
-        theta_multiplier(mat).value
-        * principal_power(-1j * den, 0.5)
-        * cmath.exp(1j * math.pi * mat.c * z * z / den)
+        1j * math.pi * float(theta_multiplier(mat).phase)
+        + 0.5 * cmath.log(-1j * den)
+        + 1j * math.pi * mat.c * z * z / den
     )
 
 
@@ -93,7 +99,7 @@ def transform_rhs(
         raise ValidationError(f"transformation law requires c > 0, got c={mat.c}")
     t = require_upper_half(tau)
     zz = complex(z)
-    return _theta_law_factor(mat, zz, t) * theta1_series(zz, t, ctl)
+    return cmath.exp(_theta_law_log(mat, zz, t)) * theta1_series(zz, t, ctl)
 
 
 def _require_finite_z(z: complex) -> complex:
@@ -106,11 +112,10 @@ def _require_finite_z(z: complex) -> complex:
 def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
     """Shift z by the lattice into |Re| <= 1/2, |Im| <= Im(tau)/2.
 
-    Returns (z_red, m, n, prefactor) with z = z_red + m + n tau and
-    theta1(z, tau) = prefactor * theta1(z_red, tau), where
-    prefactor = (-1)^{m+n} exp(-i pi n^2 tau - 2 i pi n z_red).  For very
-    large n the prefactor is genuinely of size exp(pi n^2 Im tau) and may
-    overflow, as the function value itself does.  A non-finite z raises
+    Returns (z_red, m, n, exponent) with z = z_red + m + n tau and
+    theta1(z, tau) = (-1)^{m+n} exp(exponent) theta1(z_red, tau), where
+    exponent = -i pi n^2 tau - 2 i pi n z_red, left unexponentiated because
+    its real part can leave double range on its own.  A non-finite z raises
     DomainError.
     """
     t = require_upper_half(tau)
@@ -119,59 +124,47 @@ def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
     partial = zz - n * t
     m = round(partial.real)
     z_red = partial - m
-    sign = 1.0 if (m + n) % 2 == 0 else -1.0
-    prefactor = sign * cmath.exp(-1j * math.pi * n * n * t - 2j * math.pi * n * z_red)
-    return z_red, int(m), int(n), prefactor
+    return z_red, int(m), int(n), -1j * math.pi * n * n * t - 2j * math.pi * n * z_red
 
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Record of one full (z, tau) reduction.
+    """Record of one full (z, tau) reduction:
 
-    Semantics: theta1(z_reduced, tau_reduced) = prefactor * theta1(z, tau),
-    so replaying the trace recovers the original value as
-    (series at the reduced point) / prefactor.  lattice_shift holds the
-    (m, n) quasi-periodicity shift applied to z after the tau reduction.
+        theta1(z, tau) = (-1)^{m+n} e^{-prefactor_log} theta1(z_reduced, tau_reduced)
+
+    with (m, n) = lattice_shift, the quasi-periodicity shift applied to z
+    after the tau reduction, so the sign stays exact.
     """
 
     matrix: ModularMatrix
     tau_reduced: complex
     z_reduced: complex
     lattice_shift: tuple[int, int]
-    prefactor: complex
+    prefactor_log: complex
 
 
 def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
     """Reduce tau to the fundamental domain and z by quasi-periodicity.
 
-    Applies the transformation law in the inverse direction for the c != 0
-    reduction matrix (negated if needed so c > 0), or exact tau-translations
-    for the c = 0 leg.
+    Applies the transformation law in the inverse direction for the
+    reduction matrix, negated if needed so that c > 0, or a = d = 1 when
+    the matrix is a translation.
     """
     t = require_upper_half(tau)
     zz = _require_finite_z(z)
     mat, tau_red = reduce_to_fundamental_domain(t)
-    if mat.c == 0:
-        if mat.a < 0:
-            mat = -mat
-        # pure translation: theta1(z, tau + b) = e^{i pi b / 4} theta1(z, tau)
-        zeta = zz
-        law_factor = cmath.exp(0.25j * math.pi * ((mat.b + 4) % 8 - 4))  # b mod 8, centred
-    else:
-        if mat.c < 0:
-            mat = -mat
-        zeta = zz / (mat.c * t + mat.d)
-        law_factor = _theta_law_factor(mat, zz, t)
-    z_red, m_shift, n_shift, z_prefactor = reduce_z(zeta, tau_red)
-    # theta1(zeta, tau_red) = law_factor * theta1(z, tau)
-    #                      = z_prefactor * theta1(z_red, tau_red)
-    prefactor = law_factor / z_prefactor
+    if (mat.c, mat.a) < (0, 0):
+        mat = -mat
+    z_red, m_shift, n_shift, quasi_log = reduce_z(zz / (mat.c * t + mat.d), tau_red)
+    # theta1(z/(c t+d), tau_red) = e^{law_log} theta1(z, tau)
+    #                            = (-1)^{m+n} e^{quasi_log} theta1(z_red, tau_red)
     return ReductionTrace(
         matrix=mat,
         tau_reduced=tau_red,
         z_reduced=z_red,
         lattice_shift=(m_shift, n_shift),
-        prefactor=prefactor,
+        prefactor_log=_theta_law_log(mat, zz, t) - quasi_log,
     )
 
 
@@ -188,16 +181,14 @@ class FastEval:
 def _prefactor_condition(mat: ModularMatrix, z: complex, tau: complex, trace: ReductionTrace) -> float:
     """Relative roundoff scale of the reduction prefactor.
 
-    The prefactor is a product of exponentials; an exponent E computed with
+    The prefactor is the exponential of a sum; a summand E computed with
     relative error kappa*eps perturbs the value by ~|E|*kappa*eps.  The
-    dominant exponents are pi c z^2/(c tau + d), whose denominator can
+    dominant summands are pi c z^2/(c tau + d), whose denominator can
     cancel (conditioning kappa_den), and the quasi-periodicity exponent
     pi n^2 tau + 2 pi n z_red.
     """
     m_shift, n_shift = trace.lattice_shift
-    quasi = math.pi * n_shift * n_shift * abs(tau) + _TWO_PI * abs(n_shift) * abs(
-        trace.z_reduced
-    )
+    quasi = math.pi * n_shift * n_shift * abs(tau) + 2.0 * math.pi * abs(n_shift) * abs(trace.z_reduced)
     if mat.c == 0:
         gauss = 0.25 * math.pi * abs((mat.b + 4) % 8 - 4)
         kappa_den = 1.0
@@ -214,17 +205,27 @@ def theta1_fast_info(
     """theta1 via argument reduction, reporting the reduced-point term count.
 
     The error bound combines the reduced-series bound with a roundoff
-    allowance for the prefactor's exponentials.
+    allowance for the prefactor's exponent.  A value or bound outside
+    double range raises DomainError.
     """
     trace = reduce_theta_arguments(z, tau)
-    info = theta1_series_info(trace.z_reduced, trace.tau_reduced, ctl)
-    value = info.value / trace.prefactor
-    scale = abs(trace.prefactor)
-    if scale > 0 and math.isfinite(scale):
-        condition = _prefactor_condition(trace.matrix, complex(z), complex(tau), trace)
-        err = info.error_bound / scale + condition * 2.0**-52 * abs(value)
-    else:
-        err = math.inf
+    try:
+        info = theta1_series_info(trace.z_reduced, trace.tau_reduced, ctl)
+    except TruncationError as exc:
+        raise TruncationError(
+            f"theta1_fast at z={z}, tau={tau}: the reduced series at "
+            f"z={trace.z_reduced}, tau={trace.tau_reduced} overflows double precision"
+        ) from exc
+    try:
+        factor = cmath.exp(-trace.prefactor_log)
+    except OverflowError:
+        factor = complex(math.inf)  # rejected below with any other non-finite result
+    value = (-1) ** sum(trace.lattice_shift) * factor * info.value
+    condition = _prefactor_condition(trace.matrix, complex(z), complex(tau), trace)
+    # below the normal range (from 2.2e-308) a value keeps only absolute precision
+    err = info.error_bound * abs(factor) + condition * 2.0**-52 * abs(value) + 2.3e-308
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"theta1_fast at z={z}, tau={tau}: the value or its bound leaves double range")
     return FastEval(value, trace, info.terms, err)
 
 
@@ -248,16 +249,10 @@ def verify_transformation(
     series identity independent of the law being tested); the right side by
     transform_rhs.  Returns |lhs - rhs| / max(|lhs|, TINY).
     """
-    if mat.c <= 0:
-        raise ValidationError(f"transformation law requires c > 0, got c={mat.c}")
-    t = require_upper_half(tau)
-    zz = complex(z)
-    den = mat.c * t + mat.d
-    tau_image = moebius_apply(mat, t)
-    z_image = zz / den
-    z_red, _, _, pref = reduce_z(z_image, tau_image)
-    lhs = pref * theta1_series(z_red, tau_image, ctl)
-    rhs = transform_rhs(mat, zz, t, ctl)
+    rhs = transform_rhs(mat, z, tau, ctl)  # rejects c <= 0 and tau off the upper half-plane
+    tau_image = moebius_apply(mat, tau)
+    z_red, m, n, quasi_log = reduce_z(complex(z) / (mat.c * complex(tau) + mat.d), tau_image)
+    lhs = (-1) ** (m + n) * cmath.exp(quasi_log) * theta1_series(z_red, tau_image, ctl)
     return abs(lhs - rhs) / max(abs(lhs), TINY)
 
 

@@ -4,13 +4,17 @@ import random
 from statistics import pstdev
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mp_theta1_direct
 from thetamod import (
     DomainError,
     ModularMatrix,
     S_INVERSION,
+    ThetamodError,
     TruncationControl,
+    TruncationError,
     ValidationError,
     moebius_apply,
     reduce_theta_arguments,
@@ -56,21 +60,21 @@ class TestTransformRhs:
 
 class TestReduceZ:
     def test_already_reduced(self):
-        z_red, m, n, pref = reduce_z(0.3, 1j)
-        assert (z_red, m, n, pref) == (0.3 + 0j, 0, 0, 1 + 0j)
+        z_red, m, n, exponent = reduce_z(0.3, 1j)
+        assert (z_red, m, n, exponent) == (0.3 + 0j, 0, 0, 0j)
 
     def test_single_real_shift(self):
-        z_red, m, n, pref = reduce_z(1.3, 1j)
+        z_red, m, n, exponent = reduce_z(1.3, 1j)
         assert abs(z_red - 0.3) < 1e-15
-        assert (m, n) == (1, 0)
-        assert pref == -1
+        assert (m, n) == (1, 0)  # sign (-1)^{m+n} = -1
+        assert exponent == 0
 
     def test_tau_shift_prefactor(self):
         z, tau = 0.3 + 1j, 1j
-        z_red, m, n, pref = reduce_z(z, tau)
+        z_red, m, n, exponent = reduce_z(z, tau)
         assert (m, n) == (0, 1)
         direct = theta1_series(z, tau, TIGHT)
-        reduced = pref * theta1_series(z_red, tau, TIGHT)
+        reduced = -cmath.exp(exponent) * theta1_series(z_red, tau, TIGHT)
         assert abs(direct - reduced) <= 1e-12 * abs(direct)
 
     def test_random_replay(self):
@@ -78,12 +82,12 @@ class TestReduceZ:
         for _ in range(100):
             tau = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            z_red, m, n, pref = reduce_z(z, tau)
+            z_red, m, n, exponent = reduce_z(z, tau)
             assert abs(z_red.real) <= 0.5 + 1e-12
             assert abs(z_red.imag) <= 0.5 * tau.imag + 1e-12
             assert abs(z - (z_red + m + n * tau)) < 1e-12
             direct = theta1_series(z, tau, TIGHT)
-            reduced = pref * theta1_series(z_red, tau, TIGHT)
+            reduced = (-1) ** (m + n) * cmath.exp(exponent) * theta1_series(z_red, tau, TIGHT)
             assert abs(direct - reduced) <= 1e-11 * max(abs(direct), 1e-30)
 
     def test_non_finite_z_raises_domain_error(self):
@@ -127,7 +131,9 @@ class TestTheta1Fast:
             z = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
             trace = reduce_theta_arguments(z, tau)
             direct = theta1_fast(z, tau, TIGHT)
-            replay = theta1_series(trace.z_reduced, trace.tau_reduced, TIGHT) / trace.prefactor
+            sign = (-1) ** sum(trace.lattice_shift)
+            series = theta1_series(trace.z_reduced, trace.tau_reduced, TIGHT)
+            replay = sign * cmath.exp(-trace.prefactor_log) * series
             assert abs(direct - replay) <= 1e-10 * max(abs(direct), 1e-30)
             assert trace.tau_reduced.imag >= math.sqrt(3) / 2 - 1e-9
 
@@ -146,6 +152,40 @@ class TestTheta1Fast:
         fast = theta1_fast_info(0.2, 1e308 + 1j)
         oracle = mp_theta1_direct(0.2, 1j)
         assert abs(fast.value - oracle) <= fast.error_bound < 1e-13
+
+    def test_near_axis_point_within_bound(self):
+        # the law's exponent and the quasi-periodicity exponent each have real
+        # part ~1.26e5 here; only their difference is exponentiated.  The value
+        # itself is ~e^-7848, so the reduced series underflows to 0.
+        fast = theta1_fast_info(0.2, 0.3 + 1e-6j)
+        oracle = mp_theta1_direct(0.2, 0.3 + 1e-6j, terms=3500, dps=60)
+        assert abs(fast.value - oracle) <= fast.error_bound
+
+    def test_value_outside_double_range_raises_domain_error(self):
+        # |theta1(0.3 + 300i, i)| ~ e^{pi 300^2}
+        with pytest.raises(DomainError, match=r"z=\(0\.3\+300j\), tau=1j"):
+            theta1_fast_info(0.3 + 300j, 1j)
+
+    def test_reduced_series_overflow_names_its_stage(self):
+        z, tau = 0.013787255281589639 - 3.0880459750699903e-08j, -1.590163960429594 + 3.1257658718631234e-08j
+        with pytest.raises(TruncationError, match="theta1_fast at z=.*: the reduced series") as info:
+            theta1_fast(z, tau)
+        assert "reduce the argument first" not in str(info.value)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        log_im=st.floats(-8.0, math.log10(3.0)),
+        re_tau=st.floats(-2.0, 2.0),
+        re_z=st.floats(-1.0, 1.0),
+        im_z_share=st.floats(-3.0, 3.0),
+    )
+    def test_near_axis_result_is_finite_or_library_error(self, log_im, re_tau, re_z, im_z_share):
+        im_tau = 10.0**log_im
+        try:
+            fast = theta1_fast_info(complex(re_z, im_z_share * im_tau), complex(re_tau, im_tau))
+        except ThetamodError:
+            return
+        assert cmath.isfinite(fast.value) and math.isfinite(fast.error_bound)
 
     def test_error_bound_covers_actual_error(self):
         rng = random.Random(127)
