@@ -29,8 +29,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, TruncationError, ValidationError
 from .modular import require_upper_half
 
@@ -49,11 +47,6 @@ __all__ = [
     "lattice_distance",
 ]
 
-# theta1_series_info sums with cmath below this many pairs, with numpy from here
-# on, where the two break even; theta1_fast's reduced series needs 2-6 terms
-# (loop ~1 us, numpy ~14 us), and numpy is 1.4-1.9x faster at 64 pairs and
-# 3-4x at 255.
-_VECTOR_CUTOFF = 32
 # _ROOTS24[j] = e^{i pi j/12}: the phases of integer translations of tau
 _ROOTS24 = tuple(cmath.exp(1j * math.pi * j / 12) for j in range(24))
 _MAX_TERMS = 200_000  # cap on the terms or factors of any certified truncation
@@ -103,26 +96,29 @@ def lattice_distance(z: complex, tau: complex) -> float:
 _EPS = 2.0 ** -52
 
 
-def _series_cutoff(tau_im: float, z_im: float, ctl: TruncationControl) -> tuple[int, float]:
-    """Pair cutoff N and certified error bound for the sine series.
+def _series_cutoff(t: complex, z: complex, ctl: TruncationControl) -> tuple[int, float]:
+    """Pair cutoff N and certified error bound for the series at (z, t).
 
     Pair n is bounded by 2 t_n with
-    log t_n = -pi Im(tau) (n + 1/2)^2 + (2n + 1) pi |Im z|; N is the smallest
+    log t_n = -pi Im(t) (n + 1/2)^2 + (2n + 1) pi |Im z|; N is the smallest
     index whose first omitted pair has t_{N+1} < tolerance.  The bound adds
     the truncation tail 2 t_{N+1} / (1 - rho) (rho the tail ratio at N+1)
-    and a summation-roundoff allowance proportional to the largest term.
+    and a running-error allowance for the recurrence (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.3): a term reached through k
+    multiplications from an exponent of size E carries |term| (E + k) u.
     """
-    a = math.pi * tau_im
-    b = math.pi * abs(z_im)
+    a = math.pi * t.imag
+    b = math.pi * abs(z.imag)
     log_tol = math.log(ctl.tolerance)
 
     def log_bound(n: int) -> float:
         return -a * (n + 1.5) ** 2 + (2 * n + 3) * b
 
     # peak of log t_n sits at n + 1/2 = b/a; if the peak itself overflows,
-    # no double-precision summation is meaningful (nor is any with a NaN z)
+    # no double-precision summation is meaningful (nor is any with a
+    # non-finite z)
     peak = b * b / a
-    if not peak - log_tol <= 690.0:
+    if not (peak - log_tol <= 690.0 and cmath.isfinite(z)):
         raise TruncationError(_SERIES_OVERFLOW)
     disc = b * b - a * log_tol
     n = max(0, math.ceil((b + math.sqrt(disc)) / a - 1.5))
@@ -132,21 +128,29 @@ def _series_cutoff(tau_im: float, z_im: float, ctl: TruncationControl) -> tuple[
     n = max(n, math.ceil((2 * b - math.log(0.5)) / (2 * a)) - 2)
     rho = math.exp(-a * (2 * n + 4) + 2 * b)
     truncation = 2.0 * math.exp(log_bound(n)) / (1.0 - rho)
-    # every term is bounded by e^{peak} (the continuous maximum of log t_n),
-    # so accumulated roundoff stays below a small multiple of it
-    roundoff = 8.0 * _EPS * (2 * n + 2) * math.exp(min(695.0, peak))
+    # every term is bounded by e^{peak} (the continuous maximum of log t_n);
+    # the exponent of the largest term, at n_p, sets its relative error
+    n_p = max(0.0, b / a - 0.5)
+    exponent = math.pi * (abs(t) * (n_p + 0.5) ** 2 + (2 * n_p + 1) * abs(z))
+    roundoff = 8.0 * _EPS * (2 * n + 2 + exponent) * math.exp(min(695.0, peak))
     return n, truncation + roundoff
 
 
 def theta1_series_info(
     z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
 ) -> SeriesEval:
-    """theta1 by the sine series, with term count and certified error bound."""
+    """theta1 by the two-sided series, with term count and certified error bound.
+
+    Term +-n is e^{i pi (t (n+1/2)^2 +- (2n+1) z)} (sign (-1)^n folded into
+    the steps); each is the previous one times the step
+    -e^{i pi (2 (n+1) t +- 2z)}, and each step the previous one times
+    q2 = e^{2 pi i t}.  No factor overflows unless a term does.
+    """
     t = require_upper_half(tau)
     b = round(t.real)  # theta1(z, tau) = e^{i pi b/4} theta1(z, tau - b), exact for any b
     t -= b
     zz = complex(z)
-    n_cap, error_bound = _series_cutoff(t.imag, zz.imag, ctl)
+    n_cap, error_bound = _series_cutoff(t, zz, ctl)
     terms = 2 * (n_cap + 1)  # summands of the two-sided series
     if terms > _MAX_TERMS:
         raise TruncationError(
@@ -154,26 +158,20 @@ def theta1_series_info(
             f"Im tau = {t.imag:.3g} (cap {_MAX_TERMS}); reduce the argument "
             "first (transform.theta1_fast)"
         )
-    if n_cap < _VECTOR_CUTOFF:
-        total = 0j
-        sign = 1.0
-        try:
-            for n in range(n_cap + 1):
-                total += sign * cmath.exp(1j * math.pi * t * (n + 0.5) ** 2) * cmath.sin(
-                    (2 * n + 1) * math.pi * zz
-                )
-                sign = -sign
-        except OverflowError as exc:
-            raise TruncationError(_SERIES_OVERFLOW) from exc
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            idx = np.arange(n_cap + 1)
-            signs = 1.0 - 2.0 * (idx % 2)
-            vals = np.exp(1j * np.pi * t * (idx + 0.5) ** 2) * np.sin((2 * idx + 1) * np.pi * zz)
-            total = complex(np.sum(signs * vals))
+    ipi = 1j * math.pi
+    up, down = cmath.exp(ipi * (t / 4 + zz)), cmath.exp(ipi * (t / 4 - zz))
+    step_up, step_down = -cmath.exp(ipi * (2 * t + 2 * zz)), -cmath.exp(ipi * (2 * t - 2 * zz))
+    q2 = cmath.exp(2 * ipi * t)
+    total = 0j
+    for _ in range(n_cap + 1):
+        total += up - down
+        up *= step_up
+        down *= step_down
+        step_up *= q2
+        step_down *= q2
     if not cmath.isfinite(total):
         raise TruncationError(_SERIES_OVERFLOW)
-    return SeriesEval(2.0 * total * _ROOTS24[3 * b % 24], terms, error_bound)
+    return SeriesEval(-1j * total * _ROOTS24[3 * b % 24], terms, error_bound)
 
 
 def theta1_series(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> complex:
@@ -256,18 +254,7 @@ def jacobi_triple_product_check(
             f"jacobi_triple_product_check at w={ww}, q={qq}: the series side overflows "
             "double precision or needs more terms than the cap"
         ) from exc
-    w2 = ww * ww
-    w2i = 1 / w2
-    aq = abs(qq)
-    scale = (aq + abs(w2) + abs(w2i)) / aq  # deviations ~ |q|^{2m-1} * (|q| + |w^2| + |w^-2|)
-    m_cap = _product_cutoff(scale, aq * aq, ctl)
-    rhs = 1 + 0j
-    q2m = 1 + 0j
-    qodd = 1 / qq
-    for m in range(1, m_cap + 1):
-        q2m *= qq * qq
-        qodd *= qq * qq  # q^{2m-1}
-        rhs *= (1 - q2m) * (1 + w2 * qodd) * (1 + w2i * qodd)
+    rhs = math.prod(a * b * c for a, b, c in _triple_factors(z, tau, ctl))
     return lhs, rhs
 
 

@@ -319,7 +319,7 @@ class TestExitCodes:
         assert "result: PASS" in out
 
     def test_direct_series_overflow_exit_3(self, capsys):
-        argv = ("eval", "--method", "direct", "--z", "0.3+0.1i", "--tau", "0.1+0.0001i")
+        argv = ("eval", "--method", "direct", "--z", "0.3+4i", "--tau", "0.1+0.02i")
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 3
         assert out == ""

@@ -76,14 +76,43 @@ class TestTheta1Series:
     @pytest.mark.parametrize(
         "z, tau",
         [
-            (0.3 + 0.1j, 0.1 + 1e-4j),  # 2103 pairs, numpy sum: inf * 0 in the terms
-            (0.3 + 1.5j, 0.1 + 0.02j),  # 153 pairs, numpy sum: sin overflows alone
-            (0.3 + 4j, 0.1 + 0.27j),  # 31 pairs, cmath loop: sin overflows alone
+            (0.3 + 0.1j, 0.1 + 1e-4j),  # 2103 pairs; |value| ~1e104, largest term ~e^314
+            (0.3 + 1.5j, 0.1 + 0.02j),  # 153 pairs; sin((2n+1) pi z) alone overflows
+            (0.3 + 4j, 0.1 + 0.27j),  # 31 pairs; sin((2n+1) pi z) alone overflows
         ],
     )
-    def test_overflowing_terms_raise_truncation_error(self, z, tau):
+    def test_terms_past_sine_overflow_within_bound(self, z, tau):
+        # each term is formed as one exponential, so a sine factor that would
+        # overflow on its own does not; the bound is absolute and, where the
+        # terms cancel, may exceed |value|
+        info = theta1_series_info(z, tau)
+        oracle = mp_theta1_direct(z, tau, terms=info.terms, dps=80)
+        assert abs(info.value - oracle) <= info.error_bound
+
+    def test_overflowing_largest_term_raises_truncation_error(self):
+        # the largest term is ~e^{pi 16 / 0.02} = e^2513
         with pytest.raises(TruncationError, match="theta1_fast"):
-            theta1_series_info(z, tau)
+            theta1_series_info(0.3 + 4j, 0.1 + 0.02j)
+
+    def test_seeded_points_within_bound(self):
+        # |Im z| up to 20 Im tau, where the terms cancel by many digits; a point
+        # may raise only where its largest term e^{pi (Im z)^2 / Im tau} nears
+        # the top of double range
+        rng = random.Random(71)
+        evaluated = 0
+        for _ in range(60):
+            im_tau = 10 ** rng.uniform(-2, 0)
+            tau = complex(rng.uniform(-2, 2), im_tau)
+            z = complex(rng.uniform(-1, 1), rng.uniform(-20, 20) * im_tau)
+            try:
+                info = theta1_series_info(z, tau)
+            except TruncationError:
+                assert math.pi * z.imag**2 / im_tau > 650
+                continue
+            evaluated += 1
+            oracle = mp_theta1_direct(z, tau, terms=info.terms)
+            assert abs(info.value - oracle) <= info.error_bound
+        assert evaluated >= 50
 
     @pytest.mark.parametrize(
         "z, tau",
@@ -104,8 +133,7 @@ class TestTheta1Series:
         assert abs(info.value - mp_theta1_direct(0.2, 1j)) <= info.error_bound
 
     @pytest.mark.parametrize("im_tau, pairs", [(0.0145, 32), (0.0144, 33)])
-    def test_both_sides_of_vector_cutoff(self, im_tau, pairs):
-        # n_cap 31 is the last sum of the cmath loop, 32 the first of numpy
+    def test_pair_count_and_bound(self, im_tau, pairs):
         z, tau = 0.23 + 0.1j, 0.31 + 1j * im_tau
         info = theta1_series_info(z, tau)
         assert info.terms == 2 * pairs
@@ -168,10 +196,18 @@ class TestJacobiTripleProduct:
             assert abs(lhs - rhs) < 1e-10
 
     def test_overflowing_left_side_raises_truncation_error(self):
-        # w^{-2n} overflows long before q^{n^2} damps it
+        # the largest term w^{2n} q^{n^2}, near n = -100, is ~e^6880
         with pytest.raises(TruncationError, match="jacobi_triple_product_check at w=") as info:
-            jacobi_triple_product_check(1e-8, 0.5)
+            jacobi_triple_product_check(1e-30, 0.5)
         assert "theta1_fast" not in str(info.value)
+
+    def test_large_terms_in_range(self):
+        # w^{-2n} reaches ~1e212 before q^{n^2} damps it; every term stays in range
+        with mp.workdps(40):
+            oracle = complex(mp.fsum(mp.mpf(1e-8) ** (2 * n) * mp.mpf(0.5) ** (n * n) for n in range(-80, 81)))
+        lhs, rhs = jacobi_triple_product_check(1e-8, 0.5)
+        assert abs(lhs - oracle) <= 1e-13 * abs(oracle)
+        assert abs(rhs - oracle) <= 1e-13 * abs(oracle)
 
     @pytest.mark.parametrize(
         "w, q",

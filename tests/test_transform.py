@@ -167,10 +167,18 @@ class TestTheta1Fast:
             theta1_fast_info(0.3 + 300j, 1j)
 
     def test_reduced_series_overflow_names_its_stage(self):
-        z, tau = 0.013787255281589639 - 3.0880459750699903e-08j, -1.590163960429594 + 3.1257658718631234e-08j
+        # the reduced point is z = -500i, tau = 1000i, whose largest term is ~e^{250 pi}
         with pytest.raises(TruncationError, match="theta1_fast at z=.*: the reduced series") as info:
-            theta1_fast(z, tau)
+            theta1_fast(0.5, 0.001j)
         assert "reduce the argument first" not in str(info.value)
+
+    def test_reduced_series_with_large_imaginary_z_within_bound(self):
+        # the reduced point is z = -0.198+271.2i, tau = 0.359+550.5i: each
+        # series term is ~e^419, while sin((2n+1) pi z) alone would be ~e^852
+        z, tau = -0.49029491170500505 + 0.0033449086293239954j, -1.999143394641016 + 0.0012102365758523649j
+        fast = theta1_fast_info(z, tau)
+        oracle = mp_theta1_direct(z, tau, terms=400)
+        assert abs(fast.value - oracle) <= fast.error_bound
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
