@@ -87,10 +87,21 @@ IDENTITY = ModularMatrix(1, 0, 0, 1)
 S_INVERSION = ModularMatrix(0, -1, 1, 0)
 
 
+def _affine(p: int, q: int, tau: complex) -> complex:
+    """p tau + q for integers p, q: every c tau + d and a tau + b is formed here.
+
+    p Re tau + q is an exact rational, rounded once by int/int division, so it
+    keeps full precision where p Re tau and q cancel; p Im tau is one product
+    (one rounding while |p| < 2**53).
+    """
+    num, den = tau.real.as_integer_ratio()
+    return complex((p * num + q * den) / den, p * tau.imag)
+
+
 def moebius_apply(mat: ModularMatrix, tau: complex) -> complex:
     """Apply (a tau + b)/(c tau + d); determinant one keeps Im > 0."""
     t = require_upper_half(tau)
-    return (mat.a * t + mat.b) / (mat.c * t + mat.d)
+    return _affine(mat.a, mat.b, t) / _affine(mat.c, mat.d, t)
 
 
 def principal_power(base: complex, exponent: complex) -> complex:
@@ -171,7 +182,7 @@ def transform_params_from_matrix(mat: ModularMatrix, tau: complex) -> TransformP
             "c must be positive; negate the matrix first (-A acts identically on tau)"
         )
     t = require_upper_half(tau)
-    v = -1j * (mat.c * t + mat.d)
+    v = -1j * _affine(mat.c, mat.d, t)
     return TransformParams(H=mat.a, h=-mat.d, k=mat.c, v=v)
 
 

@@ -96,6 +96,19 @@ def lattice_distance(z: complex, tau: complex) -> float:
 _EPS = 2.0 ** -52
 
 
+def _require_finite_z(z: complex) -> complex:
+    zz = complex(z)
+    if not cmath.isfinite(zz):
+        raise DomainError(f"z must be finite, got {zz}")
+    return zz
+
+
+def _running_error(steps: float, exponent: float, magnitude: float) -> float:
+    """Roundoff 8 u (k + E) |value| of a value reached by k = steps roundings from an
+    exponent of size E (Higham, Accuracy and Stability of Numerical Algorithms, 3.3)."""
+    return 8.0 * _EPS * (steps + exponent) * magnitude
+
+
 def _series_cutoff(t: complex, z: complex, ctl: TruncationControl) -> tuple[int, float]:
     """Pair cutoff N and certified error bound for the series at (z, t).
 
@@ -103,9 +116,7 @@ def _series_cutoff(t: complex, z: complex, ctl: TruncationControl) -> tuple[int,
     log t_n = -pi Im(t) (n + 1/2)^2 + (2n + 1) pi |Im z|; N is the smallest
     index whose first omitted pair has t_{N+1} < tolerance.  The bound adds
     the truncation tail 2 t_{N+1} / (1 - rho) (rho the tail ratio at N+1)
-    and a running-error allowance for the recurrence (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.3): a term reached through k
-    multiplications from an exponent of size E carries |term| (E + k) u.
+    and the recurrence's running error, k = 2N + 2 steps from the largest term.
     """
     a = math.pi * t.imag
     b = math.pi * abs(z.imag)
@@ -115,10 +126,9 @@ def _series_cutoff(t: complex, z: complex, ctl: TruncationControl) -> tuple[int,
         return -a * (n + 1.5) ** 2 + (2 * n + 3) * b
 
     # peak of log t_n sits at n + 1/2 = b/a; if the peak itself overflows,
-    # no double-precision summation is meaningful (nor is any with a
-    # non-finite z)
+    # no double-precision summation is meaningful
     peak = b * b / a
-    if not (peak - log_tol <= 690.0 and cmath.isfinite(z)):
+    if peak - log_tol > 690.0:
         raise TruncationError(_SERIES_OVERFLOW)
     disc = b * b - a * log_tol
     n = max(0, math.ceil((b + math.sqrt(disc)) / a - 1.5))
@@ -132,8 +142,7 @@ def _series_cutoff(t: complex, z: complex, ctl: TruncationControl) -> tuple[int,
     # the exponent of the largest term, at n_p, sets its relative error
     n_p = max(0.0, b / a - 0.5)
     exponent = math.pi * (abs(t) * (n_p + 0.5) ** 2 + (2 * n_p + 1) * abs(z))
-    roundoff = 8.0 * _EPS * (2 * n + 2 + exponent) * math.exp(min(695.0, peak))
-    return n, truncation + roundoff
+    return n, truncation + _running_error(2 * n + 2, exponent, math.exp(min(695.0, peak)))
 
 
 def theta1_series_info(
@@ -149,7 +158,7 @@ def theta1_series_info(
     t = require_upper_half(tau)
     b = round(t.real)  # theta1(z, tau) = e^{i pi b/4} theta1(z, tau - b), exact for any b
     t -= b
-    zz = complex(z)
+    zz = _require_finite_z(z)
     n_cap, error_bound = _series_cutoff(t, zz, ctl)
     terms = 2 * (n_cap + 1)  # summands of the two-sided series
     if terms > _MAX_TERMS:
@@ -249,7 +258,7 @@ def jacobi_triple_product_check(
     z = cmath.log(-ww * ww / qq) / (2j * math.pi)
     try:
         lhs = 1j * cmath.exp(-1j * math.pi * (z + tau / 4)) * theta1_series_info(z, tau, ctl).value
-    except TruncationError as exc:
+    except (DomainError, TruncationError) as exc:  # w^2 overflowing leaves z non-finite
         raise TruncationError(
             f"jacobi_triple_product_check at w={ww}, q={qq}: the series side overflows "
             "double precision or needs more terms than the cap"

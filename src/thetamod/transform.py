@@ -37,6 +37,7 @@ from .dedekind import eta_multiplier, theta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
 from .modular import (
     ModularMatrix,
+    _affine,
     moebius_apply,
     principal_power,
     reduce_to_fundamental_domain,
@@ -45,6 +46,8 @@ from .modular import (
 from .theta import (
     DEFAULT_CONTROL,
     TruncationControl,
+    _require_finite_z,
+    _running_error,
     eta,
     lattice_distance,
     theta1_series,
@@ -74,16 +77,15 @@ __all__ = [
 TINY = 1e-300
 
 
-def _theta_law_log(mat: ModularMatrix, z: complex, tau: complex) -> complex:
-    """L with theta1(z/(c tau+d), A tau) = e^L theta1(z, tau), for c > 0 or A = (1, b; 0, 1).
+def _theta_law_log(mat: ModularMatrix, z: complex, den: complex) -> complex:
+    """L with theta1(z/den, A tau) = e^L theta1(z, tau), den = c tau + d, for c > 0 or A = (1, b; 0, 1).
 
-    For c > 0, L = i pi phase(eps1) + 1/2 Log(-i(c tau+d)) + pi i c z^2/(c tau+d);
-    Re(-i(c tau+d)) = c Im tau > 0 keeps the Log principal.  For a translation
+    For c > 0, L = i pi phase(eps1) + 1/2 Log(-i den) + pi i c z^2/den;
+    Re(-i den) = c Im tau > 0 keeps the Log principal.  For a translation
     L = i pi b/4, with b taken mod 8 so that a huge b stays exact.
     """
     if mat.c == 0:
         return 0.25j * math.pi * ((mat.b + 4) % 8 - 4)
-    den = mat.c * tau + mat.d
     return (
         1j * math.pi * float(theta_multiplier(mat).phase)
         + 0.5 * cmath.log(-1j * den)
@@ -99,14 +101,7 @@ def transform_rhs(
         raise ValidationError(f"transformation law requires c > 0, got c={mat.c}")
     t = require_upper_half(tau)
     zz = complex(z)
-    return cmath.exp(_theta_law_log(mat, zz, t)) * theta1_series(zz, t, ctl)
-
-
-def _require_finite_z(z: complex) -> complex:
-    zz = complex(z)
-    if not cmath.isfinite(zz):
-        raise DomainError(f"z must be finite, got {zz}")
-    return zz
+    return cmath.exp(_theta_law_log(mat, zz, _affine(mat.c, mat.d, t))) * theta1_series(zz, t, ctl)
 
 
 def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
@@ -156,7 +151,8 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
     mat, tau_red = reduce_to_fundamental_domain(t)
     if (mat.c, mat.a) < (0, 0):
         mat = -mat
-    z_red, m_shift, n_shift, quasi_log = reduce_z(zz / (mat.c * t + mat.d), tau_red)
+    den = _affine(mat.c, mat.d, t)
+    z_red, m_shift, n_shift, quasi_log = reduce_z(zz / den, tau_red)
     # theta1(z/(c t+d), tau_red) = e^{law_log} theta1(z, tau)
     #                            = (-1)^{m+n} e^{quasi_log} theta1(z_red, tau_red)
     return ReductionTrace(
@@ -164,7 +160,7 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
         tau_reduced=tau_red,
         z_reduced=z_red,
         lattice_shift=(m_shift, n_shift),
-        prefactor_log=_theta_law_log(mat, zz, t) - quasi_log,
+        prefactor_log=_theta_law_log(mat, zz, den) - quasi_log,
     )
 
 
@@ -178,35 +174,16 @@ class FastEval:
     error_bound: float
 
 
-def _prefactor_condition(mat: ModularMatrix, z: complex, tau: complex, trace: ReductionTrace) -> float:
-    """Relative roundoff scale of the reduction prefactor.
-
-    The prefactor is the exponential of a sum; a summand E computed with
-    relative error kappa*eps perturbs the value by ~|E|*kappa*eps.  The
-    dominant summands are pi c z^2/(c tau + d), whose denominator can
-    cancel (conditioning kappa_den), and the quasi-periodicity exponent
-    pi n^2 tau + 2 pi n z_red.
-    """
-    m_shift, n_shift = trace.lattice_shift
-    quasi = math.pi * n_shift * n_shift * abs(tau) + 2.0 * math.pi * abs(n_shift) * abs(trace.z_reduced)
-    if mat.c == 0:
-        gauss = 0.25 * math.pi * abs((mat.b + 4) % 8 - 4)
-        kappa_den = 1.0
-    else:
-        den = mat.c * complex(tau) + mat.d
-        gauss = math.pi * mat.c * abs(z) ** 2 / abs(den)
-        kappa_den = (abs(mat.c * complex(tau)) + abs(mat.d)) / abs(den)
-    return 32.0 + 8.0 * (gauss * kappa_den + quasi + abs(m_shift))
-
-
 def theta1_fast_info(
     z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
 ) -> FastEval:
     """theta1 via argument reduction, reporting the reduced-point term count.
 
-    The error bound combines the reduced-series bound with a roundoff
-    allowance for the prefactor's exponent.  A value or bound outside
-    double range raises DomainError.
+    The error bound is the reduced-series bound times the prefactor plus the
+    series' running-error rule for the prefactor's exponent, of size E: the
+    sum of pi (either phase), 1/2 |log D|, pi c |z|^2/D with D = |c tau+d| =
+    (Im tau/Im tau_red)^{1/2}, pi n^2 |tau_red| + 2 pi |n| |z_red| and |m|.
+    A value or bound outside double range raises DomainError.
     """
     trace = reduce_theta_arguments(z, tau)
     try:
@@ -220,10 +197,13 @@ def theta1_fast_info(
         factor = cmath.exp(-trace.prefactor_log)
     except OverflowError:
         factor = complex(math.inf)  # rejected below with any other non-finite result
-    value = (-1) ** sum(trace.lattice_shift) * factor * info.value
-    condition = _prefactor_condition(trace.matrix, complex(z), complex(tau), trace)
+    m, n = trace.lattice_shift
+    value = (-1) ** (m + n) * factor * info.value
+    den = math.sqrt(complex(tau).imag) / math.sqrt(trace.tau_reduced.imag)  # D, 1 for a translation
+    law = math.pi * (1.0 + trace.matrix.c * abs(complex(z)) ** 2 / den) + 0.5 * abs(math.log(den))
+    quasi = math.pi * abs(n) * (abs(n) * abs(trace.tau_reduced) + 2.0 * abs(trace.z_reduced))
     # below the normal range (from 2.2e-308) a value keeps only absolute precision
-    err = info.error_bound * abs(factor) + condition * 2.0**-52 * abs(value) + 2.3e-308
+    err = info.error_bound * abs(factor) + _running_error(4, law + quasi + abs(m), abs(value)) + 2.3e-308
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"theta1_fast at z={z}, tau={tau}: the value or its bound leaves double range")
     return FastEval(value, trace, info.terms, err)
@@ -251,7 +231,7 @@ def verify_transformation(
     """
     rhs = transform_rhs(mat, z, tau, ctl)  # rejects c <= 0 and tau off the upper half-plane
     tau_image = moebius_apply(mat, tau)
-    z_red, m, n, quasi_log = reduce_z(complex(z) / (mat.c * complex(tau) + mat.d), tau_image)
+    z_red, m, n, quasi_log = reduce_z(complex(z) / _affine(mat.c, mat.d, complex(tau)), tau_image)
     lhs = (-1) ** (m + n) * cmath.exp(quasi_log) * theta1_series(z_red, tau_image, ctl)
     return abs(lhs - rhs) / max(abs(lhs), TINY)
 
@@ -263,9 +243,8 @@ def verify_eta_transformation(
     if mat.c <= 0:
         raise ValidationError(f"eta transformation requires c > 0, got c={mat.c}")
     t = require_upper_half(tau)
-    den = mat.c * t + mat.d
     lhs = eta(moebius_apply(mat, t), ctl)
-    rhs = eta_multiplier(mat).value * principal_power(-1j * den, 0.5) * eta(t, ctl)
+    rhs = eta_multiplier(mat).value * principal_power(-1j * _affine(mat.c, mat.d, t), 0.5) * eta(t, ctl)
     return abs(lhs - rhs) / max(abs(lhs), TINY)
 
 

@@ -1,7 +1,9 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from thetamod import (
@@ -17,6 +19,7 @@ from thetamod import (
     reduce_to_fundamental_domain,
     transform_params_from_matrix,
 )
+from thetamod.modular import _affine
 from thetamod.transform import random_modular_matrix
 
 
@@ -92,6 +95,28 @@ class TestMoebius:
             image = moebius_apply(mat, tau)
             expected = tau.imag / abs(mat.c * tau + mat.d) ** 2
             assert abs(image.imag - expected) <= 1e-12 * expected
+
+
+    def test_cancelling_denominator_within_four_ulps(self):
+        # c Re tau + d = 53 * 1.717... - 91 cancels ~4 digits; formed in floats
+        # the image was off by 4.7e-13 relative
+        mat, tau = ModularMatrix(46, -79, 53, -91), 1.7170549300777433 + 0.00014260379061306304j
+        with mp.workdps(50):
+            t = mp.mpc(tau)
+            exact = (mat.a * t + mat.b) / (mat.c * t + mat.d)
+            error = abs(mp.mpc(moebius_apply(mat, tau)) - exact) / abs(exact)
+        assert error <= 4 * 2.0**-52
+
+    def test_affine_real_part_is_correctly_rounded(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-8, 1))
+            c = rng.choice([rng.randint(-100, 100), rng.randint(-10**30, 10**30)])
+            # d near -c Re tau, so that the sum cancels
+            d = -round(Fraction(tau.real) * c) + rng.randint(-3, 3)
+            image = _affine(c, d, tau)
+            assert image.real == float(Fraction(tau.real) * c + d)
+            assert image.imag == c * tau.imag
 
 
 class TestPrincipalPower:

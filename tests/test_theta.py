@@ -63,6 +63,10 @@ class TestTheta1Series:
         oracle = mp_theta1_direct(z, tau)
         assert abs(info.value - oracle) <= info.error_bound + 1e-15 * abs(oracle)
 
+    def test_non_finite_z_raises_domain_error(self):
+        with pytest.raises(DomainError, match="z must be finite"):
+            theta1_series_info(float("inf"), 1j)
+
     def test_max_terms_exhaustion(self):
         # the tail-ratio condition alone asks for ~2.2e9 terms; the cap is 200 000.
         # The cutoff is closed-form, so this raises at once.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mp_theta1_direct
+from conftest import mp_theta1_direct, mp_theta1_stepped
 from thetamod import (
     DomainError,
     ModularMatrix,
@@ -194,6 +194,37 @@ class TestTheta1Fast:
         except ThetamodError:
             return
         assert cmath.isfinite(fast.value) and math.isfinite(fast.error_bound)
+
+    @pytest.mark.parametrize(
+        "z, tau, terms",
+        [
+            # reduction matrix (46,-79;53,-91): c tau + d cancels ~4 digits
+            (-0.00019933193597987398 - 0.0002738890617213265j, 1.7170549300777433 + 0.00014260379061306304j, 700),
+            (-0.009794553296152086 + 0.003923303800632262j, -1.2589319820589888 + 0.001396175996624654j, 300),
+        ],
+    )
+    def test_cancelling_law_denominator_within_bound(self, z, tau, terms):
+        fast = theta1_fast_info(z, tau)
+        assert abs(fast.value - mp_theta1_direct(z, tau, terms=terms)) <= fast.error_bound
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        # a grid in log Im tau: floats(-5, -2) draws half its examples at -5
+        log_im=st.integers(-500, -200).map(lambda k: k / 100),
+        re_tau=st.floats(-2.0, 2.0),
+        re_z=st.floats(-1.0, 1.0),
+        im_z_share=st.floats(-3.0, 3.0),
+    )
+    def test_near_axis_error_within_bound(self, log_im, re_tau, re_z, im_z_share):
+        im_tau = 10.0**log_im
+        z, tau = complex(re_z, im_z_share * im_tau), complex(re_tau, im_tau)
+        try:
+            fast = theta1_fast_info(z, tau)
+        except ThetamodError:
+            return  # that it raises only library errors is the property above
+        # pair N of the series is below e^{-100} past N^2 = 100/(pi Im tau)
+        oracle = mp_theta1_stepped(z, tau, pairs=math.isqrt(int(100 / (math.pi * im_tau))) + 8)
+        assert abs(fast.value - oracle) <= fast.error_bound
 
     def test_error_bound_covers_actual_error(self):
         rng = random.Random(127)
