@@ -170,7 +170,7 @@ def _cmd_eta(args) -> Report:
 
 def _cmd_reduce(args) -> Report:
     mat, tau_red = reduce_to_fundamental_domain(args.tau)
-    replay = abs(moebius_apply(mat, args.tau) - tau_red)
+    replay = abs(moebius_apply(mat.inverse(), tau_red) - args.tau) / abs(args.tau)
     a, b, c, d = mat.entries()
     row = {"a": a, "b": b, "c": c, "d": d, **_parts("tau", tau_red), "replay_residual": replay}
     text = [f"matrix: ({a},{b};{c},{d})", f"tau reduced: {tau_red!r}", f"replay residual: {replay!r}"]

@@ -124,9 +124,9 @@ def reduce_to_fundamental_domain(
     """Gauss-reduce tau into |Re| <= 1/2, |tau| >= 1.
 
     Returns (A, tau') with tau' = A tau.  Boundary points are accepted as-is
-    (no canonical side is forced); Im tau' >= Im tau always.  Inputs that fail
-    to settle within max_steps (pathologically close to the real line at
-    precision limits) raise NonConvergenceError.
+    (no canonical side is forced); Im tau' >= Im tau always.  Inputs that fail to settle
+    within max_steps, or on a matrix that sends tau off the upper half plane (both only
+    pathologically close to the real line at precision limits) raise NonConvergenceError.
     """
     t = require_upper_half(tau)
     mat = IDENTITY
@@ -135,14 +135,15 @@ def reduce_to_fundamental_domain(
         if shift:
             mat = ModularMatrix(1, -shift, 0, 1) @ mat
             t = complex(t.real - shift, t.imag)
-        if abs(t) < 1.0 - 1e-15:
-            mat = S_INVERSION @ mat
-            t = -1 / t
-        else:
-            return mat, moebius_apply(mat, tau)
-    raise NonConvergenceError(
-        f"fundamental-domain reduction did not settle within {max_steps} steps for tau={tau}"
-    )
+        if abs(t) >= 1.0 - 1e-15:
+            image = moebius_apply(mat, tau)
+            if image.imag > 0:
+                return mat, image
+            break
+        mat = S_INVERSION @ mat
+        t = -1 / t
+    raise NonConvergenceError(f"fundamental-domain reduction of tau={tau} found no matrix within {max_steps} "
+                              "float Gauss steps that keeps it in the upper half plane")
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,14 @@ Conventions.  Q = exp(i pi tau) is the half-period nome and w = exp(i pi z),
 so the series and product forms are
 
     theta1(z, tau) = -i * sum_{n in Z} (-1)^n Q^{(n+1/2)^2} w^{2n+1}
-                   = 2 * sum_{n >= 0} (-1)^n Q^{(n+1/2)^2} sin((2n+1) pi z)
-    theta1(z, tau) = -i w Q^{1/4} * prod_{n >= 1}
+                   = -i w Q^{1/4} * prod_{n >= 1}
                      (1 - Q^{2n}) (1 - w^2 Q^{2n}) (1 - w^{-2} Q^{2n-2})
 
-with zeros exactly on the lattice z = m + n*tau, and
+with zeros exactly on the lattice z = m + n*tau.  At z = tau with 3 tau in place
+of tau the triple product is Euler's pentagonal number theorem, so
 
-    eta(tau) = exp(i pi tau / 12) * prod_{n >= 1} (1 - exp(2 pi i n tau)).
-
-Q^{1/4} and Q^2 are always computed directly from tau (exp(i pi tau / 4),
-exp(2 i pi tau)) so no spurious branch jump occurs when Re tau crosses a
-half-integer.
+    eta(tau) = exp(i pi tau / 12) prod_{n >= 1} (1 - exp(2 pi i n tau))
+             = -i exp(i pi tau / 3) theta1(tau, 3 tau).
 
 Every truncation carries an explicit tail bound.  When the bound cannot be
 met within the term cap (tau very close to the real axis), TruncationError is
@@ -109,67 +106,59 @@ def _running_error(steps: float, exponent: float, magnitude: float) -> float:
     return 8.0 * _EPS * (steps + exponent) * magnitude
 
 
-def _series_cutoff(t: complex, z: complex, ctl: TruncationControl) -> tuple[int, float]:
-    """Pair cutoff N and certified error bound for the series at (z, t).
+def _series_cutoff(t: complex, z: complex, lead: complex, ctl: TruncationControl) -> tuple[int, float]:
+    """Pair cutoff N and certified error bound for the series at (z, t) with lead.
 
-    Pair n is bounded by 2 t_n with
-    log t_n = -pi Im(t) (n + 1/2)^2 + (2n + 1) pi |Im z|; N is the smallest
-    index whose first omitted pair has t_{N+1} < tolerance.  The bound adds
-    the truncation tail 2 t_{N+1} / (1 - rho) (rho the tail ratio at N+1)
-    and the recurrence's running error, k = 2N + 2 steps from the largest term.
+    With x = n + 1/2, a = pi Im t and r = |Im z| / Im t, pair n is bounded by 2 t_n with
+    log t_n = Re(lead) - a x (x - 2r); N is the smallest index whose first omitted pair has
+    t_{N+1} < tolerance.  The bound adds the truncation tail 2 t_{N+1} / (1 - rho) (rho the
+    tail ratio at N+1) and the recurrence's running error, k = 2N + 2 steps from the
+    largest term.  Working in r, nothing overflows before Im t itself does.
     """
-    a = math.pi * t.imag
-    b = math.pi * abs(z.imag)
+    a, r = math.pi * t.imag, abs(z.imag) / t.imag
     log_tol = math.log(ctl.tolerance)
 
-    def log_bound(n: int) -> float:
-        return -a * (n + 1.5) ** 2 + (2 * n + 3) * b
+    def log_bound(n: int) -> float:  # the first omitted pair, x = n + 3/2
+        return lead.real - a * (n + 1.5) * (n + 1.5 - 2.0 * r)
 
-    # peak of log t_n sits at n + 1/2 = b/a; if the peak itself overflows,
-    # no double-precision summation is meaningful
-    peak = b * b / a
+    # the maximum of log t_n, at x = r (for eta the two summands cancel exactly);
+    # if it overflows, no double-precision summation is meaningful
+    peak = lead.real + math.pi * abs(z.imag) * r
     if peak - log_tol > 690.0:
         raise TruncationError(_SERIES_OVERFLOW)
-    disc = b * b - a * log_tol
-    n = max(0, math.ceil((b + math.sqrt(disc)) / a - 1.5))
-    while log_bound(n) >= log_tol:
+    # the root of log_bound = log_tol, raised so rho = e^{-2a (n + 2 - r)} <= 1/2,
+    # capped before the loop: near Im t = 1e-300 it is ~1e150, where n + 1 == n
+    start = max(0.0, r + math.sqrt(max(0.0, r * r + (lead.real - log_tol) / a)) - 1.5,
+                r + math.log(2.0) / (2.0 * a) - 2.0)
+    n = math.ceil(min(start, _MAX_TERMS))
+    while n < _MAX_TERMS // 2 and log_bound(n) >= log_tol:
         n += 1
-    # keep the tail ratio e^{-a (2n + 4) + 2b} at most 1/2 so the bound is a true bound
-    n = max(n, math.ceil((2 * b - math.log(0.5)) / (2 * a)) - 2)
-    rho = math.exp(-a * (2 * n + 4) + 2 * b)
+    if n >= _MAX_TERMS // 2:
+        needed = 2 * max(n, math.ceil(min(start, 1e300))) + 2
+        raise TruncationError(f"theta1 series needs {needed:.15g} terms for tolerance {ctl.tolerance} "
+                              f"at Im tau = {t.imag:.3g} (cap {_MAX_TERMS}); reduce tau first (theta1_fast)")
+    rho = math.exp(-2.0 * a * (n + 2 - r))
     truncation = 2.0 * math.exp(log_bound(n)) / (1.0 - rho)
-    # every term is bounded by e^{peak} (the continuous maximum of log t_n);
-    # the exponent of the largest term, at n_p, sets its relative error
-    n_p = max(0.0, b / a - 0.5)
-    exponent = math.pi * (abs(t) * (n_p + 0.5) ** 2 + (2 * n_p + 1) * abs(z))
+    # every term is bounded by e^{peak}; the exponent at x_p, the largest term, sets its relative error
+    x_p = max(0.5, r)
+    exponent = math.pi * (abs(t) * x_p * x_p + 2.0 * x_p * abs(z)) + abs(lead)
     return n, truncation + _running_error(2 * n + 2, exponent, math.exp(min(695.0, peak)))
 
 
-def theta1_series_info(
-    z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
-) -> SeriesEval:
-    """theta1 by the two-sided series, with term count and certified error bound.
+def _theta1_sum(z: complex, t: complex, lead: complex, ctl: TruncationControl) -> tuple[complex, int, float]:
+    """i e^{lead} theta1(z, t) = sum_n (-1)^n e^{lead + i pi (t (n+1/2)^2 + (2n+1) z)}, its term
+    count and certified error bound.
 
-    Term +-n is e^{i pi (t (n+1/2)^2 +- (2n+1) z)} (sign (-1)^n folded into
-    the steps); each is the previous one times the step
-    -e^{i pi (2 (n+1) t +- 2z)}, and each step the previous one times
-    q2 = e^{2 pi i t}.  No factor overflows unless a term does.
+    Term +-n is the previous one times the step -e^{i pi (2 (n+1) t +- 2z)} (sign (-1)^n
+    folded in), each step the previous one times q2 = e^{2 pi i t}; the lead enters the two
+    starting terms, so no factor overflows unless a term does.
     """
-    t = require_upper_half(tau)
-    b = round(t.real)  # theta1(z, tau) = e^{i pi b/4} theta1(z, tau - b), exact for any b
+    b = round(t.real)  # the sum at t is e^{i pi b/4} times the sum at t - b, exact for any b
     t -= b
-    zz = _require_finite_z(z)
-    n_cap, error_bound = _series_cutoff(t, zz, ctl)
-    terms = 2 * (n_cap + 1)  # summands of the two-sided series
-    if terms > _MAX_TERMS:
-        raise TruncationError(
-            f"theta1 series needs {terms} terms for tolerance {ctl.tolerance} at "
-            f"Im tau = {t.imag:.3g} (cap {_MAX_TERMS}); reduce the argument "
-            "first (transform.theta1_fast)"
-        )
+    n_cap, error_bound = _series_cutoff(t, z, lead, ctl)
     ipi = 1j * math.pi
-    up, down = cmath.exp(ipi * (t / 4 + zz)), cmath.exp(ipi * (t / 4 - zz))
-    step_up, step_down = -cmath.exp(ipi * (2 * t + 2 * zz)), -cmath.exp(ipi * (2 * t - 2 * zz))
+    up, down = cmath.exp(lead + ipi * (t / 4 + z)), cmath.exp(lead + ipi * (t / 4 - z))
+    step_up, step_down = -cmath.exp(ipi * (2 * t + 2 * z)), -cmath.exp(ipi * (2 * t - 2 * z))
     q2 = cmath.exp(2 * ipi * t)
     total = 0j
     for _ in range(n_cap + 1):
@@ -178,9 +167,15 @@ def theta1_series_info(
         down *= step_down
         step_up *= q2
         step_down *= q2
-    if not cmath.isfinite(total):
+    if not (cmath.isfinite(total) and math.isfinite(error_bound)):
         raise TruncationError(_SERIES_OVERFLOW)
-    return SeriesEval(-1j * total * _ROOTS24[3 * b % 24], terms, error_bound)
+    return total * _ROOTS24[3 * b % 24], 2 * (n_cap + 1), error_bound
+
+
+def theta1_series_info(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEval:
+    """theta1 by the two-sided series, with term count and certified error bound."""
+    value, terms, error_bound = _theta1_sum(_require_finite_z(z), require_upper_half(tau), 0j, ctl)
+    return SeriesEval(-1j * value, terms, error_bound)
 
 
 def theta1_series(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> complex:
@@ -268,25 +263,28 @@ def jacobi_triple_product_check(
 
 
 def eta_info(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEval:
-    """Dedekind eta with factor count and a tail bound on the log-product."""
+    """eta(tau) = -i e^{i pi tau/3} theta1(tau, 3 tau) by theta1's series, with term count and
+    certified error bound.  The lead e^{i pi tau/3} sits inside every term: theta1(tau, 3 tau)
+    alone grows like e^{pi Im tau/4} and would overflow where eta does not."""
     t = require_upper_half(tau)
     b = round(t.real)  # eta(tau) = e^{i pi b/12} eta(tau - b), exact for any b
     t -= b
-    q2 = cmath.exp(2j * math.pi * t)
-    aq = abs(q2)
-    n_cap = _product_cutoff(1.0, aq, ctl)
-    prod = 1.0 + 0j
-    q2n = 1.0 + 0j
-    for _ in range(n_cap):
-        q2n *= q2
-        prod *= 1 - q2n
-    value = cmath.exp(1j * math.pi * t / 12) * prod * _ROOTS24[b % 24]
-    tail = aq ** (n_cap + 1) / (1.0 - aq)
-    return SeriesEval(value, n_cap, abs(value) * 2.0 * tail + 1e-308)
+    t3 = 3 * t
+    if not cmath.isfinite(t3):
+        raise DomainError(f"eta at tau={tau}: 3 tau leaves double range")
+    # i pi t/3 with 1/3 read as Im t / Im 3t, so the lead cancels the peak of the terms exactly
+    lead = 1j * math.pi * t * (t.imag / t3.imag)
+    try:
+        total, terms, error_bound = _theta1_sum(t, t3, lead, ctl)
+    except TruncationError as exc:
+        raise TruncationError(f"eta at tau={tau}: {exc}") from exc
+    value = -total * _ROOTS24[b % 24]
+    # below the normal range (from 2.2e-308) a value keeps only absolute precision
+    return SeriesEval(value, terms, error_bound + _running_error(3, abs(lead), abs(value)) + 2.3e-308)
 
 
 def eta(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> complex:
-    """eta(tau) = exp(i pi tau / 12) prod_{n>=1} (1 - exp(2 pi i n tau))."""
+    """eta(tau) = exp(i pi tau / 12) prod_{n>=1} (1 - exp(2 pi i n tau)), evaluated by eta_info."""
     return eta_info(tau, ctl).value
 
 

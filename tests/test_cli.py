@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -79,6 +80,21 @@ class TestScalarCommands:
         expected = math.gamma(0.25) / (2 ** (11 / 8) * math.pi ** 0.75)
         assert abs(value["value_re"] - expected) < 1e-12
         assert abs(value["value_im"]) < 1e-15
+
+    def test_eta_near_axis_within_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "eta", "--tau", "0.3+1e-5i", "--format", "json")
+        assert code == 0
+        value = json.loads(out)["results"][0]
+        with mp.workdps(30):
+            oracle = complex(mp.eta(mp.mpc(0.3, 1e-5)))
+        assert abs(complex(value["value_re"], value["value_im"]) - oracle) <= value["err_bound"]
+
+    def test_reduce_replay_is_an_independent_check(self, capsys):
+        # the inverse replay A^{-1} tau_reduced is not the expression that made tau_reduced
+        tau = "1.7170549300777433+0.00014260379061306304i"
+        code, out, _ = run_cli(capsys, "reduce", "--tau", tau, "--format", "json")
+        assert code == 0
+        assert 0.0 < json.loads(out)["results"][0]["replay_residual"] < 1e-12
 
     def test_reduce_replay(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "--tau", "5.3+0.8i", "--format", "json")

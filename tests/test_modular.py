@@ -186,6 +186,12 @@ class TestFundamentalDomain:
         with pytest.raises(NonConvergenceError):
             reduce_to_fundamental_domain(0.4142135623730951 + 1e-300j, max_steps=5)
 
+    def test_image_off_the_upper_half_plane_names_the_input(self):
+        # at Im tau = 1e-300 the float loop settles on a matrix whose exact
+        # image has a negative imaginary part after rounding
+        with pytest.raises(NonConvergenceError, match=r"reduction of tau=\(0\.3\+1e-300j\)"):
+            reduce_to_fundamental_domain(0.3 + 1e-300j)
+
 
 class TestTransformParams:
     def test_inversion_matrix(self):

@@ -8,6 +8,7 @@ import pytest
 from conftest import mp_eta_direct, mp_theta1_direct, mp_theta1_jtheta
 from thetamod import (
     DomainError,
+    ThetamodError,
     TransformParams,
     TruncationControl,
     TruncationError,
@@ -18,6 +19,7 @@ from thetamod import (
     lattice_distance,
     log_theta1,
     log_theta1_by_residue_classes,
+    theta1_fast_info,
     theta1_product,
     theta1_series,
     theta1_series_info,
@@ -66,6 +68,17 @@ class TestTheta1Series:
     def test_non_finite_z_raises_domain_error(self):
         with pytest.raises(DomainError, match="z must be finite"):
             theta1_series_info(float("inf"), 1j)
+
+    def test_near_overflowing_im_tau_returns_finite(self):
+        # pi Im tau overflows to inf; the cutoff works in |Im z| / Im tau and stays finite
+        for info in (theta1_series_info(0.3, 1e308j), theta1_fast_info(0.3, 1e308j)):
+            assert info.value == 0 and math.isfinite(info.error_bound)
+
+    def test_im_tau_near_underflow_hits_the_term_cap(self):
+        # the cutoff starts near 1e150 pairs, where n + 1 == n in floats; it is capped
+        # before any loop, so this raises at once
+        with pytest.raises(TruncationError, match=r"needs \d.* terms .* \(cap 200000\)"):
+            theta1_series_info(0.2, 0.3 + 1e-300j)
 
     def test_max_terms_exhaustion(self):
         # the tail-ratio condition alone asks for ~2.2e9 terms; the cap is 200 000.
@@ -269,24 +282,53 @@ class TestEta:
         expected = cmath.exp(1j * math.pi * (b % 24) / 12) * mp_eta_direct(1j)
         assert abs(eta(1e308 + 1j) - expected) <= 1e-14 * abs(expected)
 
-    def test_vectorized_branch_matches_scalar(self):
-        # push the factor count over the numpy cutoff and compare to mpmath
+    def test_near_axis_series_matches_product(self):
         tau = 0.37 + 0.004j
         oracle = mp_eta_direct(tau, terms=3000, dps=40)
         value = eta(tau, TruncationControl(tolerance=1e-13))
         assert abs(value - oracle) <= 1e-11 * abs(oracle)
 
     def test_long_products_match_qp(self):
-        # Im tau in [3e-4, 3e-3]: ~1500 to ~15000 factors
+        # Im tau in [3e-4, 3e-3]: the product took ~1500 to ~15000 factors, the
+        # series takes at most ~250 terms.  The tolerance is absolute: at
+        # |eta| = 3.7e-5 (tau = -1.3327+0.0021i) 1e-10 relative needs 1e-15.
         rng = random.Random(43)
         for _ in range(24):
             tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(math.log10(3e-4), math.log10(3e-3)))
-            info = eta_info(tau)
-            assert info.terms >= 1000
+            info = eta_info(tau, TIGHT)
+            assert 60 <= info.terms <= 250
             with mp.workdps(30):
                 t = mp.mpc(tau)
                 oracle = complex(mp.exp(1j * mp.pi * t / 12) * mp.qp(mp.exp(2j * mp.pi * t)))
             assert abs(info.value - oracle) <= 1e-10 * abs(oracle)
+
+    def test_error_bound_on_seeded_points(self):
+        # the sample on which the product's tail-only bound missed 108 times
+        rng = random.Random(83)
+        for _ in range(400):
+            tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-3, 1))
+            info = eta_info(tau)
+            with mp.workdps(30):
+                oracle = complex(mp.eta(mp.mpc(tau)))
+            assert abs(info.value - oracle) <= info.error_bound
+
+    @pytest.mark.parametrize("tau", [1e3j, 0.4 + 1e20j, 1e200j, 1e300j])
+    def test_large_im_tau_within_bound(self, tau):
+        # theta1(tau, 3 tau) alone would overflow from Im tau ~ 900; eta is
+        # e^{-pi Im tau/12} in size, 0 once that underflows
+        info = eta_info(tau)
+        with mp.workdps(30):
+            oracle = complex(mp.exp(1j * mp.pi * mp.mpc(tau) / 12))
+        assert cmath.isfinite(info.value) and math.isfinite(info.error_bound)
+        assert abs(info.value - oracle) <= info.error_bound
+
+    def test_im_tau_1e308_names_its_own_tau(self):
+        try:
+            info = eta_info(1e308j)
+        except ThetamodError as exc:
+            assert "tau=1e+308j" in str(exc)
+        else:
+            assert cmath.isfinite(info.value) and math.isfinite(info.error_bound)
 
 
 def _cell_point(rng, tau):
