@@ -123,7 +123,8 @@ def reduce_to_fundamental_domain(
 ) -> tuple[ModularMatrix, complex]:
     """Gauss-reduce tau into |Re| <= 1/2, |tau| >= 1.
 
-    Returns (A, tau') with tau' = A tau.  Boundary points are accepted as-is
+    Returns (A, tau') with tau' = A tau, A signed so that c > 0 or A = (1, b; 0, 1)
+    (-A acts identically).  Boundary points are accepted as-is
     (no canonical side is forced); Im tau' >= Im tau always.  Inputs that fail to settle
     within max_steps, or on a matrix that sends tau off the upper half plane (both only
     pathologically close to the real line at precision limits) raise NonConvergenceError.
@@ -138,7 +139,7 @@ def reduce_to_fundamental_domain(
         if abs(t) >= 1.0 - 1e-15:
             image = moebius_apply(mat, tau)
             if image.imag > 0:
-                return mat, image
+                return (-mat if (mat.c, mat.a) < (0, 0) else mat), image
             break
         mat = S_INVERSION @ mat
         t = -1 / t

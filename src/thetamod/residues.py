@@ -37,12 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dedekind import dedekind_sum_fast
-from .errors import (
-    DomainError,
-    GeometryError,
-    QuadratureError,
-    ValidationError,
-)
+from .errors import DomainError, GeometryError, QuadratureError, ValidationError
 from .modular import TransformParams, require_int
 from .theta import DEFAULT_CONTROL, TruncationControl, _product_cutoff, geometric_log_sum
 

@@ -12,7 +12,9 @@ with zeros exactly on the lattice z = m + n*tau.  At z = tau with 3 tau in place
 of tau the triple product is Euler's pentagonal number theorem, so
 
     eta(tau) = exp(i pi tau / 12) prod_{n >= 1} (1 - exp(2 pi i n tau))
-             = -i exp(i pi tau / 3) theta1(tau, 3 tau).
+             = -i exp(i pi tau / 3) theta1(tau, 3 tau),
+
+summed by theta1's series at tau's fundamental-domain image, then carried back.
 
 Every truncation carries an explicit tail bound.  When the bound cannot be
 met within the term cap (tau very close to the real axis), TruncationError is
@@ -26,8 +28,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .dedekind import eta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
-from .modular import require_upper_half
+from .modular import _affine, reduce_to_fundamental_domain, require_upper_half
 
 __all__ = [
     "TruncationControl",
@@ -130,13 +133,12 @@ def _series_cutoff(t: complex, z: complex, lead: complex, ctl: TruncationControl
     # capped before the loop: near Im t = 1e-300 it is ~1e150, where n + 1 == n
     start = max(0.0, r + math.sqrt(max(0.0, r * r + (lead.real - log_tol) / a)) - 1.5,
                 r + math.log(2.0) / (2.0 * a) - 2.0)
-    n = math.ceil(min(start, _MAX_TERMS))
+    n = math.ceil(min(start, _MAX_TERMS // 2))
     while n < _MAX_TERMS // 2 and log_bound(n) >= log_tol:
         n += 1
     if n >= _MAX_TERMS // 2:
-        needed = 2 * max(n, math.ceil(min(start, 1e300))) + 2
-        raise TruncationError(f"theta1 series needs {needed:.15g} terms for tolerance {ctl.tolerance} "
-                              f"at Im tau = {t.imag:.3g} (cap {_MAX_TERMS}); reduce tau first (theta1_fast)")
+        raise TruncationError(f"theta1 series needs {round(2 * max(n, start) + 2, 0):.15g} terms for tolerance "
+                              f"{ctl.tolerance} at Im tau = {t.imag:.3g} (cap {_MAX_TERMS}); reduce tau (theta1_fast)")
     rho = math.exp(-2.0 * a * (n + 2 - r))
     truncation = 2.0 * math.exp(log_bound(n)) / (1.0 - rho)
     # every term is bounded by e^{peak}; the exponent at x_p, the largest term, sets its relative error
@@ -263,24 +265,29 @@ def jacobi_triple_product_check(
 
 
 def eta_info(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEval:
-    """eta(tau) = -i e^{i pi tau/3} theta1(tau, 3 tau) by theta1's series, with term count and
-    certified error bound.  The lead e^{i pi tau/3} sits inside every term: theta1(tau, 3 tau)
-    alone grows like e^{pi Im tau/4} and would overflow where eta does not."""
+    """eta(tau), term count and certified bound: eta(tau') = -i e^{i pi tau'/3} theta1(tau', 3 tau')
+    by theta1's series at tau' = A tau in the fundamental domain (the lead inside each term, as
+    theta1(tau', 3 tau') alone overflows from Im tau' ~ 900), carried back by eta's law.
+    Relative precision holds near cusps.  The bound is absolute, its roundoff taken against the
+    terms' peak 1, not |eta(tau')|: 1.2e-11 on a value of 2e-114 at tau = 1e3 i."""
     t = require_upper_half(tau)
-    b = round(t.real)  # eta(tau) = e^{i pi b/12} eta(tau - b), exact for any b
-    t -= b
-    t3 = 3 * t
+    mat, t_red = reduce_to_fundamental_domain(t)
+    t3 = 3 * t_red
     if not cmath.isfinite(t3):
         raise DomainError(f"eta at tau={tau}: 3 tau leaves double range")
     # i pi t/3 with 1/3 read as Im t / Im 3t, so the lead cancels the peak of the terms exactly
-    lead = 1j * math.pi * t * (t.imag / t3.imag)
+    lead = 1j * math.pi * t_red * (t_red.imag / t3.imag)
     try:
-        total, terms, error_bound = _theta1_sum(t, t3, lead, ctl)
+        total, terms, error_bound = _theta1_sum(t_red, t3, lead, ctl)
     except TruncationError as exc:
         raise TruncationError(f"eta at tau={tau}: {exc}") from exc
-    value = -total * _ROOTS24[b % 24]
+    law = (1j * math.pi * ((mat.b + 12) % 24 - 12) / 12 if mat.c == 0  # b mod 24 keeps a huge b exact
+           else 1j * math.pi * float(eta_multiplier(mat).phase) + 0.5 * cmath.log(-1j * _affine(mat.c, mat.d, t)))
+    factor = cmath.exp(-law)
+    value = -total * factor
     # below the normal range (from 2.2e-308) a value keeps only absolute precision
-    return SeriesEval(value, terms, error_bound + _running_error(3, abs(lead), abs(value)) + 2.3e-308)
+    err = error_bound * abs(factor) + _running_error(4, abs(lead) + abs(law), abs(value)) + 2.3e-308
+    return SeriesEval(value, terms, err)
 
 
 def eta(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> complex:

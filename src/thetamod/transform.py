@@ -143,14 +143,11 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
     """Reduce tau to the fundamental domain and z by quasi-periodicity.
 
     Applies the transformation law in the inverse direction for the
-    reduction matrix, negated if needed so that c > 0, or a = d = 1 when
-    the matrix is a translation.
+    reduction matrix (c > 0, or a translation).
     """
     t = require_upper_half(tau)
     zz = _require_finite_z(z)
     mat, tau_red = reduce_to_fundamental_domain(t)
-    if (mat.c, mat.a) < (0, 0):
-        mat = -mat
     den = _affine(mat.c, mat.d, t)
     z_red, m_shift, n_shift, quasi_log = reduce_z(zz / den, tau_red)
     # theta1(z/(c t+d), tau_red) = e^{law_log} theta1(z, tau)
@@ -239,7 +236,8 @@ def verify_transformation(
 def verify_eta_transformation(
     mat: ModularMatrix, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
 ) -> float:
-    """Relative residual of eta(A tau) = eps(A) (-i(c tau+d))^{1/2} eta(tau)."""
+    """Relative residual of eta(A tau) = eps(A) (-i(c tau+d))^{1/2} eta(tau).  eta reduces
+    tau first, so this tests the multipliers' consistency eps(M A) ~ eps(M) eps(A)."""
     if mat.c <= 0:
         raise ValidationError(f"eta transformation requires c > 0, got c={mat.c}")
     t = require_upper_half(tau)

@@ -289,14 +289,13 @@ class TestEta:
         assert abs(value - oracle) <= 1e-11 * abs(oracle)
 
     def test_long_products_match_qp(self):
-        # Im tau in [3e-4, 3e-3]: the product took ~1500 to ~15000 factors, the
-        # series takes at most ~250 terms.  The tolerance is absolute: at
-        # |eta| = 3.7e-5 (tau = -1.3327+0.0021i) 1e-10 relative needs 1e-15.
+        # Im tau in [3e-4, 3e-3]: the product took ~1500 to ~15000 factors; the
+        # series runs at the reduced point, Im tau' >= sqrt(3)/2, in a few terms
         rng = random.Random(43)
         for _ in range(24):
             tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(math.log10(3e-4), math.log10(3e-3)))
-            info = eta_info(tau, TIGHT)
-            assert 60 <= info.terms <= 250
+            info = eta_info(tau)
+            assert info.terms <= 8
             with mp.workdps(30):
                 t = mp.mpc(tau)
                 oracle = complex(mp.exp(1j * mp.pi * t / 12) * mp.qp(mp.exp(2j * mp.pi * t)))
@@ -311,6 +310,14 @@ class TestEta:
             with mp.workdps(30):
                 oracle = complex(mp.eta(mp.mpc(tau)))
             assert abs(info.value - oracle) <= info.error_bound
+
+    @pytest.mark.parametrize("tau", [1.4992174306985158 + 0.0017564048440257658j,
+                                     -2.9985558208489986 + 0.005344113690653349j, 0.3 + 1e-5j])
+    def test_relative_precision_near_cusps(self, tau):
+        # |eta| is 5e-13, 2e-19 and 2e-112 here, far below the terms of a series at tau itself
+        with mp.workdps(30):
+            oracle = complex(mp.eta(mp.mpc(tau)))
+        assert abs(eta(tau) - oracle) <= 1e-11 * abs(oracle)
 
     @pytest.mark.parametrize("tau", [1e3j, 0.4 + 1e20j, 1e200j, 1e300j])
     def test_large_im_tau_within_bound(self, tau):
