@@ -29,16 +29,14 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .dedekind import dedekind_sum_fast, eta_multiplier, theta_multiplier
-from .errors import ThetamodError, TruncationError, ValidationError
+from .errors import ThetamodError, ValidationError
 from .modular import ModularMatrix, moebius_apply, neg_mod_inverse, reduce_to_fundamental_domain
 from .residues import VerifierParams, closure_residual, log_identity_residual
 from .residues import residue_at_imag_pole, residue_at_origin, residue_at_real_pole
-from .theta import TruncationControl, eta_info, theta1_series_info
+from .theta import TruncationControl, eta_info
 from .transform import theta1_fast_info, transform_sweep
 
 DEFAULT_SEED = 20260810
-# terms at which `eval` switches from the direct series to the reduced path
-DIRECT_TERM_LIMIT = 64
 # closure passes below this share of 2 pi * (sum of |quadrature residues|)
 CLOSURE_REL_TOL = 1e-10
 IDENTITY_TOL = 1e-8
@@ -128,37 +126,26 @@ def _verdict(passed: bool) -> str:
 
 
 def _cmd_eval(args) -> Report:
-    ctl = TruncationControl(tolerance=max(args.tol, 1e-15))
-    info, method = None, "direct"
-    if args.method != "reduced":
-        try:
-            info = theta1_series_info(args.z, args.tau, ctl)
-        except TruncationError:
-            if args.method == "direct":
-                raise
-    if info is None or (args.method == "auto" and info.terms > DIRECT_TERM_LIMIT):
-        info, method = theta1_fast_info(args.z, args.tau, ctl), "reduced"
-    row = {**_value_row(info), "method": method}
+    info = theta1_fast_info(args.z, args.tau, TruncationControl(tolerance=max(args.tol, 1e-15)))
+    row = _value_row(info)
     columns = tuple(row)
+    trace = info.trace
+    a, b, c, d = trace.matrix.entries()
+    row["reduction"] = {
+        "matrix": [a, b, c, d],
+        **_parts("tau_reduced", trace.tau_reduced),
+        **_parts("z_reduced", trace.z_reduced),
+        "lattice_shift": list(trace.lattice_shift),
+    }
     text = [
         f"theta1({args.z!r}, {args.tau!r}) = {info.value!r}",
-        f"method: {method}   {_bound_line(info)}",
+        # every value is carried back from the reduced point; the label stays for parsers of this line
+        f"method: reduced   {_bound_line(info)}",
+        f"reduction: matrix ({a},{b};{c},{d}), lattice shift {trace.lattice_shift}",
+        f"reduced point: z = {trace.z_reduced!r}, tau = {trace.tau_reduced!r}",
     ]
-    if method == "reduced":
-        trace = info.trace
-        a, b, c, d = trace.matrix.entries()
-        row["reduction"] = {
-            "matrix": [a, b, c, d],
-            **_parts("tau_reduced", trace.tau_reduced),
-            **_parts("z_reduced", trace.z_reduced),
-            "lattice_shift": list(trace.lattice_shift),
-        }
-        text += [
-            f"reduction: matrix ({a},{b};{c},{d}), lattice shift {trace.lattice_shift}",
-            f"reduced point: z = {trace.z_reduced!r}, tau = {trace.tau_reduced!r}",
-        ]
     params = {**_parts("z", args.z), **_parts("tau", args.tau)}
-    return Report({**params, "tolerance": args.tol, "method": args.method}, [row], columns, text)
+    return Report({**params, "tolerance": args.tol}, [row], columns, text)
 
 
 def _cmd_eta(args) -> Report:
@@ -179,9 +166,7 @@ def _cmd_reduce(args) -> Report:
 
 def _cmd_multiplier(args) -> Report:
     mat = ModularMatrix(*args.matrix)
-    if mat.c <= 0:
-        raise ValidationError("multiplier requires c > 0; negate the matrix first")
-    eps = eta_multiplier(mat)
+    eps = eta_multiplier(mat)  # rejects c <= 0
     eps1 = theta_multiplier(mat)
     row = {"eta_phase": str(eps.phase), **_parts("eta", eps.value),
            "theta_phase": str(eps1.phase), **_parts("theta", eps1.value)}
@@ -317,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         p[name].add_argument("--tau", type=_parse_complex, required=True)
     for name in ("eval", "eta"):
         p[name].add_argument("--tol", type=_parse_tolerance, default=1e-12)
-    p["eval"].add_argument("--method", choices=("auto", "direct", "reduced"), default="auto")
     p["multiplier"].add_argument("--matrix", type=_parse_matrix_entries, required=True)
     p["dedekind"].add_argument("--h", type=int, required=True)
     p["dedekind"].add_argument("--k", type=int, required=True)

@@ -126,8 +126,8 @@ def reduce_to_fundamental_domain(
     Returns (A, tau') with tau' = A tau, A signed so that c > 0 or A = (1, b; 0, 1)
     (-A acts identically).  Boundary points are accepted as-is
     (no canonical side is forced); Im tau' >= Im tau always.  Inputs that fail to settle
-    within max_steps, or on a matrix that sends tau off the upper half plane (both only
-    pathologically close to the real line at precision limits) raise NonConvergenceError.
+    within max_steps, or on a matrix whose exact image is not a finite point of the domain to
+    a 1e-12 margin (both only at precision limits near the real line) raise NonConvergenceError.
     """
     t = require_upper_half(tau)
     mat = IDENTITY
@@ -138,13 +138,13 @@ def reduce_to_fundamental_domain(
             t = complex(t.real - shift, t.imag)
         if abs(t) >= 1.0 - 1e-15:
             image = moebius_apply(mat, tau)
-            if image.imag > 0:
+            if image.imag > 0 and abs(image.real) <= 0.5 + 1e-12 and 1.0 - 1e-12 <= abs(image) < math.inf:
                 return (-mat if (mat.c, mat.a) < (0, 0) else mat), image
             break
         mat = S_INVERSION @ mat
         t = -1 / t
     raise NonConvergenceError(f"fundamental-domain reduction of tau={tau} found no matrix within {max_steps} "
-                              "float Gauss steps that keeps it in the upper half plane")
+                              "float Gauss steps that maps it into the domain")
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,23 @@ def _running_error(steps: float, exponent: float, magnitude: float) -> float:
     return 8.0 * _EPS * (steps + exponent) * magnitude
 
 
+def _carry_back(total: complex, bound: float, log_factor: complex, exponent_size: float, where,
+                sign: int = 1) -> tuple[complex, float]:
+    """value = sign e^{log_factor} total (sign an exact +-1, kept out of the exponent), a reduced series'
+    total carried back by a law, and its bound: bound |e^{log_factor}|, the running error of k = 4 roundings
+    from an exponent of size exponent_size, and 2.3e-308, as below the normal range a value keeps only
+    absolute precision.  A value or bound outside double range raises DomainError; where() builds its message."""
+    try:
+        factor = cmath.exp(log_factor)
+    except OverflowError:
+        factor = complex(math.inf)  # rejected below with any other non-finite result
+    value = sign * factor * total
+    err = bound * abs(factor) + _running_error(4, exponent_size, abs(value)) + 2.3e-308
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"{where()}: the value or its bound leaves double range")
+    return value, err
+
+
 def _series_cutoff(t: complex, z: complex, lead: complex, ctl: TruncationControl) -> tuple[int, float]:
     """Pair cutoff N and certified error bound for the series at (z, t) with lead.
 
@@ -265,11 +282,11 @@ def jacobi_triple_product_check(
 
 
 def eta_info(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEval:
-    """eta(tau), term count and certified bound: eta(tau') = -i e^{i pi tau'/3} theta1(tau', 3 tau')
-    by theta1's series at tau' = A tau in the fundamental domain (the lead inside each term, as
-    theta1(tau', 3 tau') alone overflows from Im tau' ~ 900), carried back by eta's law.
-    Relative precision holds near cusps.  The bound is absolute, its roundoff taken against the
-    terms' peak 1, not |eta(tau')|: 1.2e-11 on a value of 2e-114 at tau = 1e3 i."""
+    """eta(tau), term count and certified bound: eta(tau') = -i e^{i pi tau'/3} theta1(tau', 3 tau') by theta1's
+    series at tau' = A tau in the fundamental domain (the lead inside each term, as theta1(tau', 3 tau') alone
+    overflows from Im tau' ~ 900), carried back by eta's law (_carry_back: a value or bound outside double range
+    raises DomainError).  Relative precision holds near cusps.  The bound is absolute, its roundoff taken
+    against the terms' peak 1, not |eta(tau')|: 1.2e-11 on a value of 2e-114 at tau = 1e3 i."""
     t = require_upper_half(tau)
     mat, t_red = reduce_to_fundamental_domain(t)
     t3 = 3 * t_red
@@ -283,10 +300,7 @@ def eta_info(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEv
         raise TruncationError(f"eta at tau={tau}: {exc}") from exc
     law = (1j * math.pi * ((mat.b + 12) % 24 - 12) / 12 if mat.c == 0  # b mod 24 keeps a huge b exact
            else 1j * math.pi * float(eta_multiplier(mat).phase) + 0.5 * cmath.log(-1j * _affine(mat.c, mat.d, t)))
-    factor = cmath.exp(-law)
-    value = -total * factor
-    # below the normal range (from 2.2e-308) a value keeps only absolute precision
-    err = error_bound * abs(factor) + _running_error(4, abs(lead) + abs(law), abs(value)) + 2.3e-308
+    value, err = _carry_back(total, error_bound, -law, abs(lead) + abs(law), lambda: f"eta at tau={tau}", sign=-1)
     return SeriesEval(value, terms, err)
 
 

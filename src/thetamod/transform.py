@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from statistics import median
 
 from .dedekind import eta_multiplier, theta_multiplier
-from .errors import DomainError, TruncationError, ValidationError
+from .errors import TruncationError, ValidationError
 from .modular import (
     ModularMatrix,
     _affine,
@@ -45,9 +45,10 @@ from .modular import (
 )
 from .theta import (
     DEFAULT_CONTROL,
+    SeriesEval,
     TruncationControl,
+    _carry_back,
     _require_finite_z,
-    _running_error,
     eta,
     lattice_distance,
     theta1_series,
@@ -162,13 +163,10 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
 
 
 @dataclass(frozen=True)
-class FastEval:
-    """theta1_fast result with its trace and reduced-series bookkeeping."""
+class FastEval(SeriesEval):
+    """theta1_fast result: the reduced series' terms, the carried-back bound, and the trace."""
 
-    value: complex
     trace: ReductionTrace
-    terms: int
-    error_bound: float
 
 
 def theta1_fast_info(
@@ -179,8 +177,8 @@ def theta1_fast_info(
     The error bound is the reduced-series bound times the prefactor plus the
     series' running-error rule for the prefactor's exponent, of size E: the
     sum of pi (either phase), 1/2 |log D|, pi c |z|^2/D with D = |c tau+d| =
-    (Im tau/Im tau_red)^{1/2}, pi n^2 |tau_red| + 2 pi |n| |z_red| and |m|.
-    A value or bound outside double range raises DomainError.
+    (Im tau/Im tau_red)^{1/2}, pi n^2 |tau_red| + 2 pi |n| |z_red| and |m|
+    (theta._carry_back).  A value or bound outside double range raises DomainError.
     """
     trace = reduce_theta_arguments(z, tau)
     try:
@@ -190,20 +188,14 @@ def theta1_fast_info(
             f"theta1_fast at z={z}, tau={tau}: the reduced series at "
             f"z={trace.z_reduced}, tau={trace.tau_reduced} overflows double precision"
         ) from exc
-    try:
-        factor = cmath.exp(-trace.prefactor_log)
-    except OverflowError:
-        factor = complex(math.inf)  # rejected below with any other non-finite result
     m, n = trace.lattice_shift
-    value = (-1) ** (m + n) * factor * info.value
     den = math.sqrt(complex(tau).imag) / math.sqrt(trace.tau_reduced.imag)  # D, 1 for a translation
-    law = math.pi * (1.0 + trace.matrix.c * abs(complex(z)) ** 2 / den) + 0.5 * abs(math.log(den))
+    # |z| capped so |z|^2 stays finite: past the cap c |z|^2/D is 0 for c = 0 and overflows for c > 0 (D <= 1)
+    law = math.pi * (1.0 + trace.matrix.c * min(abs(complex(z)), 1e154) ** 2 / den) + 0.5 * abs(math.log(den))
     quasi = math.pi * abs(n) * (abs(n) * abs(trace.tau_reduced) + 2.0 * abs(trace.z_reduced))
-    # below the normal range (from 2.2e-308) a value keeps only absolute precision
-    err = info.error_bound * abs(factor) + _running_error(4, law + quasi + abs(m), abs(value)) + 2.3e-308
-    if not (cmath.isfinite(value) and math.isfinite(err)):
-        raise DomainError(f"theta1_fast at z={z}, tau={tau}: the value or its bound leaves double range")
-    return FastEval(value, trace, info.terms, err)
+    value, err = _carry_back(info.value, info.error_bound, -trace.prefactor_log, law + quasi + abs(m),
+                             lambda: f"theta1_fast at z={z}, tau={tau}", sign=(-1) ** (m + n))
+    return FastEval(value, info.terms, err, trace)
 
 
 def theta1_fast(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> complex:

@@ -2,13 +2,14 @@ import csv
 import io
 import json
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from thetamod import ClosureReport, VerifierParams, enclosed_poles, neg_mod_inverse, numeric_residue
-from thetamod import cli, residues
+from thetamod import TruncationError, cli, residues, theta1_series_info
 from thetamod.cli import main
 
 
@@ -34,6 +35,12 @@ class TestScalarCommands:
         assert code == 0
         assert "exp(i pi * 0) = (1+0j)" in out
         assert "exp(i pi * -1/2)" in out
+
+    def test_multiplier_rejects_translation(self, capsys):
+        code, _, err = run_cli(capsys, "multiplier", "--matrix", "1,1,0,1")
+        assert code == 2
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "c > 0" in err
 
     def test_multiplier_bad_determinant(self, capsys):
         code, _, err = run_cli(capsys, "multiplier", "--matrix", "1,0,0,-1")
@@ -63,6 +70,39 @@ class TestScalarCommands:
         assert "method: reduced" in out
         assert "reduction: matrix" in out
 
+    def test_eval_agrees_with_direct_series(self, capsys):
+        # points where the direct series needs at most 64 terms, which eval once summed directly
+        rng = random.Random(1429)
+        checked = 0
+        while checked < 200:
+            tau = complex(rng.uniform(-1, 1), 10 ** rng.uniform(-2, math.log10(0.3)))
+            z = complex(rng.uniform(-1, 1), rng.uniform(-30, 30) * tau.imag)
+            try:
+                direct = theta1_series_info(z, tau)
+            except TruncationError:
+                continue
+            if direct.terms > 64:
+                continue
+            code, out, _ = run_cli(capsys, "eval", f"--z={z.real!r}{z.imag:+}i", f"--tau={tau.real!r}{tau.imag:+}i",
+                                   "--format", "json")
+            assert code == 0
+            report = json.loads(out)
+            (row,) = report["results"]
+            value = complex(row["value_re"], row["value_im"])
+            assert abs(value - direct.value) <= row["err_bound"] + direct.error_bound
+            assert "method" not in row and "method" not in report["params"]
+            checked += 1
+
+    def test_eval_at_huge_even_integer_within_bound(self, capsys):
+        # theta1 vanishes at z = 1e200, an even integer; the direct series gave 0.837 with bound 5.6e185
+        code, out, _ = run_cli(capsys, "eval", "--z", "1e200+0i", "--tau", "0+1i", "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)["results"]
+        assert abs(complex(row["value_re"], row["value_im"])) <= row["err_bound"] < 1e-12
+
+    def test_method_option_is_gone(self, capsys):
+        assert run_cli(capsys, "eval", "--method", "direct", "--z", "0.3", "--tau", "0+1i")[0] == 2
+
     def test_eval_domain_error_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--z", "0+0i", "--tau", "1-1i")
         assert code == 3
@@ -88,6 +128,13 @@ class TestScalarCommands:
         with mp.workdps(30):
             oracle = complex(mp.eta(mp.mpc(0.3, 1e-5)))
         assert abs(complex(value["value_re"], value["value_im"]) - oracle) <= value["err_bound"]
+
+    def test_eta_out_of_range_exit_3(self, capsys):
+        # the reduced point is 1e300i and the law's factor 1e150: the bound leaves double range
+        code, out, err = run_cli(capsys, "eta", "--tau", "0+1e-300i")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
     def test_reduce_replay_is_an_independent_check(self, capsys):
         # the inverse replay A^{-1} tau_reduced is not the expression that made tau_reduced
@@ -335,7 +382,7 @@ class TestExitCodes:
         assert "result: PASS" in out
 
     def test_direct_series_overflow_exit_3(self, capsys):
-        argv = ("eval", "--method", "direct", "--z", "0.3+4i", "--tau", "0.1+0.02i")
+        argv = ("eval", "--z", "0.3+4i", "--tau", "0.1+0.02i")
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 3
         assert out == ""
@@ -347,7 +394,7 @@ class TestExitCodes:
             raise OverflowError("math range error")
 
         monkeypatch.setattr(cli, "theta1_fast_info", overflow)
-        code, out, err = run_cli(capsys, "eval", "--method", "reduced", "--z", "0.2", "--tau", "0.3+1e-6i")
+        code, out, err = run_cli(capsys, "eval", "--z", "0.2", "--tau", "0.3+1e-6i")
         assert code == 3
         assert out == ""
         assert err == "error: OverflowError: math range error\n"

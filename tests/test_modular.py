@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -191,6 +192,13 @@ class TestFundamentalDomain:
         # image has a negative imaginary part after rounding
         with pytest.raises(NonConvergenceError, match=r"reduction of tau=\(0\.3\+1e-300j\)"):
             reduce_to_fundamental_domain(0.3 + 1e-300j)
+
+    @pytest.mark.parametrize("tau", [0.2 + 5e-324j, 0.1 + 1e-300j, 0.5 + 1e-320j])
+    def test_image_outside_the_domain_names_the_input(self, tau):
+        # the float loop settles where the exact image is -3.6e15+1.6e-291i,
+        # -1.8e15+3.2e-268i and -0.5+inf i: in the upper half plane, not in the domain
+        with pytest.raises(NonConvergenceError, match=re.escape(f"reduction of tau={tau}")):
+            reduce_to_fundamental_domain(tau)
 
 
 class TestTransformParams:

@@ -12,10 +12,12 @@ from thetamod import (
     DomainError,
     ModularMatrix,
     S_INVERSION,
+    SeriesEval,
     ThetamodError,
     TruncationControl,
     TruncationError,
     ValidationError,
+    eta_info,
     moebius_apply,
     reduce_theta_arguments,
     reduce_z,
@@ -236,6 +238,34 @@ class TestTheta1Fast:
                 continue
             oracle = mp_theta1_direct(z, tau, terms=900, dps=60)
             assert abs(fast.value - oracle) <= fast.error_bound
+
+    def test_fast_value_is_a_series_eval(self):
+        fast = theta1_fast_info(0.2, 0.3 + 0.002j)
+        assert isinstance(fast, SeriesEval)
+        assert fast.trace.matrix.c > 0
+
+
+# tau near the real axis (subnormal, at 1e-300 and 1e-320), at huge Re or Im, and near rationals
+EXTREME_TAUS = [0.2 + 5e-324j, 0.1 + 1e-300j, 0.5 + 1e-320j, 1e-300j, 1e308j, 1e-12 + 1e-15j, 0.5 + 1e-200j,
+                1.5 + 1e-100j, 1 / 3 + 1e-30j, 1e308 + 1j, -1e308 + 1e-5j, 0.3 + 1e-310j]
+EXTREME_ZS = [0.2, 1e200, 0.3 + 4j, 3.0, 1e-300j, 0.3 + 300j, 1e154, -1e300 + 1e-3j]
+
+
+def test_entry_points_return_finite_or_raise_library_errors():
+    calls = [(eta_info, (tau,)) for tau in EXTREME_TAUS]
+    calls += [(f, (z, tau)) for tau in EXTREME_TAUS for z in EXTREME_ZS for f in (theta1_series_info, theta1_fast_info)]
+    failures = []
+    for f, args in calls:
+        try:
+            info = f(*args)
+        except ThetamodError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - any other exception is the failure being counted
+            failures.append(f"{f.__name__}{args}: {type(exc).__name__}: {exc}")
+            continue
+        if not (cmath.isfinite(info.value) and math.isfinite(info.error_bound)):
+            failures.append(f"{f.__name__}{args}: value {info.value!r}, bound {info.error_bound!r}")
+    assert failures == []
 
 
 class TestVerifyTransformation:
