@@ -95,7 +95,10 @@ def _affine(p: int, q: int, tau: complex) -> complex:
     (one rounding while |p| < 2**53).
     """
     num, den = tau.real.as_integer_ratio()
-    return complex((p * num + q * den) / den, p * tau.imag)
+    try:
+        return complex((p * num + q * den) / den, p * tau.imag)
+    except OverflowError:
+        raise DomainError(f"p tau + q leaves double range at tau={tau}: |p| or |q| is too large") from None
 
 
 def moebius_apply(mat: ModularMatrix, tau: complex) -> complex:
@@ -115,12 +118,13 @@ def principal_power(base: complex, exponent: complex) -> complex:
         raise DomainError("0 cannot be raised to a complex power on the principal branch")
     if b.imag == 0.0:
         b = complex(b.real, 0.0)  # clears -0.0 so Arg lands on +pi, not -pi
-    return cmath.exp(complex(exponent) * cmath.log(b))
+    try:
+        return cmath.exp(complex(exponent) * cmath.log(b))
+    except OverflowError:
+        raise DomainError(f"{b}**{exponent} leaves double range") from None
 
 
-def reduce_to_fundamental_domain(
-    tau: complex, max_steps: int = 1000
-) -> tuple[ModularMatrix, complex]:
+def reduce_to_fundamental_domain(tau: complex, max_steps: int = 1000) -> tuple[ModularMatrix, complex]:
     """Gauss-reduce tau into |Re| <= 1/2, |tau| >= 1.
 
     Returns (A, tau') with tau' = A tau, A signed so that c > 0 or A = (1, b; 0, 1)
@@ -168,9 +172,7 @@ class TransformParams:
         if math.gcd(self.h, self.k) != 1:
             raise ValidationError(f"h={self.h} and k={self.k} must be coprime")
         if (self.H * self.h + 1) % self.k != 0:
-            raise ValidationError(
-                f"H*h = {self.H * self.h} is not -1 modulo k={self.k}"
-            )
+            raise ValidationError(f"H*h = {self.H * self.h} is not -1 modulo k={self.k}")
 
 
 def transform_params_from_matrix(mat: ModularMatrix, tau: complex) -> TransformParams:
@@ -180,9 +182,7 @@ def transform_params_from_matrix(mat: ModularMatrix, tau: complex) -> TransformP
     determinant; they are asserted by the TransformParams constructor.
     """
     if mat.c <= 0:
-        raise ValidationError(
-            "c must be positive; negate the matrix first (-A acts identically on tau)"
-        )
+        raise ValidationError("c must be positive; negate the matrix first (-A acts identically on tau)")
     t = require_upper_half(tau)
     v = -1j * _affine(mat.c, mat.d, t)
     return TransformParams(H=mat.a, h=-mat.d, k=mat.c, v=v)

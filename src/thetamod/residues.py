@@ -91,9 +91,7 @@ class VerifierParams(TransformParams):
             raise ValidationError(f"z must be a number, got {self.z!r}")
         zz = complex(self.z)
         if not 0.0 < abs(zz.imag) < self.v:
-            raise ValidationError(
-                f"need v > |Im z| > 0, got v={self.v}, Im z={zz.imag}"
-            )
+            raise ValidationError(f"need v > |Im z| > 0, got v={self.v}, Im z={zz.imag}")
         require_int(m=self.m)
         if not 1 <= self.m <= 64:
             raise ValidationError(f"m must be an integer in [1, 64], got {self.m!r}")
@@ -236,7 +234,10 @@ def residue_at_imag_pole(p: VerifierParams, n: int) -> complex:
     with E(mu) = e^{-2 pi n v mu / k}/(1 - e^{-2 pi n v}).
     """
     _validate_pole_index(p, n)
-    e_plus, e_minus = cmath.exp(2j * math.pi * n * p.z), cmath.exp(-2j * math.pi * n * p.z)
+    try:
+        e_plus, e_minus = cmath.exp(2j * math.pi * n * p.z), cmath.exp(-2j * math.pi * n * p.z)
+    except OverflowError:
+        raise DomainError(f"residue_at_imag_pole at v={p.v}, z={p.z}, n={n}: e^(2 pi i n z) overflows") from None
     return _simple_residue(n, p.k, p.h, -_TWO_PI * n * p.v, math.pi * n * p.v, 1j, e_plus, e_plus, e_minus)
 
 
@@ -254,7 +255,10 @@ def residue_at_real_pole(p: VerifierParams, n: int) -> complex:
     H h = -1 (mod k).
     """
     _validate_pole_index(p, n)
-    e_minus, e_plus = cmath.exp(-_TWO_PI * n * p.z / p.v), cmath.exp(_TWO_PI * n * p.z / p.v)
+    try:
+        e_minus, e_plus = cmath.exp(-_TWO_PI * n * p.z / p.v), cmath.exp(_TWO_PI * n * p.z / p.v)
+    except OverflowError:
+        raise DomainError(f"residue_at_real_pole at v={p.v}, z={p.z}, n={n}: e^(2 pi n z/v) overflows") from None
     return _simple_residue(n, p.k, p.H, -_TWO_PI * n / p.v, math.pi * n / p.v, -1j, e_minus, e_plus, e_minus)
 
 
@@ -296,10 +300,7 @@ def residue_at_origin(p: VerifierParams) -> OriginResidue:
     iv = 1j * v
     vterm = 1j * (v - 1.0 / v)
     coth_cot = vterm / 12.0
-    if k > 1:
-        block_sum = -(k - 1) / (12.0 * k) * vterm + s_hk
-    else:
-        block_sum = 0j
+    block_sum = -(k - 1) / (12.0 * k) * vterm + s_hk if k > 1 else 0j
     block_sum_weighted = 2.0 * block_sum + (k - 1) * z * z / iv
     exp_terms = z * z / iv - z / iv + z - 0.5 + vterm / 6.0
     parts = {
@@ -313,12 +314,27 @@ def residue_at_origin(p: VerifierParams) -> OriginResidue:
     return OriginResidue(compact=complex(compact), assembled=complex(assembled), parts=parts)
 
 
+_CIRCLE_POINTS = 64  # trapezoid error ~0.35^n on circles of radius 0.35 x the pole separation
+
+
+@lru_cache(maxsize=None)
 def _circle_rotations(points: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(points) / points)
+    rot = np.exp(2j * np.pi * np.arange(points) / points)
+    rot.flags.writeable = False  # a constant table, shared by every call
+    return rot
 
 
-def circle_residue(func, pole: complex, radius: float, points: int = 128) -> complex:
-    """(1/(2 pi i)) * integral of func over a circle, by the trapezoid rule.
+def _circle_sums(func, poles, radii, points: int = _CIRCLE_POINTS) -> np.ndarray:
+    """(1/(2 pi i)) * integral of func over each circle (pole, radius) by the trapezoid
+    rule: one func call on all circle points, an array of shape poles.shape + (points,)."""
+    rot = _circle_rotations(points)
+    radii = np.asarray(radii, dtype=float)
+    values = func(np.asarray(poles, dtype=complex)[..., None] + radii[..., None] * rot)
+    return (values * rot).sum(axis=-1) * radii / points
+
+
+def circle_residue(func, pole: complex, radius: float, points: int = _CIRCLE_POINTS) -> complex:
+    """(1/(2 pi i)) * integral of func over a circle, by the trapezoid rule (64 points by default).
 
     func is called once, on the array of all circle points.  Spectrally
     accurate for integrands analytic in a punctured neighbourhood; serves as
@@ -328,8 +344,7 @@ def circle_residue(func, pole: complex, radius: float, points: int = 128) -> com
         raise ValidationError(f"need at least 64 quadrature points, got {points}")
     if not radius > 0:
         raise ValidationError(f"radius must be positive, got {radius}")
-    rot = _circle_rotations(points)
-    return complex(np.sum(func(pole + radius * rot) * rot) * radius / points)
+    return complex(_circle_sums(func, pole, radius, points))
 
 
 def _nearest_other_pole_distance(p: VerifierParams, x: complex) -> float:
@@ -339,22 +354,22 @@ def _nearest_other_pole_distance(p: VerifierParams, x: complex) -> float:
     return min(d for d in (abs(x - c) for c in candidates) if d > 1e-13)
 
 
-def numeric_residue(
-    p: VerifierParams, pole: complex, radius: float | None = None, points: int = 128
-) -> complex:
-    """Quadrature residue of the kernel at the given pole.
+def _circle_radius(p: VerifierParams, pole: complex) -> float:
+    return 0.35 * _nearest_other_pole_distance(p, pole)
+
+
+def numeric_residue(p: VerifierParams, pole: complex, radius: float | None = None,
+                    points: int = _CIRCLE_POINTS) -> complex:
+    """Quadrature residue of the kernel at the given pole (64 circle points by default).
 
     The circle must separate the pole from its neighbours: no other pole may
     lie within twice the radius.  With radius omitted, 0.35 times the
     nearest-neighbour distance is used.
     """
-    separation = _nearest_other_pole_distance(p, pole)
     if radius is None:
-        radius = 0.35 * separation
-    if 2.0 * radius > separation:
-        raise GeometryError(
-            f"radius {radius:.3g} too large: another pole lies within {separation:.3g}"
-        )
+        radius = _circle_radius(p, pole)
+    elif 2.0 * radius > (separation := _nearest_other_pole_distance(p, pole)):
+        raise GeometryError(f"radius {radius:.3g} too large: another pole lies within {separation:.3g}")
     return circle_residue(lambda x: eval_kernel(p, x), pole, radius, points)
 
 
@@ -502,16 +517,14 @@ def closure_residual(p: VerifierParams) -> ClosureReport:
 
     Holds exactly at every finite m for any meromorphic integrand, so it
     validates kernel, pole bookkeeping and quadrature at once, independent of
-    any closed form.  The circles are numeric_residue's defaults (128 points,
+    any closed form.  The circles are numeric_residue's defaults (64 points,
     0.35 times the pole separation), all of them in one kernel call.
     """
     enclosed = enclosed_poles(p)
-    centres = np.array([pole for *_, pole in enclosed])
-    radii = 0.35 * np.array([_nearest_other_pole_distance(p, pole) for *_, pole in enclosed])
-    rot = _circle_rotations(128)
-    values = eval_kernel(p, centres[:, None] + radii[:, None] * rot)
-    found = ((values * rot).sum(axis=1) * radii / 128).tolist()
-    poles = tuple(EnclosedResidue(*e, r, q) for e, r, q in zip(enclosed, radii.tolist(), found))
+    centres = [pole for *_, pole in enclosed]
+    radii = [_circle_radius(p, pole) for pole in centres]
+    found = _circle_sums(lambda x: eval_kernel(p, x), centres, radii).tolist()
+    poles = tuple(EnclosedResidue(*e, r, q) for e, r, q in zip(enclosed, radii, found))
     return ClosureReport(contour=contour_integral(p), residue_sum=sum(found), poles=poles)
 
 
@@ -584,9 +597,7 @@ def log_theta1_by_residue_classes(
         raise DomainError(f"Re v must be positive, got v={v}")
     zz = complex(z)
     if abs(zz.imag) >= v.real:
-        raise DomainError(
-            f"|Im z| = {abs(zz.imag):.6g} must stay below Re v = {v.real:.6g}"
-        )
+        raise DomainError(f"|Im z| = {abs(zz.imag):.6g} must stay below Re v = {v.real:.6g}")
     closed = -0.5j * math.pi + 1j * math.pi * zz + 1j * math.pi * (1j * v + params.h) / (4 * params.k)
     return closed - _class_log_sum(params.h, params.k, v, zz, ctl)
 
@@ -615,8 +626,11 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     z = complex(p.z)
     v, k = p.v, p.k
     s_hk = float(dedekind_sum_fast(p.h, p.k))
-    main_sums = _class_log_sum(p.h, k, v, z, sum_cap)
-    swap_sums = _class_log_sum(p.H, k, 1.0 / v, -1j * z / v, sum_cap)
+    try:
+        main_sums = _class_log_sum(p.h, k, v, z, sum_cap)
+        swap_sums = _class_log_sum(p.H, k, 1.0 / v, -1j * z / v, sum_cap)
+    except OverflowError:  # e^(2 pi i z) at z or at the swapped -iz/v
+        raise DomainError(f"log_identity_residual at v={v}, z={z}: e^(2 pi i z) overflows") from None
     lhs = (
         swap_sums
         - main_sums

@@ -83,14 +83,12 @@ def lattice_distance(z: complex, tau: complex) -> float:
     """Distance from z to the nearest zero-lattice point m + n tau."""
     t = require_upper_half(tau)
     zz = complex(z)
-    n0 = round(zz.imag / t.imag)
-    best = math.inf
-    for dn in (-1, 0, 1):
-        rem = zz - (n0 + dn) * t
-        m0 = round(rem.real)
-        for dm in (-1, 0, 1):
-            best = min(best, abs(rem - (m0 + dm)))
-    return best
+    try:  # round() of an infinite or nan quotient raises
+        n0 = round(zz.imag / t.imag)
+        rems = [zz - (n0 + dn) * t for dn in (-1, 0, 1)]
+        return min(abs(rem - (round(rem.real) + dm)) for rem in rems for dm in (-1, 0, 1))
+    except (OverflowError, ValueError):
+        raise DomainError(f"no lattice point m + n tau within double range of z={zz}, tau={t}") from None
 
 
 _EPS = 2.0 ** -52
@@ -224,11 +222,13 @@ def _product_cutoff(deviation_scale: float, ratio: float, ctl: TruncationControl
 def _triple_factors(z: complex, tau: complex, ctl: TruncationControl):
     """Yield (1 - Q^{2n}, 1 - w^2 Q^{2n}, 1 - w^{-2} Q^{2n-2}) for n = 1..n_cap,
     with n_cap the factor count that keeps the log-product tail below tolerance."""
-    q2 = cmath.exp(2j * math.pi * tau)  # Q^2
-    w2 = cmath.exp(2j * math.pi * z)
-    w2i = cmath.exp(-2j * math.pi * z)
-    aq = abs(q2)
-    scale = (1.0 + abs(w2)) + abs(w2i) / aq
+    try:
+        q2 = cmath.exp(2j * math.pi * tau)  # Q^2
+        w2, w2i = cmath.exp(2j * math.pi * z), cmath.exp(-2j * math.pi * z)
+        aq = abs(q2)
+        scale = (1.0 + abs(w2)) + abs(w2i) / aq
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"triple product factors leave double range at z={z}, tau={tau}") from None
     n_cap = _product_cutoff(scale, aq, ctl)
     q2n = 1.0 + 0j
     for _ in range(n_cap):
@@ -270,14 +270,14 @@ def jacobi_triple_product_check(
     # the left side is theta1's series at q = e^{i pi tau}, e^{2 pi i z} = -w^2/q
     tau = cmath.log(qq) / (1j * math.pi)
     z = cmath.log(-ww * ww / qq) / (2j * math.pi)
-    try:
+    try:  # w^2 overflowing leaves z non-finite; q near 0 leaves Q^2 = 0
         lhs = 1j * cmath.exp(-1j * math.pi * (z + tau / 4)) * theta1_series_info(z, tau, ctl).value
-    except (DomainError, TruncationError) as exc:  # w^2 overflowing leaves z non-finite
+        rhs = math.prod(a * b * c for a, b, c in _triple_factors(z, tau, ctl))
+    except (DomainError, TruncationError) as exc:
         raise TruncationError(
-            f"jacobi_triple_product_check at w={ww}, q={qq}: the series side overflows "
-            "double precision or needs more terms than the cap"
+            f"jacobi_triple_product_check at w={ww}, q={qq}: a side overflows "
+            "double precision or the series needs more terms than the cap"
         ) from exc
-    rhs = math.prod(a * b * c for a, b, c in _triple_factors(z, tau, ctl))
     return lhs, rhs
 
 
@@ -331,15 +331,11 @@ def log_theta1(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTRO
 
 def _check_log_sum_domain(a: complex, r: float) -> None:
     if abs(a) * r >= 1.0 - 1e-12:
-        raise DomainError(
-            f"geometric log sum diverges: |a r| = {abs(a) * r:.6g} is not below 1"
-        )
+        raise DomainError(f"geometric log sum diverges: |a r| = {abs(a) * r:.6g} is not below 1")
     if abs(1 - a) < 1e-12:
         raise DomainError("geometric log sum hits the lattice: a = 1")
     if a.imag == 0.0 and a.real >= 1.0:
-        raise DomainError(
-            f"geometric log sum sits on the logarithmic branch cut: a = {a.real:.6g} >= 1"
-        )
+        raise DomainError(f"geometric log sum sits on the logarithmic branch cut: a = {a.real:.6g} >= 1")
 
 
 def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:

@@ -34,26 +34,11 @@ from dataclasses import dataclass
 from statistics import median
 
 from .dedekind import eta_multiplier, theta_multiplier
-from .errors import TruncationError, ValidationError
-from .modular import (
-    ModularMatrix,
-    _affine,
-    moebius_apply,
-    principal_power,
-    reduce_to_fundamental_domain,
-    require_upper_half,
-)
-from .theta import (
-    DEFAULT_CONTROL,
-    SeriesEval,
-    TruncationControl,
-    _carry_back,
-    _require_finite_z,
-    eta,
-    lattice_distance,
-    theta1_series,
-    theta1_series_info,
-)
+from .errors import DomainError, TruncationError, ValidationError
+from .modular import ModularMatrix, _affine, moebius_apply, principal_power, reduce_to_fundamental_domain
+from .modular import require_upper_half
+from .theta import DEFAULT_CONTROL, SeriesEval, TruncationControl, _carry_back, _require_finite_z, eta
+from .theta import lattice_distance, theta1_series, theta1_series_info
 
 __all__ = [
     "TINY",
@@ -150,7 +135,10 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
     zz = _require_finite_z(z)
     mat, tau_red = reduce_to_fundamental_domain(t)
     den = _affine(mat.c, mat.d, t)
-    z_red, m_shift, n_shift, quasi_log = reduce_z(zz / den, tau_red)
+    z_image = zz / den
+    if not cmath.isfinite(z_image):
+        raise DomainError(f"z/(c tau + d) leaves double range at z={zz}, tau={t}")
+    z_red, m_shift, n_shift, quasi_log = reduce_z(z_image, tau_red)
     # theta1(z/(c t+d), tau_red) = e^{law_log} theta1(z, tau)
     #                            = (-1)^{m+n} e^{quasi_log} theta1(z_red, tau_red)
     return ReductionTrace(

@@ -277,7 +277,7 @@ class TestVerifyResidues:
                    "--z", "0.2+0.1i", "--format", "json")
 
     def test_each_circle_integrated_once(self, capsys, monkeypatch):
-        # 41 closure circles of 128 points plus 4608 contour points; the pole
+        # 41 closure circles of 64 points plus 4608 contour points; the pole
         # rows reuse the closure's circles instead of integrating them again
         points = []
         kernel = residues.eval_kernel
@@ -289,7 +289,7 @@ class TestVerifyResidues:
         monkeypatch.setattr(residues, "eval_kernel", counted)
         code, _, _ = run_cli(capsys, *self.K7_RESIDUES)
         assert code == 0
-        assert sum(points) <= 41 * 128 + 4608
+        assert sum(points) <= 41 * 64 + 4608
 
     def test_rows_carry_numeric_residues(self, capsys):
         code, out, _ = run_cli(capsys, *self.K7_RESIDUES)

@@ -138,6 +138,10 @@ class TestPrincipalPower:
         with pytest.raises(DomainError):
             principal_power(0, 0.5)
 
+    def test_power_outside_double_range_raises_domain_error(self):
+        with pytest.raises(DomainError, match="leaves double range"):
+            principal_power(1e308, 2)
+
     def test_square_of_root_is_identity(self):
         rng = random.Random(31)
         for _ in range(1000):
@@ -224,6 +228,11 @@ class TestTransformParams:
             transform_params_from_matrix(ModularMatrix(1, 1, 0, 1), 1j)
         with pytest.raises(ValidationError):
             transform_params_from_matrix(ModularMatrix(0, 1, -1, 0), 1j)
+
+    def test_entry_outside_double_range_raises_domain_error(self):
+        # c tau + d with c = 10^400 has no double
+        with pytest.raises(DomainError, match=r"tau=\(0\.5\+1j\)"):
+            transform_params_from_matrix(ModularMatrix(1, 0, 10**400, 1), 0.5 + 1j)
 
     def test_congruence_always_holds(self):
         rng = random.Random(41)

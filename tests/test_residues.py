@@ -97,6 +97,28 @@ class TestCircleResidue:
         with pytest.raises(ValidationError):
             circle_residue(lambda x: 1 / x, 0j, 0.3, points=32)
 
+    def test_64_points_match_a_512_point_rule(self):
+        # radius 0.35 x the pole separation: the trapezoid error ~0.35^n is at roundoff by n = 64
+        worst = 0.0
+        for k, h in ((1, 0), (2, 1), (7, 3), (13, 5)):
+            for v in (0.8, 1.5, 3.0):
+                for m in (3, 40, 64):
+                    for z in (0.2 + 0.1j, 0.2 - 0.1j):
+                        p = VerifierParams(h=h, k=k, H=neg_mod_inverse(h, k), v=v, z=z, m=m)
+                        centres = [pole for *_, pole in enclosed_poles(p)]
+                        radii = [residues._circle_radius(p, pole) for pole in centres]
+                        kernel = lambda x, p=p: eval_kernel(p, x)  # noqa: E731
+                        coarse = residues._circle_sums(kernel, centres, radii)
+                        fine = residues._circle_sums(kernel, centres, radii, 512)
+                        worst = max(worst, float(np.max(abs(coarse - fine) / abs(fine))))
+        assert worst <= 1e-12
+
+    def test_rotation_table_is_shared_and_read_only(self):
+        rot = residues._circle_rotations(64)
+        assert rot is residues._circle_rotations(64)
+        with pytest.raises(ValueError):
+            rot[0] = 0
+
 
 class TestKernelBlock:
     def test_empty_family_for_k1(self):
@@ -255,6 +277,16 @@ class TestClosedFormResidues:
             residue_at_imag_pole(BASE, 0)
         with pytest.raises(DomainError):
             residue_at_real_pole(BASE, BASE.m + 1)
+
+    def test_exponential_outside_double_range_raises_domain_error(self):
+        # e^{2 pi n z / v} at v = 1e-5, n = 3 has exponent ~3.8e5
+        p = VerifierParams(h=1, k=7, H=6, v=1e-5, z=0.2 - 1e-6j, m=3)
+        with pytest.raises(DomainError, match=r"residue_at_real_pole at v=1e-05, z=\(0\.2-1e-06j\), n=3"):
+            residue_at_real_pole(p, 3)
+        # e^{2 pi i n z} at Im z = 200, n = 3
+        p = VerifierParams(h=1, k=7, H=6, v=300.0, z=0.2 + 200j, m=3)
+        with pytest.raises(DomainError, match=r"residue_at_imag_pole at v=300\.0, z=\(0\.2\+200j\), n=-3"):
+            residue_at_imag_pole(p, -3)
 
 
 class TestOriginResidue:
@@ -428,6 +460,12 @@ class TestLogIdentity:
     def test_cap_validation(self):
         with pytest.raises(ValidationError):
             log_identity_residual(BASE, 0)
+
+    def test_exponential_outside_double_range_raises_domain_error(self):
+        # e^{2 pi i z'} at the swapped z' = -iz/v = -0.1 - 200i has exponent ~1257
+        params = VerifierParams(h=1, k=7, H=6, v=1e-3, z=0.2 - 1e-4j, m=3)
+        with pytest.raises(DomainError, match=r"log_identity_residual at v=0\.001, z=\(0\.2-0\.0001j\)"):
+            log_identity_residual(params, 400)
 
     @pytest.mark.parametrize("h, k", [(3, 7), (2, 5)])
     def test_difference_of_two_pi_i_is_not_a_residual(self, h, k):

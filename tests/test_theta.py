@@ -188,6 +188,11 @@ class TestTheta1Product:
             b = theta1_product(z, tau, TIGHT)
             assert abs(a - b) <= 1e-12 * abs(a)
 
+    def test_factor_outside_double_range_raises_domain_error(self):
+        # w^{-2} = e^{600 pi} overflows
+        with pytest.raises(DomainError, match=r"at z=300j, tau=1j"):
+            theta1_product(300j, 1j)
+
 
 class TestJacobiTripleProduct:
     def test_q_zero(self):
@@ -217,6 +222,11 @@ class TestJacobiTripleProduct:
         with pytest.raises(TruncationError, match="jacobi_triple_product_check at w=") as info:
             jacobi_triple_product_check(1e-30, 0.5)
         assert "theta1_fast" not in str(info.value)
+
+    def test_vanishing_product_nome_raises_truncation_error(self):
+        # q = 1e-300 puts Im tau near 220, where Q^2 = e^{2 pi i tau} underflows to 0
+        with pytest.raises(TruncationError, match=r"at w=\(0\.5\+0j\), q=\(1e-300\+0j\)"):
+            jacobi_triple_product_check(0.5, 1e-300)
 
     def test_large_terms_in_range(self):
         # w^{-2n} reaches ~1e212 before q^{n^2} damps it; every term stays in range
@@ -466,3 +476,8 @@ class TestLatticeDistance:
     def test_generic_point(self):
         tau = 1j
         assert abs(lattice_distance(0.5 + 0.5j, tau) - abs(0.5 + 0.5j)) < 1e-15
+
+    def test_lattice_index_outside_double_range_raises_domain_error(self):
+        # Im z / Im tau = 1e600 is no integer in double range
+        with pytest.raises(DomainError, match="tau=1e-300j"):
+            lattice_distance(1e300 + 1e300j, 1e-300j)

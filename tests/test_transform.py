@@ -268,6 +268,15 @@ def test_entry_points_return_finite_or_raise_library_errors():
     assert failures == []
 
 
+def test_reduced_z_outside_double_range_names_the_callers_point():
+    # z/(c tau + d) = -1e300/(2e-200 i) overflows; the message names (z, tau), not the image
+    with pytest.raises(DomainError) as info:
+        theta1_fast_info(-1e300 + 1e-3j, 0.5 + 1e-200j)
+    message = str(info.value)
+    assert "z=(-1e+300+0.001j), tau=(0.5+1e-200j)" in message
+    assert "inf" not in message
+
+
 class TestVerifyTransformation:
     def test_lower_triangular(self):
         assert verify_transformation(ModularMatrix(1, 0, 1, 1), 0.2, 1j) < 1e-10
