@@ -6,6 +6,14 @@ exact (fractions.Fraction) preserves the information the multiplier phases
 need modulo 2, which float arithmetic would destroy.  Multiplier phases are
 stored as exact rational multiples of pi so that root-of-unity identities can
 be asserted with rational equality rather than float comparison.
+
+dedekind_sum_fast telescopes the reciprocity descent (cf. Knuth, TAOCP
+vol. 2, 3.3.3): for 0 < h < k, with q_1..q_n the Euclid quotients of (k, h)
+and h' = h^-1 mod k, 12 k s(h, k) = h + h' + k (q_1 - q_2 + q_3 - ...) -
+k (3 if n is odd else 1).  That is one integer Euclid pass and one Fraction,
+and it equals dedekind_sum_naive on every coprime (h, k) with k <= 120 and
+h in [-k, 2k) (an exhaustive test).  Since 12 c s(-d, c) is an integer, both
+multiplier phases are integer numerators over 12 c, reduced mod 24 c.
 """
 
 from __future__ import annotations
@@ -55,30 +63,21 @@ def dedekind_sum_naive(h: int, k: int) -> Fraction:
 
 
 def dedekind_sum_fast(h: int, k: int) -> Fraction:
-    """s(h, k) by the Euclidean descent of the reciprocity law.
-
-    Uses s(h, k) + s(k, h) = -1/4 + (h^2 + k^2 + 1)/(12 h k) together with
-    the period s(k mod h, h) = s(k, h), so the argument pair shrinks like a
-    gcd computation: O(log k) exact rational steps.  Agrees with
-    dedekind_sum_naive exactly.
-    """
+    """s(h, k) by the reciprocity descent s(h, k) + s(k, h) = -1/4 + (h^2 + k^2 + 1)/(12 h k),
+    s(k mod h, h) = s(k, h), telescoped: for 0 < h < k, with Euclid quotients q_1..q_n of (k, h)
+    and h' = h^-1 mod k, 12 k s(h, k) = h + h' + k (q_1 - q_2 + q_3 - ...) - k (3 if n is odd
+    else 1).  O(log k) integer steps; equal to dedekind_sum_naive on every coprime pair with
+    k <= 120, h in [-k, 2k)."""
     _validate_pair(h, k)
     h %= k
-    total = Fraction(0)
-    sign = 1
-    while h:
-        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
-        h, k = k % h, h
+    if k == 1:
+        return Fraction(0)
+    alternating, sign, a, b = 0, 1, k, h
+    while b:
+        alternating += sign * (a // b)
         sign = -sign
-    return total
-
-
-def _normalize_phase(phase: Fraction) -> Fraction:
-    """Reduce a rational multiple of pi modulo 2 into (-1, 1]."""
-    reduced = phase % 2
-    if reduced > 1:
-        reduced -= 2
-    return reduced
+        a, b = b, a % b
+    return Fraction(h + pow(h, -1, k) + k * alternating - (k if sign > 0 else 3 * k), 12 * k)
 
 
 @dataclass(frozen=True)
@@ -96,19 +95,29 @@ class MultiplierValue:
         return cmath.exp(1j * math.pi * float(self.phase))
 
 
-def eta_multiplier(mat: ModularMatrix) -> MultiplierValue:
-    """Multiplier of eta: exp(pi i ((a + d)/(12 c) + s(-d, c))), c > 0."""
+def _multiplier(numerator: int, c: int) -> MultiplierValue:
+    """exp(i pi numerator/(12 c)), the numerator reduced mod 24 c into (-12 c, 12 c]."""
+    numerator %= 24 * c
+    return MultiplierValue(Fraction(numerator - 24 * c if numerator > 12 * c else numerator, 12 * c))
+
+
+def _eta_numerator(mat: ModularMatrix) -> int:
+    """P = a + d + 12 c s(-d, c), so eta's phase is P/(12 c); c > 0."""
     if mat.c <= 0:
         raise ValidationError(f"eta multiplier requires c > 0, got c={mat.c}")
-    phase = Fraction(mat.a + mat.d, 12 * mat.c) + dedekind_sum_fast(-mat.d, mat.c)
-    return MultiplierValue(_normalize_phase(phase))
+    s = dedekind_sum_fast(-mat.d, mat.c)
+    return mat.a + mat.d + s.numerator * (12 * mat.c // s.denominator)
+
+
+def eta_multiplier(mat: ModularMatrix) -> MultiplierValue:
+    """Multiplier of eta: exp(pi i ((a + d)/(12 c) + s(-d, c))), c > 0."""
+    return _multiplier(_eta_numerator(mat), mat.c)
 
 
 def theta_multiplier(mat: ModularMatrix) -> MultiplierValue:
     """Multiplier of theta1: -i times the cube of the eta multiplier.
 
-    The phase is 3 * phase(eta) - 1/2, reduced modulo 2, so exact statements
-    like theta_multiplier(S).value == -i survive as rational equalities.
+    The phase is 3 * phase(eta) - 1/2 = (3 P - 6 c)/(12 c) modulo 2, so exact
+    statements like theta_multiplier(S).value == -i survive as rational equalities.
     """
-    eta_phase = eta_multiplier(mat).phase
-    return MultiplierValue(_normalize_phase(3 * eta_phase - Fraction(1, 2)))
+    return _multiplier(3 * _eta_numerator(mat) - 6 * mat.c, mat.c)

@@ -60,7 +60,8 @@ class ModularMatrix:
     d: int
 
     def __post_init__(self) -> None:
-        require_int(a=self.a, b=self.b, c=self.c, d=self.d)
+        if not type(self.a) is type(self.b) is type(self.c) is type(self.d) is int:  # require_int names a bad entry
+            require_int(a=self.a, b=self.b, c=self.c, d=self.d)
         det = self.a * self.d - self.b * self.c
         if det != 1:
             raise ValidationError(f"determinant must be 1, got {det}")
@@ -133,19 +134,20 @@ def reduce_to_fundamental_domain(tau: complex, max_steps: int = 1000) -> tuple[M
     within max_steps, or on a matrix whose exact image is not a finite point of the domain to
     a 1e-12 margin (both only at precision limits near the real line) raise NonConvergenceError.
     """
-    t = require_upper_half(tau)
-    mat = IDENTITY
+    t = start = require_upper_half(tau)
+    a, b, c, d = 1, 0, 0, 1  # the matrix so far, as ints: one ModularMatrix at the end
     for _ in range(max_steps):
         shift = round(t.real)
         if shift:
-            mat = ModularMatrix(1, -shift, 0, 1) @ mat
-            t = complex(t.real - shift, t.imag)
+            a, b = a - shift * c, b - shift * d  # (1, -shift; 0, 1) times the matrix
+            t -= shift
         if abs(t) >= 1.0 - 1e-15:
-            image = moebius_apply(mat, tau)
+            image = _affine(a, b, start) / _affine(c, d, start)
             if image.imag > 0 and abs(image.real) <= 0.5 + 1e-12 and 1.0 - 1e-12 <= abs(image) < math.inf:
-                return (-mat if (mat.c, mat.a) < (0, 0) else mat), image
+                sign = -1 if (c, a) < (0, 0) else 1
+                return ModularMatrix(sign * a, sign * b, sign * c, sign * d), image
             break
-        mat = S_INVERSION @ mat
+        a, b, c, d = -c, -d, a, b  # S_INVERSION times the matrix
         t = -1 / t
     raise NonConvergenceError(f"fundamental-domain reduction of tau={tau} found no matrix within {max_steps} "
                               "float Gauss steps that maps it into the domain")

@@ -221,15 +221,15 @@ def _product_cutoff(deviation_scale: float, ratio: float, ctl: TruncationControl
 
 def _triple_factors(z: complex, tau: complex, ctl: TruncationControl):
     """Yield (1 - Q^{2n}, 1 - w^2 Q^{2n}, 1 - w^{-2} Q^{2n-2}) for n = 1..n_cap,
-    with n_cap the factor count that keeps the log-product tail below tolerance."""
+    with n_cap the factor count that keeps the log-product tail below tolerance: factor n deviates from 1
+    by at most ((1 + |w^2|) |Q^2| + |w^-2|) |Q^2|^(n-1), a scale that never divides by |Q^2| (0 past Im tau ~ 118.5)."""
     try:
         q2 = cmath.exp(2j * math.pi * tau)  # Q^2
         w2, w2i = cmath.exp(2j * math.pi * z), cmath.exp(-2j * math.pi * z)
-        aq = abs(q2)
-        scale = (1.0 + abs(w2)) + abs(w2i) / aq
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         raise DomainError(f"triple product factors leave double range at z={z}, tau={tau}") from None
-    n_cap = _product_cutoff(scale, aq, ctl)
+    aq = abs(q2)
+    n_cap = 1 + _product_cutoff((1.0 + abs(w2)) * aq + abs(w2i), aq, ctl)
     q2n = 1.0 + 0j
     for _ in range(n_cap):
         q2prev = q2n  # Q^{2(n-1)}

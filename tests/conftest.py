@@ -9,6 +9,11 @@ from __future__ import annotations
 import mpmath as mp
 
 
+# tau near the real axis (subnormal, at 1e-300 and 1e-320), at huge Re or Im, and near rationals
+EXTREME_TAUS = [0.2 + 5e-324j, 0.1 + 1e-300j, 0.5 + 1e-320j, 1e-300j, 1e308j, 1e-12 + 1e-15j, 0.5 + 1e-200j,
+                1.5 + 1e-100j, 1 / 3 + 1e-30j, 1e308 + 1j, -1e308 + 1e-5j, 0.3 + 1e-310j]
+
+
 def mp_theta1_direct(z: complex, tau: complex, terms: int = 200, dps: int = 50) -> complex:
     """Two-sided direct summation of the theta series at extended precision."""
     with mp.workdps(dps):

@@ -42,3 +42,18 @@ def test_every_traced_layer_records_spans(bench_modules):
     names = {name for _, _, name, _ in targets}
     assert len(names) == 16
     assert sorted(name for name in names if not tracer.indices(name)) == []
+
+
+NEAR_AXIS_LAYERS = ["dedekind.multiplier", "dedekind.sum", "modular.fd_reduce", "theta.series", "transform.fast",
+                    "transform.reduce"]
+LAW_SWEEP_LAYERS = ["dedekind.multiplier", "dedekind.sum", "theta.eta", "theta.series", "transform.law"]
+
+
+@pytest.mark.parametrize("workload, expected", [("NearAxis", NEAR_AXIS_LAYERS), ("LawSweep", LAW_SWEEP_LAYERS)])
+def test_each_workload_reaches_its_own_layers(bench_modules, workload, expected):
+    # one workload per tracer: a span another workload's warm-up records cannot stand in for this one's
+    layers, spans, workloads = bench_modules
+    tracer = spans.Tracer()
+    with spans.patched(tracer, layers.CORE_TARGETS + layers.RESIDUE_TARGETS):
+        getattr(workloads, workload).warm_up()
+    assert [name for name in expected if not tracer.indices(name)] == []

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import EXTREME_TAUS
 from thetamod import (
     DomainError,
     ModularMatrix,
     S_INVERSION,
+    ThetamodError,
     ValidationError,
     dedekind_sum_fast,
     dedekind_sum_naive,
@@ -15,6 +17,7 @@ from thetamod import (
     eta_multiplier,
     moebius_apply,
     principal_power,
+    reduce_to_fundamental_domain,
     theta_multiplier,
     theta1_series,
 )
@@ -59,8 +62,10 @@ class TestDedekindSums:
         assert dedekind_sum_fast(-4, 7) == dedekind_sum_naive(3, 7)
 
     def test_fast_equals_naive_exactly(self):
-        for h, k in coprime_pairs(60):
-            assert dedekind_sum_fast(h, k) == dedekind_sum_naive(h, k)
+        # every coprime pair with k <= 120 and h in [-k, 2k): both reductions of h, and k = 1
+        pairs = [(h, k) for k in range(1, 121) for h in range(-k, 2 * k) if math.gcd(h, k) == 1]
+        assert len(pairs) == 13158
+        assert [(h, k) for h, k in pairs if dedekind_sum_fast(h, k) != dedekind_sum_naive(h, k)] == []
 
     def test_reciprocity(self):
         for h, k in coprime_pairs(40):
@@ -136,3 +141,78 @@ class TestMultipliers:
                 * theta1_series(z, tau)
             )
             assert abs(measured - theta_multiplier(mat).value) < 1e-9
+
+
+def descent_sum(h, k):
+    """s(h, k) by the reciprocity descent in Fractions: the reference for the integer identity."""
+    h %= k
+    total, sign = Fraction(0), 1
+    while h:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        h, k = k % h, h
+        sign = -sign
+    return total
+
+
+def reduced_phase(phase):
+    phase %= 2
+    return phase - 2 if phase > 1 else phase
+
+
+def seeded_matrices(count, seed):
+    """Matrices with c and |d| up to 1e9: c = 1, both parities of c, and negative d."""
+    rng = random.Random(seed)
+    for i in range(count):
+        c = 1 if i % 100 == 0 else 2 * int(10 ** rng.uniform(0, 8.6)) if i % 2 else int(10 ** rng.uniform(0, 9))
+        d = rng.randint(-10**9, 10**9) if i % 3 else rng.randint(-50, 50)
+        while math.gcd(d, c) != 1:
+            d += 1
+        a = pow(d, -1, c) if c > 1 else rng.randint(-5, 5)
+        yield ModularMatrix(a, (a * d - 1) // c, c, d)
+
+
+def definitional_phases(mat):
+    """(eta, theta) phases: (a + d)/(12 c) + s(-d, c) and three times it less 1/2, both mod 2 into (-1, 1]."""
+    eta_phase = reduced_phase(Fraction(mat.a + mat.d, 12 * mat.c) + descent_sum(-mat.d, mat.c))
+    return eta_phase, reduced_phase(3 * eta_phase - Fraction(1, 2))
+
+
+def test_multipliers_equal_the_definitional_phase():
+    mats = list(seeded_matrices(3000, 67))
+    assert {m.c % 2 for m in mats} == {0, 1} and min(m.d for m in mats) < 0 and min(m.c for m in mats) == 1
+    for mat in mats:
+        assert (eta_multiplier(mat).phase, theta_multiplier(mat).phase) == definitional_phases(mat)
+
+
+HUGE = 10**400
+
+
+def test_integer_paths_return_exact_values_or_raise_library_errors():
+    # huge pairs, k = 1, h = 0 (mod k), bools, non-coprime pairs, k < 0 and a float h
+    sums = [(HUGE + 1, HUGE), (-HUGE - 1, HUGE), (HUGE, HUGE + 1), (0, 1), (7, 1), (-3, 1), (0, 5), (5, 5), (-10, 5),
+            (True, 3), (1, True), (2, 4), (2**64, 2**65), (3, -7), (1.0, 3)]
+    # entries of size 10**400, c = 1 with negative d, and c = 0 (rejected)
+    entries = [(1, 0, HUGE, 1), (HUGE, HUGE - 1, HUGE + 1, HUGE), (0, -1, 1, -HUGE), (1, 0, 1, 1), (-4, -1, 1, 0),
+               (2, 1, 1, 1), (1, 3, 0, 1)]
+    calls = [(dedekind_sum_fast, args) for args in sums]
+    calls += [(f, (ModularMatrix(*e),)) for e in entries for f in (eta_multiplier, theta_multiplier)]
+    calls += [(reduce_to_fundamental_domain, (tau,)) for tau in EXTREME_TAUS]
+    failures, inexact = [], []
+    for f, args in calls:
+        try:
+            result = f(*args)
+        except ThetamodError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - any other exception is the failure being counted
+            failures.append(f"{f.__name__}{args}: {type(exc).__name__}: {exc}")
+            continue
+        if f is dedekind_sum_fast:
+            exact = result == descent_sum(*args)
+        elif f is reduce_to_fundamental_domain:
+            exact = result[1] == moebius_apply(result[0], *args)
+        else:
+            exact = result.phase == definitional_phases(*args)[f is theta_multiplier]
+        if not exact:
+            inexact.append(f"{f.__name__}{args}: {result!r}")
+    assert failures == []
+    assert inexact == []

@@ -187,6 +187,17 @@ class TestFundamentalDomain:
             mat, tau_red = reduce_to_fundamental_domain(tau)
             self._assert_reduced(tau, mat, tau_red)
 
+    def test_image_is_the_matrix_image_bit_for_bit(self):
+        # Im tau log-uniform in [1e-12, 1e2], |Re tau| <= 3: the returned image is moebius_apply of the
+        # returned matrix, to the bit, and lies in the domain
+        rng = random.Random(71)
+        for _ in range(2000):
+            tau = complex(rng.uniform(-3, 3), 10 ** rng.uniform(-12, 2))
+            mat, tau_red = reduce_to_fundamental_domain(tau)
+            assert tau_red == moebius_apply(mat, tau)
+            assert mat.c > 0 or (mat.c == 0 and mat.a == 1)
+            assert abs(tau_red.real) <= 0.5 + 1e-12 and 1.0 - 1e-12 <= abs(tau_red) < math.inf
+
     def test_iteration_cap(self):
         with pytest.raises(NonConvergenceError):
             reduce_to_fundamental_domain(0.4142135623730951 + 1e-300j, max_steps=5)

@@ -188,6 +188,14 @@ class TestTheta1Product:
             b = theta1_product(z, tau, TIGHT)
             assert abs(a - b) <= 1e-12 * abs(a)
 
+    @pytest.mark.parametrize("z, tau", [(0.3, 250j), (0.3 + 20j, 100j)])
+    def test_extreme_nome_matches_the_series(self, z, tau):
+        # Q^2 = e^{-500 pi} underflows to 0 while theta1 = 8.6e-86 is a finite double; at tau = 100i
+        # |w^-2|/|Q^2| = e^{240 pi} overflows, though every factor is in range
+        series = theta1_series(z, tau)
+        assert abs(theta1_product(z, tau) - series) <= 1e-14 * abs(series)
+        assert abs(cmath.exp(log_theta1(z, tau)) - series) <= 1e-14 * abs(series)
+
     def test_factor_outside_double_range_raises_domain_error(self):
         # w^{-2} = e^{600 pi} overflows
         with pytest.raises(DomainError, match=r"at z=300j, tau=1j"):
@@ -223,10 +231,10 @@ class TestJacobiTripleProduct:
             jacobi_triple_product_check(1e-30, 0.5)
         assert "theta1_fast" not in str(info.value)
 
-    def test_vanishing_product_nome_raises_truncation_error(self):
-        # q = 1e-300 puts Im tau near 220, where Q^2 = e^{2 pi i tau} underflows to 0
-        with pytest.raises(TruncationError, match=r"at w=\(0\.5\+0j\), q=\(1e-300\+0j\)"):
-            jacobi_triple_product_check(0.5, 1e-300)
+    def test_vanishing_product_nome_gives_one(self):
+        # q = 1e-300 puts Im tau near 220, where Q^2 = e^{2 pi i tau} underflows to 0; both sides are 1
+        lhs, rhs = jacobi_triple_product_check(0.5, 1e-300)
+        assert abs(lhs - 1) <= 1e-15 and abs(rhs - 1) <= 1e-15
 
     def test_large_terms_in_range(self):
         # w^{-2n} reaches ~1e212 before q^{n^2} damps it; every term stays in range

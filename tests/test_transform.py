@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mp_theta1_direct, mp_theta1_stepped
+from conftest import EXTREME_TAUS, mp_theta1_direct, mp_theta1_stepped
 from thetamod import (
     DomainError,
     ModularMatrix,
@@ -245,9 +245,6 @@ class TestTheta1Fast:
         assert fast.trace.matrix.c > 0
 
 
-# tau near the real axis (subnormal, at 1e-300 and 1e-320), at huge Re or Im, and near rationals
-EXTREME_TAUS = [0.2 + 5e-324j, 0.1 + 1e-300j, 0.5 + 1e-320j, 1e-300j, 1e308j, 1e-12 + 1e-15j, 0.5 + 1e-200j,
-                1.5 + 1e-100j, 1 / 3 + 1e-30j, 1e308 + 1j, -1e308 + 1e-5j, 0.3 + 1e-310j]
 EXTREME_ZS = [0.2, 1e200, 0.3 + 4j, 3.0, 1e-300j, 0.3 + 300j, 1e154, -1e300 + 1e-3j]
 
 
