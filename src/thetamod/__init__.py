@@ -33,6 +33,7 @@ from .residues import (
     EDGE_LIMITS,
     OriginResidue,
     ResidueReport,
+    ResidueVerification,
     VerifierParams,
     circle_residue,
     closure_residual,
@@ -41,7 +42,7 @@ from .residues import (
     edge_limit_probe,
     enclosed_poles,
     eval_kernel,
-    eval_kernel_block,
+    geometric_log_sum,
     log_identity_residual,
     log_theta1_by_residue_classes,
     numeric_residue,
@@ -50,6 +51,7 @@ from .residues import (
     residue_at_origin,
     residue_at_real_pole,
     simple_pole_report,
+    verify_residues,
 )
 from .theta import (
     DEFAULT_CONTROL,
@@ -57,7 +59,6 @@ from .theta import (
     TruncationControl,
     eta,
     eta_info,
-    geometric_log_sum,
     jacobi_triple_product_check,
     lattice_distance,
     log_theta1,

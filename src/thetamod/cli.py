@@ -31,15 +31,11 @@ from . import __version__
 from .dedekind import dedekind_sum_fast, eta_multiplier, theta_multiplier
 from .errors import ThetamodError, ValidationError
 from .modular import ModularMatrix, moebius_apply, neg_mod_inverse, reduce_to_fundamental_domain
-from .residues import VerifierParams, closure_residual, log_identity_residual
-from .residues import residue_at_imag_pole, residue_at_origin, residue_at_real_pole
+from .residues import IDENTITY_TOL, VerifierParams, verify_residues
 from .theta import TruncationControl, eta_info
 from .transform import theta1_fast_info, transform_sweep
 
 DEFAULT_SEED = 20260810
-# closure passes below this share of 2 pi * (sum of |quadrature residues|)
-CLOSURE_REL_TOL = 1e-10
-IDENTITY_TOL = 1e-8
 
 
 def _parse_complex(text: str) -> complex:
@@ -229,52 +225,33 @@ def _cmd_sweep(args) -> Report:
     return Report(params, rows, tuple(rows[0]), text, summary, 0 if passed else 1)
 
 
-def _pole_row(family: str, n: int, pole: complex, closed: complex, oracle: complex, diff: float):
-    return {"family": family, "n": n, **_parts("pole", pole), **_parts("closed", closed),
-            **_parts("oracle", oracle), "discrepancy": diff}
-
-
 def _cmd_verify_residues(args) -> Report:
     if math.gcd(args.h, args.k) != 1:
         raise ValidationError(f"h={args.h} and k={args.k} must be coprime")
     H = neg_mod_inverse(args.h, args.k)
-    params = VerifierParams(h=args.h, k=args.k, H=H, v=args.v, z=args.z, m=args.m)
-    closure = closure_residual(params)
-    origin = residue_at_origin(params)
-    # the oracles are the closure's circle residues: each pole is integrated once
-    poles = sorted(closure.poles, key=lambda e: (("origin", "imag", "real").index(e.family), e.n))
-    closed = [origin.assembled] + [
-        (residue_at_imag_pole if e.family == "imag" else residue_at_real_pole)(params, e.n) for e in poles[1:]
-    ]
-    rows = [_pole_row(e.family, e.n, e.pole, c, e.residue, abs(c - e.residue)) for e, c in zip(poles, closed)]
+    r = verify_residues(VerifierParams(h=args.h, k=args.k, H=H, v=args.v, z=args.z, m=args.m), args.cap)
+    rows = [{"family": e.family, "n": e.n, **_parts("pole", e.pole), **_parts("closed", c),
+             **_parts("oracle", e.residue), "discrepancy": abs(c - e.residue)} for e, c in zip(r.poles, r.closed_forms)]
     columns = tuple(rows[0])
-    rows[0]["compact_form_discrepancy"] = abs(origin.compact - poles[0].residue)
-    closure_tol = CLOSURE_REL_TOL * 2 * math.pi * sum(abs(e.residue) for e in poles)
-    identity = log_identity_residual(params, args.cap)
-    gap = abs(closure.contour - (-math.log(params.v)))
-    passed = closure.residual < closure_tol and identity < IDENTITY_TOL
+    rows[0]["compact_form_discrepancy"] = abs(r.origin.compact - r.poles[0].residue)
     text = [
         f"verify-residues: h={args.h} k={args.k} H={H} v={args.v!r} z={args.z!r} m={args.m}",
         f"{'family':>8} {'n':>4} {'closed form':>28} {'oracle':>28} {'|diff|':>12}",
     ]
-    for row in rows:
-        closed = complex(row["closed_re"], row["closed_im"])
-        oracle = complex(row["oracle_re"], row["oracle_im"])
-        text.append(
-            f"{row['family']:>8} {row['n']:>4} {closed:>28.16g} {oracle:>28.16g} {row['discrepancy']:>12.3e}"
-        )
+    for e, c, row in zip(r.poles, r.closed_forms, rows):
+        text.append(f"{e.family:>8} {e.n:>4} {c:>28.16g} {e.residue:>28.16g} {row['discrepancy']:>12.3e}")
     text += [
-        f"compact origin form differs from the assembled residue by {origin.discrepancy!r}",
-        f"residue-theorem closure residual: {closure.residual!r} (tolerance {closure_tol:.3g})",
-        f"log-identity residual (cap {args.cap}): {identity!r} (tolerance {IDENTITY_TOL!r})",
-        f"contour vs -log(v) gap at m={args.m}: {gap!r}",
-        _verdict(passed),
+        f"compact origin form differs from the assembled residue by {r.origin.discrepancy!r}",
+        f"residue-theorem closure residual: {r.closure.residual!r} (tolerance {r.closure_tol:.3g})",
+        f"log-identity residual (cap {args.cap}): {r.identity!r} (tolerance {IDENTITY_TOL!r})",
+        f"contour vs -log(v) gap at m={args.m}: {r.gap!r}",
+        _verdict(r.passed),
     ]
-    summary = {"closure_residual": closure.residual, "identity_residual": identity,
-               "contour_gap": gap, "max_residual": max(closure.residual, identity), "pass": passed}
+    summary = {"closure_residual": r.closure.residual, "identity_residual": r.identity,
+               "contour_gap": r.gap, "max_residual": max(r.closure.residual, r.identity), "pass": r.passed}
     report_params = {"h": args.h, "k": args.k, "H": H, "v": args.v, **_parts("z", args.z),
                      "m": args.m, "cap": args.cap}
-    return Report(report_params, rows, columns, text, summary, 0 if passed else 1)
+    return Report(report_params, rows, columns, text, summary, 0 if r.passed else 1)
 
 
 COMMANDS = {

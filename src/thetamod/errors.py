@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["ThetamodError", "ValidationError", "DomainError", "TruncationError", "NonConvergenceError",
+           "GeometryError", "QuadratureError"]
+
 
 class ThetamodError(Exception):
     """Base class for every error raised by this library."""

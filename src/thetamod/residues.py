@@ -24,6 +24,10 @@ finite m
 
 exactly; that identity is the module's anchor truth, checked with
 circle-quadrature residues that are independent of every closed form here.
+Every circle has 64 points and radius 0.35 times the distance to the
+nearest other pole.  verify_residues runs the whole check at one point:
+closed forms against closure's circle residues, closure, the log identity
+and the contour gap.
 """
 
 from __future__ import annotations
@@ -39,13 +43,12 @@ import numpy as np
 from .dedekind import dedekind_sum_fast
 from .errors import DomainError, GeometryError, QuadratureError, ValidationError
 from .modular import TransformParams, require_int
-from .theta import DEFAULT_CONTROL, TruncationControl, _product_cutoff, geometric_log_sum
+from .theta import DEFAULT_CONTROL, TruncationControl, _product_cutoff
 
 __all__ = [
     "VerifierParams",
     "ResidueReport",
     "OriginResidue",
-    "eval_kernel_block",
     "eval_kernel",
     "residue_at_imag_pole",
     "residue_at_real_pole",
@@ -64,6 +67,9 @@ __all__ = [
     "EDGE_LIMITS",
     "log_identity_residual",
     "log_theta1_by_residue_classes",
+    "geometric_log_sum",
+    "verify_residues",
+    "ResidueVerification",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -148,54 +154,40 @@ def nearest_pole_distance(p: VerifierParams, x):
     return float(d) if d.ndim == 0 else d
 
 
-def _require_off_poles(p: VerifierParams, x, min_distance: float = 1e-12) -> np.ndarray:
-    # a point becomes a 1-element array: the ufunc loops of an array, not numpy scalar math
-    xx = np.array(x, dtype=complex, ndmin=1)
-    near = nearest_pole_distance(p, xx) <= min_distance
-    if np.any(near):
-        raise DomainError(f"x={complex(xx[near].flat[0])} is within {min_distance} of a kernel pole")
-    return xx
-
-
-def eval_kernel_block(p: VerifierParams, x, mu: int):
-    """The building block B_mu at x (a point or an array), for 1 <= mu <= k-1
-    (empty family at k=1)."""
-    if not 1 <= mu <= p.k - 1:
-        raise ValidationError(f"mu must be in [1, k-1]; got mu={mu} with k={p.k}")
-    xx = _require_off_poles(p, x)
-    pnx = _TWO_PI * p.order * xx
-    pnvx = 2j * math.pi * p.order * p.v * xx
-    fx, _, dx = _ratio_parts(pnx)
-    fv, _, dv = _ratio_parts(pnvx)
-    w = (p.h * mu) % p.k
-    value = np.exp(pnx * (w / p.k - fx)) * np.exp(pnvx * (mu / p.k - fv)) * dx * dv / xx
-    return complex(value[0]) if np.ndim(x) == 0 else value
-
-
 def eval_kernel(p: VerifierParams, x):
     """The full kernel F at x (all five groups), stable on the whole contour.
 
     x is a point (the result is a complex) or an array of points (the result
     has its shape); every point must lie off the poles.  Every group carries
     the factor 1/(x (1 - e^(2 pi N x)) (1 - e^(2 pi i N v x))), taken out once.
+    A value outside double range (as at small v) raises DomainError.
     """
-    xx = _require_off_poles(p, x)
+    # a point becomes a 1-element array: the ufunc loops of an array, not numpy scalar math
+    xx = np.array(x, dtype=complex, ndmin=1)
+    near = nearest_pole_distance(p, xx) <= 1e-12
+    if near.any():
+        raise DomainError(f"x={complex(xx[near].flat[0])} is within 1e-12 of a kernel pole")
     k, v, z = p.k, p.v, complex(p.z)
     pnx = _TWO_PI * p.order * xx
     pnvx = 2j * math.pi * p.order * v * xx
     fx, ex, dx = _ratio_parts(pnx)
     fv, ev, dv = _ratio_parts(pnvx)
-    # coth(pi N x) cot(pi N v x)/(4 i x), with cot(y) = i coth(i y)
-    total = 0.25 * (1 + ex) * (1 + ev)
-    for mu in range(1, k):
-        w = (p.h * mu) % k
-        plain = np.exp(pnx * (w / k - fx))
-        weighted = np.exp(pnx * (w / k + z - fx))
-        total += (plain + 2.0 * weighted) * np.exp(pnvx * (mu / k - fv))
-    # e^(q - fv q) and e^(-fv q) with q = 2 pi i N v x
-    total += np.exp(pnx * (z - fx)) * np.where(fv, 1.0, ev)
-    total += np.exp(pnx * (1 - z - fx)) * np.where(fv, ev, 1.0)
-    total *= dx * dv / xx
+    with np.errstate(over="ignore", invalid="ignore"):  # one finiteness check below instead
+        # coth(pi N x) cot(pi N v x)/(4 i x), with cot(y) = i coth(i y)
+        total = 0.25 * (1 + ex) * (1 + ev)
+        for mu in range(1, k):
+            w = (p.h * mu) % k
+            plain = np.exp(pnx * (w / k - fx))
+            weighted = np.exp(pnx * (w / k + z - fx))
+            total += (plain + 2.0 * weighted) * np.exp(pnvx * (mu / k - fv))
+        # e^(q - fv q) and e^(-fv q) with q = 2 pi i N v x
+        total += np.exp(pnx * (z - fx)) * np.where(fv, 1.0, ev)
+        total += np.exp(pnx * (1 - z - fx)) * np.where(fv, ev, 1.0)
+        total *= dx * dv / xx
+    finite = np.isfinite(total)
+    if not finite.all():
+        bad = complex(xx[~finite][0])
+        raise DomainError(f"eval_kernel at v={v}, z={z}: the kernel leaves double range at x={bad}")
     return complex(total[0]) if np.ndim(x) == 0 else total
 
 
@@ -333,18 +325,16 @@ def _circle_sums(func, poles, radii, points: int = _CIRCLE_POINTS) -> np.ndarray
     return (values * rot).sum(axis=-1) * radii / points
 
 
-def circle_residue(func, pole: complex, radius: float, points: int = _CIRCLE_POINTS) -> complex:
-    """(1/(2 pi i)) * integral of func over a circle, by the trapezoid rule (64 points by default).
+def circle_residue(func, pole: complex, radius: float) -> complex:
+    """(1/(2 pi i)) * integral of func over a circle, by the 64-point trapezoid rule.
 
     func is called once, on the array of all circle points.  Spectrally
     accurate for integrands analytic in a punctured neighbourhood; serves as
     the oracle for every closed-form residue.
     """
-    if points < 64:
-        raise ValidationError(f"need at least 64 quadrature points, got {points}")
     if not radius > 0:
         raise ValidationError(f"radius must be positive, got {radius}")
-    return complex(_circle_sums(func, pole, radius, points))
+    return complex(_circle_sums(func, pole, radius))
 
 
 def _nearest_other_pole_distance(p: VerifierParams, x: complex) -> float:
@@ -358,19 +348,10 @@ def _circle_radius(p: VerifierParams, pole: complex) -> float:
     return 0.35 * _nearest_other_pole_distance(p, pole)
 
 
-def numeric_residue(p: VerifierParams, pole: complex, radius: float | None = None,
-                    points: int = _CIRCLE_POINTS) -> complex:
-    """Quadrature residue of the kernel at the given pole (64 circle points by default).
-
-    The circle must separate the pole from its neighbours: no other pole may
-    lie within twice the radius.  With radius omitted, 0.35 times the
-    nearest-neighbour distance is used.
-    """
-    if radius is None:
-        radius = _circle_radius(p, pole)
-    elif 2.0 * radius > (separation := _nearest_other_pole_distance(p, pole)):
-        raise GeometryError(f"radius {radius:.3g} too large: another pole lies within {separation:.3g}")
-    return circle_residue(lambda x: eval_kernel(p, x), pole, radius, points)
+def numeric_residue(p: VerifierParams, pole: complex) -> complex:
+    """Quadrature residue of the kernel at the given pole: 64 points on the circle
+    of radius 0.35 times the distance to the nearest other pole."""
+    return circle_residue(lambda x: eval_kernel(p, x), pole, _circle_radius(p, pole))
 
 
 @dataclass(frozen=True)
@@ -549,6 +530,48 @@ def edge_limit_probe(p: VerifierParams, edge_index: int, t: float) -> complex:
     return x * eval_kernel(p, x)
 
 
+def _check_log_sum_domain(a: complex, r: float) -> None:
+    if abs(a) * r >= 1.0 - 1e-12:
+        raise DomainError(f"geometric log sum diverges: |a r| = {abs(a) * r:.6g} is not below 1")
+    if abs(1 - a) < 1e-12:
+        raise DomainError("geometric log sum hits the lattice: a = 1")
+    if a.imag == 0.0 and a.real >= 1.0:
+        raise DomainError(f"geometric log sum sits on the logarithmic branch cut: a = {a.real:.6g} >= 1")
+
+
+def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
+    """sum_{n=1}^{cap} a^n / (n (1 - r^n)) for a ratio 0 < |r| < 1.
+
+    A real r keeps float arithmetic; a complex r (the ratio e^{-2 pi v} of a
+    complex v) is carried exactly.  For |a| <= 3/4 the sum is taken term by
+    term.  For larger |a| the head sum_n a^n / n (slowly convergent on
+    |a| = 1, formally divergent beyond) is replaced by its closed form
+    -log(1 - a) and only the remainder, whose terms shrink like (|a| |r|)^n,
+    is summed; that remainder evaluation is the analytic continuation of the
+    defining sum and agrees with it wherever both converge.
+    """
+    aa = complex(a)
+    rr = r if isinstance(r, complex) else float(r)
+    if not 0.0 < abs(rr) < 1.0:
+        raise DomainError(f"|r| must be in (0, 1), got r = {rr}")
+    if cap < 1:
+        raise ValidationError(f"cap must be at least 1, got {cap}")
+    _check_log_sum_domain(aa, abs(rr))
+    if abs(aa) <= 0.75:
+        total, step = 0j, aa
+    else:
+        total, step = -cmath.log(1 - aa), aa * rr
+    term = 1 + 0j
+    rn = 1 + 0j if isinstance(rr, complex) else 1.0
+    for n in range(1, cap + 1):
+        term *= step
+        rn *= rr
+        total += term / (n * (1.0 - rn))
+        if abs(term) < 1e-320:
+            break
+    return total
+
+
 def _log_sum_cap(a: complex, r: float, one_minus_r: float, ctl: TruncationControl) -> int:
     """Term cap so the geometric tail of omitted summands falls below the tolerance."""
     ratio = min(abs(a) if abs(a) <= 0.75 else abs(a) * r, 1.0 - 1e-12)
@@ -644,3 +667,37 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     rhs = -0.5 * math.log(v)
     diff = lhs - rhs
     return abs(complex(diff.real, math.remainder(diff.imag, _TWO_PI)))
+
+
+CLOSURE_REL_TOL = 1e-10  # closure passes below this share of 2 pi * (sum of |quadrature residues|)
+IDENTITY_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class ResidueVerification:
+    """verify_residues at one point; poles run origin, imag, real (each by n), next to their closed forms."""
+
+    origin: OriginResidue
+    closure: ClosureReport
+    poles: tuple[EnclosedResidue, ...]
+    closed_forms: tuple[complex, ...]
+    identity: float
+    gap: float
+    closure_tol: float
+    passed: bool
+
+
+def verify_residues(p: VerifierParams, cap: int = 400) -> ResidueVerification:
+    """Each closed form against closure's circle residue (every circle integrated once), closure within
+    CLOSURE_REL_TOL, the log identity (inner sums cut at cap terms) within IDENTITY_TOL, and the contour gap."""
+    closure = closure_residual(p)
+    origin = residue_at_origin(p)
+    poles = tuple(sorted(closure.poles, key=lambda e: (("origin", "imag", "real").index(e.family), e.n)))
+    closed = (origin.assembled,) + tuple(
+        (residue_at_imag_pole if e.family == "imag" else residue_at_real_pole)(p, e.n) for e in poles[1:]
+    )
+    tol = CLOSURE_REL_TOL * 2 * math.pi * sum(abs(e.residue) for e in poles)
+    identity = log_identity_residual(p, cap)
+    gap = abs(closure.contour - (-math.log(p.v)))
+    passed = closure.residual < tol and identity < IDENTITY_TOL
+    return ResidueVerification(origin, closure, poles, closed, identity, gap, tol, passed)

@@ -43,7 +43,6 @@ __all__ = [
     "eta",
     "eta_info",
     "log_theta1",
-    "geometric_log_sum",
     "lattice_distance",
 ]
 
@@ -108,7 +107,7 @@ def _running_error(steps: float, exponent: float, magnitude: float) -> float:
 
 
 def _carry_back(total: complex, bound: float, log_factor: complex, exponent_size: float, where,
-                sign: int = 1) -> tuple[complex, float]:
+                sign: int) -> tuple[complex, float]:
     """value = sign e^{log_factor} total (sign an exact +-1, kept out of the exponent), a reduced series'
     total carried back by a law, and its bound: bound |e^{log_factor}|, the running error of k = 4 roundings
     from an exponent of size exponent_size, and 2.3e-308, as below the normal range a value keeps only
@@ -326,46 +325,4 @@ def log_theta1(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTRO
     total = -0.5j * math.pi + 1j * math.pi * zz + 0.25j * math.pi * t
     for a, b, c in _triple_factors(zz, t, ctl):
         total += cmath.log(a) + cmath.log(b) + cmath.log(c)
-    return total
-
-
-def _check_log_sum_domain(a: complex, r: float) -> None:
-    if abs(a) * r >= 1.0 - 1e-12:
-        raise DomainError(f"geometric log sum diverges: |a r| = {abs(a) * r:.6g} is not below 1")
-    if abs(1 - a) < 1e-12:
-        raise DomainError("geometric log sum hits the lattice: a = 1")
-    if a.imag == 0.0 and a.real >= 1.0:
-        raise DomainError(f"geometric log sum sits on the logarithmic branch cut: a = {a.real:.6g} >= 1")
-
-
-def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
-    """sum_{n=1}^{cap} a^n / (n (1 - r^n)) for a ratio 0 < |r| < 1.
-
-    A real r keeps float arithmetic; a complex r (the ratio e^{-2 pi v} of a
-    complex v) is carried exactly.  For |a| <= 3/4 the sum is taken term by
-    term.  For larger |a| the head sum_n a^n / n (slowly convergent on
-    |a| = 1, formally divergent beyond) is replaced by its closed form
-    -log(1 - a) and only the remainder, whose terms shrink like (|a| |r|)^n,
-    is summed; that remainder evaluation is the analytic continuation of the
-    defining sum and agrees with it wherever both converge.
-    """
-    aa = complex(a)
-    rr = r if isinstance(r, complex) else float(r)
-    if not 0.0 < abs(rr) < 1.0:
-        raise DomainError(f"|r| must be in (0, 1), got r = {rr}")
-    if cap < 1:
-        raise ValidationError(f"cap must be at least 1, got {cap}")
-    _check_log_sum_domain(aa, abs(rr))
-    if abs(aa) <= 0.75:
-        total, step = 0j, aa
-    else:
-        total, step = -cmath.log(1 - aa), aa * rr
-    term = 1 + 0j
-    rn = 1 + 0j if isinstance(rr, complex) else 1.0
-    for n in range(1, cap + 1):
-        term *= step
-        rn *= rr
-        total += term / (n * (1.0 - rn))
-        if abs(term) < 1e-320:
-            break
     return total

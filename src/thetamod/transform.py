@@ -226,12 +226,11 @@ def verify_eta_transformation(
     return abs(lhs - rhs) / max(abs(lhs), TINY)
 
 
-def random_modular_matrix(
-    rng: random.Random, c_max: int = 20, entry_bound: int = 50
-) -> ModularMatrix:
-    """Uniform-ish determinant-one matrix with 1 <= c <= c_max, |a|,|b|,|d| <= entry_bound."""
+def random_modular_matrix(rng: random.Random) -> ModularMatrix:
+    """Uniform-ish determinant-one matrix with 1 <= c <= 20, |a|,|b|,|d| <= 50."""
+    entry_bound = 50
     while True:
-        c = rng.randint(1, c_max)
+        c = rng.randint(1, 20)
         d = rng.randint(-entry_bound, entry_bound)
         if math.gcd(c, d) != 1:
             continue
@@ -252,11 +251,11 @@ def random_tau(rng: random.Random, im_range: tuple[float, float] = (0.3, 3.0)) -
     return complex(rng.uniform(-1.0, 1.0), rng.uniform(*im_range))
 
 
-def random_z(rng: random.Random, tau: complex, min_lattice_distance: float = 0.05) -> complex:
-    """z in the unit disc, at least min_lattice_distance from the zero lattice."""
+def random_z(rng: random.Random, tau: complex) -> complex:
+    """z in the unit disc, at least 0.05 from the zero lattice."""
     while True:
         zz = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        if abs(zz) <= 1.0 and lattice_distance(zz, tau) >= min_lattice_distance:
+        if abs(zz) <= 1.0 and lattice_distance(zz, tau) >= 0.05:
             return zz
 
 
@@ -283,12 +282,7 @@ class SweepResult:
         return float(median(case.residual for case in self.cases))
 
 
-def transform_sweep(
-    count: int,
-    seed: int,
-    kind: str = "theta",
-    ctl: TruncationControl = DEFAULT_CONTROL,
-) -> SweepResult:
+def transform_sweep(count: int, seed: int, kind: str = "theta") -> SweepResult:
     """Seeded random sweep of transformation residuals.
 
     kind "theta" measures the theta1 law (z drawn off the lattice), kind
@@ -305,9 +299,9 @@ def transform_sweep(
         tau = random_tau(rng)
         if kind == "theta":
             zz = random_z(rng, tau)
-            residual = verify_transformation(mat, zz, tau, ctl)
+            residual = verify_transformation(mat, zz, tau)
         else:
             zz = 0j
-            residual = verify_eta_transformation(mat, tau, ctl)
+            residual = verify_eta_transformation(mat, tau)
         cases.append(SweepCase(mat, zz, tau, residual))
     return SweepResult(kind=kind, seed=seed, cases=tuple(cases))

@@ -261,17 +261,25 @@ class TestVerifyResidues:
         assert "result: PASS" in out
 
     def test_closure_off_by_1e_6_relative_fails(self, capsys, monkeypatch):
-        closure_residual = cli.closure_residual
+        closure_residual = residues.closure_residual
 
         def off(params):
             report = closure_residual(params)
             size = sum(abs(numeric_residue(params, pole)) for *_, pole in enclosed_poles(params))
             return ClosureReport(report.contour + 1e-6 * 2 * math.pi * size, report.residue_sum, report.poles)
 
-        monkeypatch.setattr(cli, "closure_residual", off)
+        monkeypatch.setattr(residues, "closure_residual", off)
         code, out, _ = run_cli(capsys, *self.LARGE_RESIDUES)
         assert code == 1
         assert "result: FAIL" in out
+
+    def test_kernel_out_of_range_exit_three(self, capsys):
+        # the weighted blocks overflow at v = 0.01: one error line, no numpy warnings
+        code, out, err = run_cli(capsys, "verify-residues", "--m", "40", "--k", "7", "--h", "3", "--v", "0.01",
+                                 "--z", "0.2-0.001i")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: eval_kernel at v=0.01, z=(0.2-0.001j)")
 
     K7_RESIDUES = ("verify-residues", "--m", "10", "--k", "7", "--h", "3", "--v", "1.5",
                    "--z", "0.2+0.1i", "--format", "json")

@@ -21,7 +21,6 @@ from thetamod import (
     edge_limit_probe,
     enclosed_poles,
     eval_kernel,
-    eval_kernel_block,
     log_identity_residual,
     neg_mod_inverse,
     numeric_residue,
@@ -30,8 +29,9 @@ from thetamod import (
     residue_at_origin,
     residue_at_real_pole,
     simple_pole_report,
+    verify_residues,
 )
-from thetamod.residues import EDGE_LIMITS, nearest_pole_distance
+from thetamod.residues import CLOSURE_REL_TOL, EDGE_LIMITS, IDENTITY_TOL, nearest_pole_distance
 
 BASE = VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=2)
 
@@ -93,10 +93,6 @@ class TestCircleResidue:
         value = circle_residue(lambda x: np.exp(2 * x) / x**3, 0j, 0.3)
         assert abs(value - 2) < 1e-10
 
-    def test_point_minimum(self):
-        with pytest.raises(ValidationError):
-            circle_residue(lambda x: 1 / x, 0j, 0.3, points=32)
-
     def test_64_points_match_a_512_point_rule(self):
         # radius 0.35 x the pole separation: the trapezoid error ~0.35^n is at roundoff by n = 64
         worst = 0.0
@@ -120,57 +116,40 @@ class TestCircleResidue:
             rot[0] = 0
 
 
-class TestKernelBlock:
-    def test_empty_family_for_k1(self):
-        params = VerifierParams(h=0, k=1, H=0, v=1.5, z=0.2 + 0.1j, m=2)
-        with pytest.raises(ValidationError):
-            eval_kernel_block(params, 0.1 + 0.0j, 1)
-
-    def test_factorization(self):
-        # the block is the product of 1/x and the two printed fractions
-        params = VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=2)
-        x = 0.1 + 0.0j
-        n_order = params.order
-        w = (params.h * 1) % params.k
-        direct = (
-            (1 / x)
-            * cmath.exp(2 * math.pi * n_order * w * x / params.k)
-            / (1 - cmath.exp(2 * math.pi * n_order * x))
-            * cmath.exp(2j * math.pi * n_order * 1 * params.v * x / params.k)
-            / (1 - cmath.exp(2j * math.pi * n_order * x * params.v))
-        )
-        assert abs(eval_kernel_block(params, x, 1) - direct) <= 1e-12 * abs(direct)
-
-    def test_conjugate_probe_finite(self):
-        value = eval_kernel_block(BASE, complex(0.13, -0.07), 1)
-        assert math.isfinite(value.real) and math.isfinite(value.imag)
-
-    def test_pole_proximity_rejected(self):
-        with pytest.raises(DomainError):
-            eval_kernel_block(BASE, 1j * 1 / BASE.order + 1e-14, 1)
-
-
 class TestKernel:
     def test_k1_reduces_to_three_groups(self):
-        params = VerifierParams(h=0, k=1, H=0, v=1.5, z=0.2 + 0.1j, m=2)
+        # k = 1 is the three printed groups alone; at k = 2 and k = 7 the block sum is written out
         x = 0.21 + 0.13j
-        n_order = params.order
         coth = lambda y: cmath.cosh(y) / cmath.sinh(y)
         cot = lambda y: cmath.cos(y) / cmath.sin(y)
-        direct = (
-            coth(math.pi * n_order * x) * cot(math.pi * n_order * x * params.v) / (4j * x)
-            + cmath.exp(2 * math.pi * n_order * params.z * x)
-            / x
-            / (1 - cmath.exp(2 * math.pi * n_order * x))
-            * cmath.exp(2j * math.pi * n_order * params.v * x)
-            / (1 - cmath.exp(2j * math.pi * n_order * params.v * x))
-            + cmath.exp(-2 * math.pi * n_order * params.z * x)
-            / x
-            * cmath.exp(2 * math.pi * n_order * x)
-            / (1 - cmath.exp(2 * math.pi * n_order * x))
-            / (1 - cmath.exp(2j * math.pi * n_order * params.v * x))
-        )
-        assert abs(eval_kernel(params, x) - direct) <= 1e-11 * abs(direct)
+        for h, k, H in ((0, 1, 0), (1, 2, 1), (3, 7, 2)):
+            params = VerifierParams(h=h, k=k, H=H, v=1.5, z=0.2 + 0.1j, m=2)
+            n_order = params.order
+            direct = (
+                coth(math.pi * n_order * x) * cot(math.pi * n_order * x * params.v) / (4j * x)
+                + cmath.exp(2 * math.pi * n_order * params.z * x)
+                / x
+                / (1 - cmath.exp(2 * math.pi * n_order * x))
+                * cmath.exp(2j * math.pi * n_order * params.v * x)
+                / (1 - cmath.exp(2j * math.pi * n_order * params.v * x))
+                + cmath.exp(-2 * math.pi * n_order * params.z * x)
+                / x
+                * cmath.exp(2 * math.pi * n_order * x)
+                / (1 - cmath.exp(2 * math.pi * n_order * x))
+                / (1 - cmath.exp(2j * math.pi * n_order * params.v * x))
+            )
+            for mu in range(1, k):
+                # B_mu = 1/x * e^{2 pi N w x/k}/(1 - e^{2 pi N x}) * e^{2 pi i N mu v x/k}/(1 - e^{2 pi i N v x})
+                w = (h * mu) % k
+                block = (
+                    (1 / x)
+                    * cmath.exp(2 * math.pi * n_order * w * x / k)
+                    / (1 - cmath.exp(2 * math.pi * n_order * x))
+                    * cmath.exp(2j * math.pi * n_order * mu * params.v * x / k)
+                    / (1 - cmath.exp(2j * math.pi * n_order * params.v * x))
+                )
+                direct += block + 2 * cmath.exp(2 * math.pi * n_order * params.z * x) * block
+            assert abs(eval_kernel(params, x) - direct) <= 1e-11 * abs(direct)
 
     def test_finite_on_grid(self):
         for re in (-0.4, -0.1, 0.17, 0.33):
@@ -228,19 +207,31 @@ class TestKernel:
         xs = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(300)])
         batch = eval_kernel(params, xs.reshape(20, 15))
         assert batch.shape == (20, 15)
-        blocks = eval_kernel_block(params, xs, 1) if k > 1 else None
         for j, x in enumerate(xs):
             one = eval_kernel(params, complex(x))
             assert type(one) is complex
             assert abs(batch.flat[j] - one) <= 4 * np.finfo(float).eps * abs(one)
-            if blocks is not None:
-                single = eval_kernel_block(params, complex(x), 1)
-                assert abs(blocks[j] - single) <= 4 * np.finfo(float).eps * abs(single)
 
     def test_array_pole_proximity_rejected(self):
         xs = np.array([0.1 + 0.2j, 1j / BASE.order + 1e-14, 0.3 - 0.1j])
         with pytest.raises(DomainError):
             eval_kernel(BASE, xs)
+
+
+class TestKernelRange:
+    # at v = 0.01 the weighted blocks e^{2 pi N x (w/k + z)} pass e^709 on the far real edge
+    SMALL_V = VerifierParams(h=3, k=7, H=2, v=0.01, z=0.2 - 0.001j, m=40)
+    WHERE = r"eval_kernel at v=0\.01, z=\(0\.2-0\.001j\): the kernel leaves double range at x="
+
+    def test_contour_raises_domain_error(self):
+        # a RuntimeWarning (an error under pytest) or a QuadratureError on nan panels fails this
+        with pytest.raises(DomainError, match=self.WHERE):
+            contour_integral(self.SMALL_V)
+
+    def test_numeric_residue_raises_domain_error(self):
+        pole = 40 / (self.SMALL_V.order * self.SMALL_V.v)  # the real-family pole n = -40
+        with pytest.raises(DomainError, match=self.WHERE):
+            numeric_residue(self.SMALL_V, pole)
 
 
 class TestClosedFormResidues:
@@ -323,11 +314,6 @@ class TestOriginResidue:
 
 
 class TestNumericResidueGeometry:
-    def test_radius_separation_enforced(self):
-        pole = 1j * 1 / BASE.order
-        with pytest.raises(GeometryError):
-            numeric_residue(BASE, pole, radius=1.0)
-
     def test_default_radius_works(self):
         pole = 1j * 1 / BASE.order
         value = numeric_residue(BASE, pole)
@@ -347,6 +333,56 @@ class TestClosure:
         params = VerifierParams(h=1, k=3, H=2, v=1.3, z=0.2 + 0.1j, m=2)
         report = closure_residual(params)
         assert report.residual < 1e-6
+
+
+class TestVerifyResidues:
+    POINTS = [VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=3),
+              VerifierParams(h=3, k=7, H=2, v=1.5, z=0.2 + 0.1j, m=10)]
+
+    @pytest.fixture(params=POINTS, ids=["readme", "k7_m10"])
+    def point(self, request):
+        return request.param, verify_residues(request.param)
+
+    def test_poles_in_cli_order(self, point):
+        p, result = point
+        simple = [(family, n) for family in ("imag", "real") for n in range(-p.m, p.m + 1) if n]
+        assert [(e.family, e.n) for e in result.poles] == [("origin", 0)] + simple
+        assert len(result.closed_forms) == len(result.poles) == 4 * p.m + 1
+
+    def test_oracles_are_the_closure_residues(self, point):
+        p, result = point
+        closure = {(e.family, e.n): e.residue for e in closure_residual(p).poles}
+        assert all(e.residue == closure[e.family, e.n] for e in result.poles)
+        assert result.closure.residual == closure_residual(p).residual
+
+    def test_closed_forms_match_their_oracles(self, point):
+        p, result = point
+        assert result.closed_forms[0] == residue_at_origin(p).assembled == result.origin.assembled
+        for e, closed in zip(result.poles[1:], result.closed_forms[1:]):
+            assert closed == (residue_at_imag_pole if e.family == "imag" else residue_at_real_pole)(p, e.n)
+        assert max(abs(c - e.residue) for e, c in zip(result.poles, result.closed_forms)) < 1e-8
+
+    def test_point_passes(self, point):
+        p, result = point
+        assert result.passed
+        assert result.closure_tol == CLOSURE_REL_TOL * 2 * math.pi * sum(abs(e.residue) for e in result.poles)
+        assert result.closure.residual < result.closure_tol
+        assert result.identity == log_identity_residual(p, 400) < IDENTITY_TOL
+        assert result.gap == contour_gap(p)
+
+    def test_closure_off_by_1e_6_relative_fails(self, point, monkeypatch):
+        p, result = point
+        closure_residual = residues.closure_residual
+
+        def off(params):
+            report = closure_residual(params)
+            size = sum(abs(e.residue) for e in report.poles)
+            return residues.ClosureReport(report.contour + 1e-6 * 2 * math.pi * size, report.residue_sum, report.poles)
+
+        monkeypatch.setattr(residues, "closure_residual", off)
+        shifted = verify_residues(p)
+        assert not shifted.passed
+        assert shifted.identity == result.identity < IDENTITY_TOL
 
 
 class TestContour:
