@@ -116,6 +116,26 @@ class TestCircleResidue:
             rot[0] = 0
 
 
+class TestKernelBlock:
+    def test_factorization(self):
+        # at k = 2 the one block is the product of 1/x and the two printed fractions,
+        # entering the kernel with weight 1 + 2 e^{2 pi N z x} beside the three k = 1 groups
+        params = VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=2)
+        x = 0.1 + 0.0j
+        n_order = params.order
+        w = (params.h * 1) % params.k
+        block = (
+            (1 / x)
+            * cmath.exp(2 * math.pi * n_order * w * x / params.k)
+            / (1 - cmath.exp(2 * math.pi * n_order * x))
+            * cmath.exp(2j * math.pi * n_order * 1 * params.v * x / params.k)
+            / (1 - cmath.exp(2j * math.pi * n_order * x * params.v))
+        )
+        groups = eval_kernel(VerifierParams(h=0, k=1, H=0, v=params.v, z=params.z, m=params.m), x)
+        direct = groups + (1 + 2 * cmath.exp(2 * math.pi * n_order * params.z * x)) * block
+        assert abs(eval_kernel(params, x) - direct) <= 1e-12 * abs(direct)
+
+
 class TestKernel:
     def test_k1_reduces_to_three_groups(self):
         # k = 1 is the three printed groups alone; at k = 2 and k = 7 the block sum is written out
