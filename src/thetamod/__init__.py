@@ -28,30 +28,13 @@ from .modular import (
     reduce_to_fundamental_domain,
     transform_params_from_matrix,
 )
-from .residues import (
-    ClosureReport,
-    EDGE_LIMITS,
-    OriginResidue,
-    ResidueReport,
-    ResidueVerification,
-    VerifierParams,
-    circle_residue,
-    closure_residual,
-    contour_gap,
-    contour_integral,
-    edge_limit_probe,
-    enclosed_poles,
-    eval_kernel,
-    geometric_log_sum,
-    log_identity_residual,
-    log_theta1_by_residue_classes,
-    numeric_residue,
-    origin_report,
-    residue_at_imag_pole,
-    residue_at_origin,
-    residue_at_real_pole,
-    simple_pole_report,
-    verify_residues,
+# The residue verifier, and numpy with it, loads on first use of one of these names (PEP 562).
+_RESIDUE_NAMES = (
+    "ClosureReport", "EDGE_LIMITS", "OriginResidue", "ResidueReport", "ResidueVerification", "VerifierParams",
+    "circle_residue", "closure_residual", "contour_gap", "contour_integral", "edge_limit_probe", "enclosed_poles",
+    "eval_kernel", "geometric_log_sum", "log_identity_residual", "log_theta1_by_residue_classes", "numeric_residue",
+    "origin_report", "residue_at_imag_pole", "residue_at_origin", "residue_at_real_pole", "simple_pole_report",
+    "verify_residues",
 )
 from .theta import (
     DEFAULT_CONTROL,
@@ -82,3 +65,15 @@ from .transform import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _RESIDUE_NAMES:
+        from . import residues
+
+        return getattr(residues, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_RESIDUE_NAMES])

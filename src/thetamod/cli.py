@@ -31,7 +31,6 @@ from . import __version__
 from .dedekind import dedekind_sum_fast, eta_multiplier, theta_multiplier
 from .errors import ThetamodError, ValidationError
 from .modular import ModularMatrix, moebius_apply, neg_mod_inverse, reduce_to_fundamental_domain
-from .residues import IDENTITY_TOL, VerifierParams, verify_residues
 from .theta import TruncationControl, eta_info
 from .transform import theta1_fast_info, transform_sweep
 
@@ -226,6 +225,8 @@ def _cmd_sweep(args) -> Report:
 
 
 def _cmd_verify_residues(args) -> Report:
+    from .residues import IDENTITY_TOL, VerifierParams, verify_residues  # numpy loads only for this command
+
     if math.gcd(args.h, args.k) != 1:
         raise ValidationError(f"h={args.h} and k={args.k} must be coprime")
     H = neg_mod_inverse(args.h, args.k)

@@ -134,6 +134,15 @@ def reduce_to_fundamental_domain(tau: complex, max_steps: int = 1000) -> tuple[M
     within max_steps, or on a matrix whose exact image is not a finite point of the domain to
     a 1e-12 margin (both only at precision limits near the real line) raise NonConvergenceError.
     """
+    mat, image, _ = _gauss_reduce(tau, max_steps)
+    return mat, image
+
+
+def _gauss_reduce(tau: complex, max_steps: int = 1000) -> tuple[ModularMatrix, complex, complex]:
+    """reduce_to_fundamental_domain's (A, A tau) and A's denominator c tau + d, formed once for the image check.
+
+    0 - den negates exactly and keeps a zero part +0.0, as _affine(-c, -d, tau) would.
+    """
     t = start = require_upper_half(tau)
     a, b, c, d = 1, 0, 0, 1  # the matrix so far, as ints: one ModularMatrix at the end
     for _ in range(max_steps):
@@ -142,10 +151,12 @@ def reduce_to_fundamental_domain(tau: complex, max_steps: int = 1000) -> tuple[M
             a, b = a - shift * c, b - shift * d  # (1, -shift; 0, 1) times the matrix
             t -= shift
         if abs(t) >= 1.0 - 1e-15:
-            image = _affine(a, b, start) / _affine(c, d, start)
+            den = _affine(c, d, start)
+            image = _affine(a, b, start) / den
             if image.imag > 0 and abs(image.real) <= 0.5 + 1e-12 and 1.0 - 1e-12 <= abs(image) < math.inf:
-                sign = -1 if (c, a) < (0, 0) else 1
-                return ModularMatrix(sign * a, sign * b, sign * c, sign * d), image
+                if (c, a) < (0, 0):
+                    return ModularMatrix(-a, -b, -c, -d), image, 0 - den
+                return ModularMatrix(a, b, c, d), image, den
             break
         a, b, c, d = -c, -d, a, b  # S_INVERSION times the matrix
         t = -1 / t

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .dedekind import eta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
-from .modular import _affine, reduce_to_fundamental_domain, require_upper_half
+from .modular import _gauss_reduce, require_upper_half
 
 __all__ = [
     "TruncationControl",
@@ -287,7 +287,7 @@ def eta_info(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEv
     raises DomainError).  Relative precision holds near cusps.  The bound is absolute, its roundoff taken
     against the terms' peak 1, not |eta(tau')|: 1.2e-11 on a value of 2e-114 at tau = 1e3 i."""
     t = require_upper_half(tau)
-    mat, t_red = reduce_to_fundamental_domain(t)
+    mat, t_red, den = _gauss_reduce(t)
     t3 = 3 * t_red
     if not cmath.isfinite(t3):
         raise DomainError(f"eta at tau={tau}: 3 tau leaves double range")
@@ -298,7 +298,7 @@ def eta_info(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEv
     except TruncationError as exc:
         raise TruncationError(f"eta at tau={tau}: {exc}") from exc
     law = (1j * math.pi * ((mat.b + 12) % 24 - 12) / 12 if mat.c == 0  # b mod 24 keeps a huge b exact
-           else 1j * math.pi * float(eta_multiplier(mat).phase) + 0.5 * cmath.log(-1j * _affine(mat.c, mat.d, t)))
+           else 1j * math.pi * float(eta_multiplier(mat).phase) + 0.5 * cmath.log(-1j * den))
     value, err = _carry_back(total, error_bound, -law, abs(lead) + abs(law), lambda: f"eta at tau={tau}", sign=-1)
     return SeriesEval(value, terms, err)
 

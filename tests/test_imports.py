@@ -1,9 +1,16 @@
-"""Import layout of the package: numpy stays confined to the residue verifier, and every
-exported name exists and is what the package imports."""
+"""Import layout of the package: numpy stays confined to the residue verifier, which loads
+only on first use of a residue name or of verify-residues, and every exported name exists
+and is what the package imports."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import thetamod
 
@@ -44,3 +51,99 @@ def test_package_imports_only_exported_names():
         exported = set(_module(node.module).__all__)
         unlisted = [alias.name for alias in node.names if alias.name not in exported]
         assert not unlisted, f"thetamod imports {unlisted} from {node.module}, which does not export them"
+    lazy = thetamod._RESIDUE_NAMES
+    residues = _module("residues")
+    assert len(set(lazy)) == len(lazy) == 23
+    assert [name for name in lazy if name not in residues.__all__] == []
+    assert [name for name in lazy if getattr(thetamod, name) is not getattr(residues, name)] == []
+
+
+def test_lazy_names_are_listed_and_unknown_names_still_raise():
+    assert set(thetamod._RESIDUE_NAMES) <= set(dir(thetamod))
+    assert {"theta1_fast", "__version__"} <= set(dir(thetamod))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        thetamod.no_such_name
+
+
+def _targets(node) -> list[list[str]]:
+    """The module paths one import statement names, split on dots (relative dots dropped)."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".") for alias in node.names]
+    base = node.module.split(".") if node.module else []
+    return [base] + [base + [alias.name] for alias in node.names]
+
+
+def _names_numpy_or_residues(node) -> bool:
+    return any(path[:1] == ["numpy"] or "residues" in path for path in _targets(node))
+
+
+def _eager_imports(tree) -> list:
+    """Import statements that run when the module is imported: every one outside a function body."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _tree(name: str):
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
+def test_only_residues_loads_numpy_or_residues_at_import():
+    eager = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if any(_names_numpy_or_residues(node) for node in _eager_imports(_tree(path.stem))))
+    assert eager == ["residues.py"]
+
+
+def test_cli_imports_residues_only_inside_its_command():
+    tree = _tree("cli")
+    command = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                   and node.name == "_cmd_verify_residues")
+    everywhere = [node for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and _names_numpy_or_residues(node)]
+    inside = [node for node in ast.walk(command) if node in everywhere]
+    assert everywhere and inside == everywhere
+
+
+README_COMMANDS = [
+    ["eval", "--z", "0.3+0i", "--tau", "0+1i", "--format", "json"],
+    ["eval", "--z", "0.2+0i", "--tau", "0.3+0.002i"],
+    ["eta", "--tau", "0+2i"],
+    ["reduce", "--tau", "5.3+0.8i"],
+    ["multiplier", "--matrix", "0,-1,1,0"],
+    ["dedekind", "--h", "1", "--k", "3"],
+    ["verify-transform", "--count", "200", "--tol", "1e-9", "--seed", "7"],
+    ["sweep", "--count", "100", "--format", "csv", "--out", "residuals.csv"],
+]
+NO_RESIDUE_CALLS = README_COMMANDS + [["--help"], ["--version"], ["eval", "--z", "nope", "--tau", "1i"]]
+
+FRESH_PROCESS = """
+import contextlib, io, json, sys
+import thetamod
+report = {"import thetamod": [0, "numpy" in sys.modules]}
+from thetamod import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    report[" ".join(argv)] = [code, "numpy" in sys.modules]
+report["same verify_residues"] = [0, thetamod.verify_residues is thetamod.residues.verify_residues]
+print(json.dumps(report))
+"""
+
+
+def test_fresh_process_loads_numpy_only_for_verify_residues(tmp_path):
+    residue_call = ["verify-residues", "--m", "3", "--k", "2", "--h", "1", "--v", "1.5", "--z", "0.2+0.1i"]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", FRESH_PROCESS, json.dumps(NO_RESIDUE_CALLS + [residue_call])],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    report = json.loads(run.stdout)
+    expected = {"import thetamod": [0, False], **{" ".join(argv): [0, False] for argv in NO_RESIDUE_CALLS}}
+    expected["eval --z nope --tau 1i"] = [2, False]
+    expected[" ".join(residue_call)] = [0, True]
+    expected["same verify_residues"] = [0, True]
+    assert report == expected
+    assert (tmp_path / "residuals.csv").stat().st_size > 0

@@ -20,7 +20,7 @@ from thetamod import (
     reduce_to_fundamental_domain,
     transform_params_from_matrix,
 )
-from thetamod.modular import _affine
+from thetamod.modular import _affine, _gauss_reduce
 from thetamod.transform import random_modular_matrix
 
 
@@ -197,6 +197,18 @@ class TestFundamentalDomain:
             assert tau_red == moebius_apply(mat, tau)
             assert mat.c > 0 or (mat.c == 0 and mat.a == 1)
             assert abs(tau_red.real) <= 0.5 + 1e-12 and 1.0 - 1e-12 <= abs(tau_red) < math.inf
+
+    def test_denominator_is_the_signed_matrix_denominator_bit_for_bit(self):
+        # half the points have Re tau = p/q, where c Re tau + d is often exactly 0 and the negated
+        # denominator must keep that zero +0.0, as _affine(c, d, tau) of the signed matrix does
+        rng = random.Random(19)
+        for i in range(20000):
+            re = rng.uniform(-3, 3) if i % 2 else rng.randint(-36, 36) / rng.randint(1, 12)
+            tau = complex(re, 10 ** rng.uniform(-6, 1))
+            mat, image, den = _gauss_reduce(tau)
+            assert (mat, image) == reduce_to_fundamental_domain(tau)
+            expected = _affine(mat.c, mat.d, tau)
+            assert (den.real.hex(), den.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
     def test_iteration_cap(self):
         with pytest.raises(NonConvergenceError):

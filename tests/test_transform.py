@@ -31,7 +31,8 @@ from thetamod import (
     verify_eta_transformation,
     verify_transformation,
 )
-from thetamod.transform import random_modular_matrix, random_tau, random_z
+from thetamod.modular import _gauss_reduce
+from thetamod.transform import _theta_law_log, random_modular_matrix, random_tau, random_z
 
 TIGHT = TruncationControl(tolerance=1e-15)
 
@@ -246,6 +247,26 @@ class TestTheta1Fast:
 
 
 EXTREME_ZS = [0.2, 1e200, 0.3 + 4j, 3.0, 1e-300j, 0.3 + 300j, 1e154, -1e300 + 1e-3j]
+
+
+def _bits(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
+def test_reduction_trace_from_the_gauss_denominator_is_bit_identical():
+    # the trace rebuilt from the denominator _gauss_reduce returns, instead of a second
+    # _affine(c, d, tau), is reduce_theta_arguments' trace to the bit
+    rng = random.Random(23)
+    for i in range(20000):
+        re = rng.uniform(-3, 3) if i % 2 else rng.randint(-36, 36) / rng.randint(1, 12)
+        tau = complex(re, 10 ** rng.uniform(-6, 1))
+        z = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        mat, tau_red, den = _gauss_reduce(tau)
+        z_red, m, n, quasi_log = reduce_z(z / den, tau_red)
+        trace = reduce_theta_arguments(z, tau)
+        assert (trace.matrix, _bits(trace.tau_reduced), _bits(trace.z_reduced), trace.lattice_shift,
+                _bits(trace.prefactor_log)) == (mat, _bits(tau_red), _bits(z_red), (m, n),
+                                                _bits(_theta_law_log(mat, z, den) - quasi_log))
 
 
 def test_entry_points_return_finite_or_raise_library_errors():
