@@ -64,6 +64,18 @@ from .transform import (
     verify_transformation,
 )
 
+# The public names: everything imported above, then the residue names.
+__all__ = [
+    "MultiplierValue", "dedekind_sum_fast", "dedekind_sum_naive", "eta_multiplier", "theta_multiplier",
+    "DomainError", "GeometryError", "NonConvergenceError", "QuadratureError", "ThetamodError", "TruncationError",
+    "ValidationError", "IDENTITY", "S_INVERSION", "ModularMatrix", "TransformParams", "moebius_apply",
+    "neg_mod_inverse", "principal_power", "reduce_to_fundamental_domain", "transform_params_from_matrix",
+    "DEFAULT_CONTROL", "SeriesEval", "TruncationControl", "eta", "eta_info", "jacobi_triple_product_check",
+    "lattice_distance", "log_theta1", "theta1_product", "theta1_series", "theta1_series_info", "FastEval",
+    "ReductionTrace", "SweepCase", "SweepResult", "reduce_theta_arguments", "reduce_z", "theta1_fast",
+    "theta1_fast_info", "transform_rhs", "transform_sweep", "verify_eta_transformation", "verify_transformation",
+    *_RESIDUE_NAMES,
+]
 __version__ = "0.1.0"
 
 

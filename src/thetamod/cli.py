@@ -3,7 +3,8 @@ and the verification sweeps.
 
 Complex literals use the form a+bi / a-bi with no spaces (examples: 0.3+0i,
 0.2-0.1i, 2i).  Matrices are four comma-separated integers a,b,c,d with
-determinant one.
+determinant one.  A value with a leading minus sign joins its flag with "=":
+--tau=-3.2+1.5i and --matrix=-1,5,0,-1 (a separate "-3.2+1.5i" reads as a flag).
 
 Exit codes (stable for CI use):
     0  success / verification passed
@@ -161,7 +162,7 @@ def _cmd_reduce(args) -> Report:
 
 def _cmd_multiplier(args) -> Report:
     mat = ModularMatrix(*args.matrix)
-    eps = eta_multiplier(mat)  # rejects c <= 0
+    eps = eta_multiplier(mat)  # rejects c < 0
     eps1 = theta_multiplier(mat)
     row = {"eta_phase": str(eps.phase), **_parts("eta", eps.value),
            "theta_phase": str(eps1.phase), **_parts("theta", eps1.value)}

@@ -13,7 +13,7 @@ and h' = h^-1 mod k, 12 k s(h, k) = h + h' + k (q_1 - q_2 + q_3 - ...) -
 k (3 if n is odd else 1).  That is one integer Euclid pass and one Fraction,
 and it equals dedekind_sum_naive on every coprime (h, k) with k <= 120 and
 h in [-k, 2k) (an exhaustive test).  Since 12 c s(-d, c) is an integer, both
-multiplier phases are integer numerators over 12 c, reduced mod 24 c.
+multiplier phases are integer numerators over 12 max(c, 1), mod 24 max(c, 1).
 """
 
 from __future__ import annotations
@@ -95,29 +95,32 @@ class MultiplierValue:
         return cmath.exp(1j * math.pi * float(self.phase))
 
 
-def _multiplier(numerator: int, c: int) -> MultiplierValue:
-    """exp(i pi numerator/(12 c)), the numerator reduced mod 24 c into (-12 c, 12 c]."""
-    numerator %= 24 * c
-    return MultiplierValue(Fraction(numerator - 24 * c if numerator > 12 * c else numerator, 12 * c))
+def _multiplier(numerator: int, k: int) -> MultiplierValue:
+    """exp(i pi numerator/(12 k)), the numerator reduced mod 24 k into (-12 k, 12 k]."""
+    numerator %= 24 * k
+    return MultiplierValue(Fraction(numerator - 24 * k if numerator > 12 * k else numerator, 12 * k))
 
 
 def _eta_numerator(mat: ModularMatrix) -> int:
-    """P = a + d + 12 c s(-d, c), so eta's phase is P/(12 c); c > 0."""
-    if mat.c <= 0:
-        raise ValidationError(f"eta multiplier requires c > 0, got c={mat.c}")
+    """P with eta's phase P/(12 max(c, 1)): a + d + 12 c s(-d, c) for c > 0, d (b + 3) for c = 0."""
+    if mat.c < 0:
+        raise ValidationError(f"multipliers require c >= 0, got c={mat.c}; negate the matrix")
+    if mat.c == 0:
+        return mat.d * (mat.b + 3)
     s = dedekind_sum_fast(-mat.d, mat.c)
     return mat.a + mat.d + s.numerator * (12 * mat.c // s.denominator)
 
 
 def eta_multiplier(mat: ModularMatrix) -> MultiplierValue:
-    """Multiplier of eta: exp(pi i ((a + d)/(12 c) + s(-d, c))), c > 0."""
-    return _multiplier(_eta_numerator(mat), mat.c)
+    """Multiplier of eta: exp(pi i ((a + d)/(12 c) + s(-d, c))) for c > 0.  At c = 0, A = (d, b; 0, d), it is the
+    textbook e^{i pi b d/12} (Knopp, ch. 4) times e^{i pi d/4}, as the law's (-i d)^{1/2} is e^{-i pi d/4}."""
+    return _multiplier(_eta_numerator(mat), max(mat.c, 1))
 
 
 def theta_multiplier(mat: ModularMatrix) -> MultiplierValue:
     """Multiplier of theta1: -i times the cube of the eta multiplier.
 
-    The phase is 3 * phase(eta) - 1/2 = (3 P - 6 c)/(12 c) modulo 2, so exact
-    statements like theta_multiplier(S).value == -i survive as rational equalities.
+    The phase is 3 * phase(eta) - 1/2 = (3 P - 6 k)/(12 k), k = max(c, 1), modulo 2, so
+    exact statements like theta_multiplier(S).value == -i survive as rational equalities.
     """
-    return _multiplier(3 * _eta_numerator(mat) - 6 * mat.c, mat.c)
+    return _multiplier(3 * _eta_numerator(mat) - 6 * max(mat.c, 1), max(mat.c, 1))

@@ -93,13 +93,16 @@ def _affine(p: int, q: int, tau: complex) -> complex:
 
     p Re tau + q is an exact rational, rounded once by int/int division, so it
     keeps full precision where p Re tau and q cancel; p Im tau is one product
-    (one rounding while |p| < 2**53).
+    (one rounding while |p| < 2**53).  A part outside double range (an inf product too) raises DomainError.
     """
     num, den = tau.real.as_integer_ratio()
     try:
-        return complex((p * num + q * den) / den, p * tau.imag)
+        value = complex((p * num + q * den) / den, p * tau.imag)
     except OverflowError:
-        raise DomainError(f"p tau + q leaves double range at tau={tau}: |p| or |q| is too large") from None
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise DomainError(f"p tau + q leaves double range at tau={tau}: |p| or |q| is too large")
+    return value
 
 
 def moebius_apply(mat: ModularMatrix, tau: complex) -> complex:

@@ -542,16 +542,14 @@ def _check_log_sum_domain(a: complex, r: float) -> None:
 def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
     """sum_{n=1}^{cap} a^n / (n (1 - r^n)) for a ratio 0 < |r| < 1.
 
-    A real r keeps float arithmetic; a complex r (the ratio e^{-2 pi v} of a
-    complex v) is carried exactly.  For |a| <= 3/4 the sum is taken term by
-    term.  For larger |a| the head sum_n a^n / n (slowly convergent on
-    |a| = 1, formally divergent beyond) is replaced by its closed form
-    -log(1 - a) and only the remainder, whose terms shrink like (|a| |r|)^n,
-    is summed; that remainder evaluation is the analytic continuation of the
-    defining sum and agrees with it wherever both converge.
+    For |a| <= 3/4 the sum is taken term by term.  For larger |a| the head
+    sum_n a^n / n (slowly convergent on |a| = 1, formally divergent beyond) is
+    replaced by its closed form -log(1 - a) and only the remainder, whose
+    terms shrink like (|a| |r|)^n, is summed; that remainder evaluation is the
+    analytic continuation of the defining sum and agrees with it wherever both
+    converge.
     """
-    aa = complex(a)
-    rr = r if isinstance(r, complex) else float(r)
+    aa, rr = complex(a), complex(r)
     if not 0.0 < abs(rr) < 1.0:
         raise DomainError(f"|r| must be in (0, 1), got r = {rr}")
     if cap < 1:
@@ -561,8 +559,7 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
         total, step = 0j, aa
     else:
         total, step = -cmath.log(1 - aa), aa * rr
-    term = 1 + 0j
-    rn = 1 + 0j if isinstance(rr, complex) else 1.0
+    term = rn = 1 + 0j
     for n in range(1, cap + 1):
         term *= step
         rn *= rr

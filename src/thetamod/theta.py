@@ -28,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .dedekind import eta_multiplier
+from .dedekind import MultiplierValue, eta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
 from .modular import _gauss_reduce, require_upper_half
 
@@ -121,6 +121,11 @@ def _carry_back(total: complex, bound: float, log_factor: complex, exponent_size
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"{where()}: the value or its bound leaves double range")
     return value, err
+
+
+def _law_log(eps: MultiplierValue, den: complex) -> complex:
+    """Log of a law's factor eps (-i den)^{1/2}, den = c tau + d, c >= 0 (Re(-i den) >= 0: the Log is principal)."""
+    return 1j * math.pi * float(eps.phase) + 0.5 * cmath.log(-1j * den)
 
 
 def _series_cutoff(t: complex, z: complex, lead: complex, ctl: TruncationControl) -> tuple[int, float]:
@@ -297,8 +302,7 @@ def eta_info(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEv
         total, terms, error_bound = _theta1_sum(t_red, t3, lead, ctl)
     except TruncationError as exc:
         raise TruncationError(f"eta at tau={tau}: {exc}") from exc
-    law = (1j * math.pi * ((mat.b + 12) % 24 - 12) / 12 if mat.c == 0  # b mod 24 keeps a huge b exact
-           else 1j * math.pi * float(eta_multiplier(mat).phase) + 0.5 * cmath.log(-1j * den))
+    law = _law_log(eta_multiplier(mat), den)
     value, err = _carry_back(total, error_bound, -law, abs(lead) + abs(law), lambda: f"eta at tau={tau}", sign=-1)
     return SeriesEval(value, terms, err)
 

@@ -1,17 +1,18 @@
 """The transformation law as an algorithm.
 
-For a matrix A = (a, b; c, d) with c > 0 the law reads
+For a matrix A = (a, b; c, d) with c >= 0 the law reads
 
     theta1(z/(c tau + d), A tau)
         = eps1(A) * (-i(c tau + d))^{1/2} * exp(pi i c z^2/(c tau + d))
           * theta1(z, tau)
 
 with eps1 the unit multiplier from the dedekind module and the square root on
-the principal branch.  This module evaluates the right side directly, reduces
-(z, tau) into the fast-convergence region (fundamental domain for tau, then
-|Im z| <= Im tau / 2 via quasi-periodicity), exposes the fast evaluator built
-on that reduction, and measures transformation residuals for verification
-sweeps.
+the principal branch (at c = 0, A = (d, b; 0, d), it is the series identity
+theta1(d z, tau + b d) = d e^{i pi b d/4} theta1(z, tau)).  This module
+evaluates the right side directly, reduces (z, tau) into the fast-convergence
+region (fundamental domain for tau, then |Im z| <= Im tau / 2 via
+quasi-periodicity), exposes the fast evaluator built on that reduction, and
+measures transformation residuals for verification sweeps.
 
 Quasi-periodicity used by the z-reduction (derivable by reindexing the
 series):
@@ -21,8 +22,7 @@ series):
 
 The reducer carries both prefactors as exponents and exponentiates their
 difference once: near the real axis each factor alone can overflow while
-their quotient does not.  Its law exponent also covers the c = 0 case, the
-exact series identity theta1(z, tau + 1) = e^{i pi/4} theta1(z, tau).
+their quotient does not.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .dedekind import eta_multiplier, theta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
 from .modular import ModularMatrix, _affine, moebius_apply, principal_power, reduce_to_fundamental_domain
 from .modular import require_upper_half
-from .theta import DEFAULT_CONTROL, SeriesEval, TruncationControl, _carry_back, _require_finite_z, eta
+from .theta import DEFAULT_CONTROL, SeriesEval, TruncationControl, _carry_back, _law_log, _require_finite_z, eta
 from .theta import lattice_distance, theta1_series, theta1_series_info
 
 __all__ = [
@@ -64,27 +64,17 @@ TINY = 1e-300
 
 
 def _theta_law_log(mat: ModularMatrix, z: complex, den: complex) -> complex:
-    """L with theta1(z/den, A tau) = e^L theta1(z, tau), den = c tau + d, for c > 0 or A = (1, b; 0, 1).
-
-    For c > 0, L = i pi phase(eps1) + 1/2 Log(-i den) + pi i c z^2/den;
-    Re(-i den) = c Im tau > 0 keeps the Log principal.  For a translation
-    L = i pi b/4, with b taken mod 8 so that a huge b stays exact.
+    """L with theta1(z/den, A tau) = e^L theta1(z, tau), den = c tau + d, c >= 0:
+    L = i pi phase(eps1) + 1/2 Log(-i den) + pi i c z^2/den (theta._law_log).  The phase is
+    exact, so a huge b costs no precision; c multiplies first, so c = 0 never forms z^2.
     """
-    if mat.c == 0:
-        return 0.25j * math.pi * ((mat.b + 4) % 8 - 4)
-    return (
-        1j * math.pi * float(theta_multiplier(mat).phase)
-        + 0.5 * cmath.log(-1j * den)
-        + 1j * math.pi * mat.c * z * z / den
-    )
+    return _law_log(theta_multiplier(mat), den) + 1j * math.pi * mat.c * z * z / den
 
 
 def transform_rhs(
     mat: ModularMatrix, z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
 ) -> complex:
-    """Right side of the law: eps1 * (-i(c tau+d))^{1/2} e^{pi i c z^2/(c tau+d)} theta1(z, tau)."""
-    if mat.c <= 0:
-        raise ValidationError(f"transformation law requires c > 0, got c={mat.c}")
+    """Right side of the law: eps1 * (-i(c tau+d))^{1/2} e^{pi i c z^2/(c tau+d)} theta1(z, tau), c >= 0."""
     t = require_upper_half(tau)
     zz = complex(z)
     return cmath.exp(_theta_law_log(mat, zz, _affine(mat.c, mat.d, t))) * theta1_series(zz, t, ctl)
@@ -129,7 +119,7 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
     """Reduce tau to the fundamental domain and z by quasi-periodicity.
 
     Applies the transformation law in the inverse direction for the
-    reduction matrix (c > 0, or a translation).
+    reduction matrix (c >= 0).
     """
     t = require_upper_half(tau)
     zz = _require_finite_z(z)
@@ -206,7 +196,7 @@ def verify_transformation(
     series identity independent of the law being tested); the right side by
     transform_rhs.  Returns |lhs - rhs| / max(|lhs|, TINY).
     """
-    rhs = transform_rhs(mat, z, tau, ctl)  # rejects c <= 0 and tau off the upper half-plane
+    rhs = transform_rhs(mat, z, tau, ctl)  # rejects c < 0 and tau off the upper half-plane
     tau_image = moebius_apply(mat, tau)
     z_red, m, n, quasi_log = reduce_z(complex(z) / _affine(mat.c, mat.d, complex(tau)), tau_image)
     lhs = (-1) ** (m + n) * cmath.exp(quasi_log) * theta1_series(z_red, tau_image, ctl)
@@ -217,9 +207,7 @@ def verify_eta_transformation(
     mat: ModularMatrix, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
 ) -> float:
     """Relative residual of eta(A tau) = eps(A) (-i(c tau+d))^{1/2} eta(tau).  eta reduces
-    tau first, so this tests the multipliers' consistency eps(M A) ~ eps(M) eps(A)."""
-    if mat.c <= 0:
-        raise ValidationError(f"eta transformation requires c > 0, got c={mat.c}")
+    tau first, so this tests the multipliers' consistency eps(M A) ~ eps(M) eps(A); c < 0 raises."""
     t = require_upper_half(tau)
     lhs = eta(moebius_apply(mat, t), ctl)
     rhs = eta_multiplier(mat).value * principal_power(-1j * _affine(mat.c, mat.d, t), 0.5) * eta(t, ctl)

@@ -36,11 +36,28 @@ class TestScalarCommands:
         assert "exp(i pi * 0) = (1+0j)" in out
         assert "exp(i pi * -1/2)" in out
 
-    def test_multiplier_rejects_translation(self, capsys):
-        code, _, err = run_cli(capsys, "multiplier", "--matrix", "1,1,0,1")
+    def test_multiplier_of_translation_and_negative_c(self, capsys):
+        # eta's phase d (b + 3)/12 = 1/3 at (1, 1; 0, 1), theta's 3 * 1/3 - 1/2 = 1/2
+        code, out, _ = run_cli(capsys, "multiplier", "--matrix", "1,1,0,1", "--format", "json")
+        assert code == 0
+        row = json.loads(out)["results"][0]
+        assert (row["eta_phase"], row["theta_phase"]) == ("1/3", "1/2")
+        # c < 0 is a usage error
+        code, out, err = run_cli(capsys, "multiplier", "--matrix=0,1,-1,0")
         assert code == 2
+        assert out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
-        assert "c > 0" in err
+        assert "c >= 0" in err
+
+    def test_negative_leading_value_with_equals_sign(self, capsys):
+        # "--tau -3.2+1.5i" reads the value as a flag; "--tau=-3.2+1.5i" parses
+        assert run_cli(capsys, "eta", "--tau", "-3.2+1.5i")[0] == 2
+        code, out, _ = run_cli(capsys, "eta", "--tau=-3.2+1.5i")
+        assert code == 0
+        assert out.startswith("eta((-3.2+1.5j)) = ")
+        code, out, _ = run_cli(capsys, "multiplier", "--matrix=-1,5,0,-1")
+        assert code == 0
+        assert "exp(i pi * -2/3)" in out  # eta's phase d (b + 3)/12 = -(5 + 3)/12
 
     def test_multiplier_bad_determinant(self, capsys):
         code, _, err = run_cli(capsys, "multiplier", "--matrix", "1,0,0,-1")
@@ -142,6 +159,14 @@ class TestScalarCommands:
         code, out, _ = run_cli(capsys, "reduce", "--tau", tau, "--format", "json")
         assert code == 0
         assert 0.0 < json.loads(out)["results"][0]["replay_residual"] < 1e-12
+
+    def test_reduce_replay_outside_double_range_exit_3(self, capsys):
+        # the image 1e308i is right, but the replay's a tau + b with a ~ 1e308 overflows
+        code, out, err = run_cli(capsys, "reduce", "--tau", "1e308+1e-308i")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "double range" in err
 
     def test_reduce_replay(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "--tau", "5.3+0.8i", "--format", "json")

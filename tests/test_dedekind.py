@@ -109,9 +109,12 @@ class TestMultipliers:
             assert abs(abs(eta_multiplier(mat).value) - 1) < 1e-15
             assert abs(abs(theta_multiplier(mat).value) - 1) < 1e-15
 
-    def test_nonpositive_c_rejected(self):
-        with pytest.raises(ValidationError):
-            eta_multiplier(ModularMatrix(1, 1, 0, 1))
+    def test_negative_c_rejected(self):
+        for mat in (ModularMatrix(0, 1, -1, 0), ModularMatrix(-1, 0, -3, -1)):
+            with pytest.raises(ValidationError, match="c >= 0"):
+                eta_multiplier(mat)
+            with pytest.raises(ValidationError, match="c >= 0"):
+                theta_multiplier(mat)
 
     def test_measured_eta_multiplier(self):
         # the multiplier must reproduce the measured ratio of the eta law
@@ -172,8 +175,15 @@ def seeded_matrices(count, seed):
 
 
 def definitional_phases(mat):
-    """(eta, theta) phases: (a + d)/(12 c) + s(-d, c) and three times it less 1/2, both mod 2 into (-1, 1]."""
-    eta_phase = reduced_phase(Fraction(mat.a + mat.d, 12 * mat.c) + descent_sum(-mat.d, mat.c))
+    """(eta, theta) phases: (a + d)/(12 c) + s(-d, c) and three times it less 1/2, both mod 2 into (-1, 1].
+
+    At c = 0, A tau = tau + b d, so eta(A tau) = e^{i pi b d/12} eta(tau), and the law's factor
+    (-i d)^{1/2} has phase Arg(-i d)/(2 pi) = -d/4 on the principal branch: eps = e^{i pi (b d/12 + d/4)}.
+    """
+    if mat.c == 0:
+        eta_phase = reduced_phase(Fraction(mat.b * mat.d, 12) - Fraction(-mat.d, 4))
+    else:
+        eta_phase = reduced_phase(Fraction(mat.a + mat.d, 12 * mat.c) + descent_sum(-mat.d, mat.c))
     return eta_phase, reduced_phase(3 * eta_phase - Fraction(1, 2))
 
 
@@ -191,17 +201,19 @@ def test_integer_paths_return_exact_values_or_raise_library_errors():
     # huge pairs, k = 1, h = 0 (mod k), bools, non-coprime pairs, k < 0 and a float h
     sums = [(HUGE + 1, HUGE), (-HUGE - 1, HUGE), (HUGE, HUGE + 1), (0, 1), (7, 1), (-3, 1), (0, 5), (5, 5), (-10, 5),
             (True, 3), (1, True), (2, 4), (2**64, 2**65), (3, -7), (1.0, 3)]
-    # entries of size 10**400, c = 1 with negative d, and c = 0 (rejected)
+    # entries of size 10**400, c = 1 with negative d, c = 0 with both signs of d and a huge b, and c < 0 (rejected)
     entries = [(1, 0, HUGE, 1), (HUGE, HUGE - 1, HUGE + 1, HUGE), (0, -1, 1, -HUGE), (1, 0, 1, 1), (-4, -1, 1, 0),
-               (2, 1, 1, 1), (1, 3, 0, 1)]
+               (2, 1, 1, 1), (1, 3, 0, 1), (-1, 7, 0, -1), (1, HUGE, 0, 1), (-1, -HUGE - 5, 0, -1), (0, 1, -1, 0)]
     calls = [(dedekind_sum_fast, args) for args in sums]
     calls += [(f, (ModularMatrix(*e),)) for e in entries for f in (eta_multiplier, theta_multiplier)]
     calls += [(reduce_to_fundamental_domain, (tau,)) for tau in EXTREME_TAUS]
-    failures, inexact = [], []
+    failures, inexact, rejected_matrices = [], [], set()
     for f, args in calls:
         try:
             result = f(*args)
         except ThetamodError:
+            if f in (eta_multiplier, theta_multiplier):
+                rejected_matrices.add(args[0].entries())
             continue
         except Exception as exc:  # noqa: BLE001 - any other exception is the failure being counted
             failures.append(f"{f.__name__}{args}: {type(exc).__name__}: {exc}")
@@ -216,3 +228,4 @@ def test_integer_paths_return_exact_values_or_raise_library_errors():
             inexact.append(f"{f.__name__}{args}: {result!r}")
     assert failures == []
     assert inexact == []
+    assert rejected_matrices == {(0, 1, -1, 0)}

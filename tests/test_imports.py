@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,19 @@ def test_package_imports_only_exported_names():
     assert len(set(lazy)) == len(lazy) == 23
     assert [name for name in lazy if name not in residues.__all__] == []
     assert [name for name in lazy if getattr(thetamod, name) is not getattr(residues, name)] == []
+
+
+def test_package_all_is_the_public_names():
+    # the eager names (every public global but the submodules) and the lazy residue names, once each
+    names = thetamod.__all__
+    eager = {name for name, value in vars(thetamod).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(names)) == len(names)
+    assert set(names) == eager | set(thetamod._RESIDUE_NAMES)
+    star = {}
+    exec("from thetamod import *", star)  # resolves every name, the lazy ones through __getattr__
+    assert set(star) - {"__builtins__"} == set(names)
+    assert all(star[name] is getattr(thetamod, name) for name in names)
 
 
 def test_lazy_names_are_listed_and_unknown_names_still_raise():

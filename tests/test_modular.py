@@ -119,6 +119,13 @@ class TestMoebius:
             assert image.real == float(Fraction(tau.real) * c + d)
             assert image.imag == c * tau.imag
 
+    @pytest.mark.parametrize("mat, tau", [(ModularMatrix(10**300, -1, 1, 0), 1e308j),
+                                          (ModularMatrix(1, 0, 10**300, 1), 1e10j)])
+    def test_part_overflowing_to_inf_raises_domain_error(self, mat, tau):
+        # p Im tau = 1e608 or 1e310 overflows to inf without raising OverflowError
+        with pytest.raises(DomainError, match="leaves double range"):
+            moebius_apply(mat, tau)
+
 
 class TestPrincipalPower:
     def test_positive_real_root(self):
@@ -256,6 +263,9 @@ class TestTransformParams:
         # c tau + d with c = 10^400 has no double
         with pytest.raises(DomainError, match=r"tau=\(0\.5\+1j\)"):
             transform_params_from_matrix(ModularMatrix(1, 0, 10**400, 1), 0.5 + 1j)
+        # c Im tau = 1e310 overflows to inf without raising OverflowError
+        with pytest.raises(DomainError, match=r"tau=\(0\.5\+10000000000j\)"):
+            transform_params_from_matrix(ModularMatrix(1, 0, 10**300, 1), 0.5 + 1e10j)
 
     def test_congruence_always_holds(self):
         rng = random.Random(41)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from thetamod import (
     edge_limit_probe,
     enclosed_poles,
     eval_kernel,
+    geometric_log_sum,
     log_identity_residual,
     neg_mod_inverse,
     numeric_residue,
@@ -549,6 +551,31 @@ class TestLogIdentity:
                 params = VerifierParams(h=h, k=k, H=H, v=v, z=z, m=2)
                 assert log_identity_residual(params, 400) < 1e-8
                 assert verify_transformation(mat, z, tau) < 1e-9
+
+
+def float_ratio_log_sum(a, r, cap):
+    """The reference for a real ratio: geometric_log_sum's loop with r and r^n carried as floats."""
+    aa, rr = complex(a), float(r)
+    total, step = (0j, aa) if abs(aa) <= 0.75 else (-cmath.log(1 - aa), aa * rr)
+    term, rn = 1 + 0j, 1.0
+    for n in range(1, cap + 1):
+        term *= step
+        rn *= rr
+        total += term / (n * (1.0 - rn))
+        if abs(term) < 1e-320:
+            break
+    return total
+
+
+def test_geometric_log_sum_real_ratio_matches_float_arithmetic():
+    # one complex path: a real r gives bit for bit what float arithmetic gave
+    rng = random.Random(83)
+    for _ in range(2000):
+        a = cmath.rect(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
+        r = rng.choice((-1, 1)) * rng.uniform(0.01, 0.65)
+        cap = rng.randint(1, 200)
+        new, ref = geometric_log_sum(a, r, cap), float_ratio_log_sum(a, r, cap)
+        assert (new.real.hex(), new.imag.hex()) == (ref.real.hex(), ref.imag.hex()), (a, r, cap)
 
 
 class TestNearestPoleDistance:

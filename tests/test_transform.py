@@ -56,9 +56,31 @@ class TestTransformRhs:
         rhs = transform_rhs(mat, z, tau, TIGHT)
         assert abs(lhs / rhs - 1) < 1e-9
 
-    def test_c_zero_rejected(self):
+    def test_translation_is_the_series_at_shifted_tau(self):
+        # at c = 0 the law is theta1(z, tau + b) = eps1 (-i)^{1/2} theta1(z, tau)
+        z, tau = 0.3 - 0.2j, 0.1 + 0.9j
+        for b in (-7, -1, 0, 1, 2, 5, 8):
+            rhs = transform_rhs(ModularMatrix(1, b, 0, 1), z, tau, TIGHT)
+            assert abs(rhs - theta1_series(z, tau + b, TIGHT)) < 1e-14, b
+
+    def test_negative_c_rejected(self):
         with pytest.raises(ValidationError):
-            transform_rhs(ModularMatrix(1, 1, 0, 1), 0.1, 1j)
+            transform_rhs(ModularMatrix(0, 1, -1, 0), 0.1, 1j)
+        with pytest.raises(ValidationError):
+            verify_eta_transformation(ModularMatrix(-1, 0, -1, -1), 1j)
+
+    def test_law_holds_at_translations(self):
+        # A = +-(1, b; 0, 1): the multipliers' c = 0 phases against the measured laws
+        points = [(0.3 + 0.1j, 0.1 + 1.1j), (0.2 - 0.3j, -0.4 + 0.8j), (-0.45 + 0.05j, 0.49 + 0.6j)]
+        theta_worst = eta_worst = 0.0
+        for d in (1, -1):
+            for b in range(-30, 31):
+                mat = ModularMatrix(d, d * b, 0, d)
+                for z, tau in points:
+                    theta_worst = max(theta_worst, verify_transformation(mat, z, tau))
+                    eta_worst = max(eta_worst, verify_eta_transformation(mat, tau))
+        assert theta_worst < 1e-13
+        assert eta_worst < 1e-13
 
 
 class TestReduceZ:
@@ -151,7 +173,7 @@ class TestTheta1Fast:
             assert abs(a - b) <= 10 * ctl.tolerance + 1e-11 * abs(b)
 
     def test_huge_re_tau(self):
-        # the c = 0 leg takes its phase from b mod 8, so the translation is exact
+        # the translation's multiplier phase d (b + 3)/12 is an exact Fraction, so a huge b loses nothing
         fast = theta1_fast_info(0.2, 1e308 + 1j)
         oracle = mp_theta1_direct(0.2, 1j)
         assert abs(fast.value - oracle) <= fast.error_bound < 1e-13
