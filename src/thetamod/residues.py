@@ -24,10 +24,10 @@ finite m
 
 exactly; that identity is the module's anchor truth, checked with
 circle-quadrature residues that are independent of every closed form here.
-Every circle has 64 points and radius 0.35 times the distance to the
-nearest other pole.  verify_residues runs the whole check at one point:
-closed forms against closure's circle residues, closure, the log identity
-and the contour gap.
+Every circle has 64 points and radius 0.35 times its pole's family spacing:
+1/N on the imaginary axis, 1/(N v) on the real one, the smaller at the origin.
+verify_residues runs the whole check at one point: closed forms against
+closure's circle residues, closure, the log identity and the contour gap.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class VerifierParams(TransformParams):
         real = isinstance(self.v, (int, float)) and not isinstance(self.v, bool)
         if not (real and math.isfinite(self.v) and self.v > 0):
             raise ValidationError(f"v must be a positive real, got {self.v!r}")
-        if not isinstance(self.z, (int, float, complex)):
-            raise ValidationError(f"z must be a number, got {self.z!r}")
+        if not (isinstance(self.z, (int, float, complex)) and cmath.isfinite(self.z)):
+            raise ValidationError(f"z must be a finite number, got {self.z!r}")
         zz = complex(self.z)
         if not 0.0 < abs(zz.imag) < self.v:
             raise ValidationError(f"need v > |Im z| > 0, got v={self.v}, Im z={zz.imag}")
@@ -135,13 +135,20 @@ def _pole(p: VerifierParams, family: str, n: int) -> complex:
     return -n / (p.order * p.v)
 
 
-def _pole_lattice(p: VerifierParams, n_max: int):
-    """(family, n, pole) for the origin, then imag +-n and real +-n, n = 1..n_max."""
-    yield "origin", 0, 0j
-    for n in range(1, n_max + 1):
-        for family in ("imag", "real"):
-            for signed in (n, -n):
-                yield family, signed, _pole(p, family, signed)
+def _circle_radius(p: VerifierParams, family: str) -> float:
+    """0.35 times the family spacing, the distance from a pole of the family to its nearest neighbour."""
+    return 0.35 / (p.order * {"imag": 1.0, "real": p.v, "origin": max(1.0, p.v)}[family])
+
+
+def _pole_family(p: VerifierParams, x: complex) -> str:
+    """The family of the kernel pole at x, to 1e-12 of its circle radius; ValidationError if x is none."""
+    for family, t in (("imag", x.imag * p.order), ("real", -x.real * p.order * p.v)):
+        if math.isfinite(t):
+            n = round(t)
+            found = family if n else "origin"
+            if abs(x - _pole(p, family, n)) <= 1e-12 * _circle_radius(p, found):
+                return found
+    raise ValidationError(f"x={x} is not a kernel pole at v={p.v}, m={p.m}")
 
 
 def nearest_pole_distance(p: VerifierParams, x):
@@ -286,6 +293,7 @@ def residue_at_origin(p: VerifierParams) -> OriginResidue:
       block_sum         : -(k-1)/(12k) * V + s(h, k)
       block_sum_weighted: twice block_sum plus (k-1) z^2/(i v)
       exp_terms         : z^2/(iv) - z/(iv) + z - 1/2 + V/6
+    A residue outside double range raises DomainError.
     """
     v, k, z = p.v, p.k, complex(p.z)
     s_hk = float(dedekind_sum_fast(p.h, p.k))
@@ -295,14 +303,11 @@ def residue_at_origin(p: VerifierParams) -> OriginResidue:
     block_sum = -(k - 1) / (12.0 * k) * vterm + s_hk if k > 1 else 0j
     block_sum_weighted = 2.0 * block_sum + (k - 1) * z * z / iv
     exp_terms = z * z / iv - z / iv + z - 0.5 + vterm / 6.0
-    parts = {
-        "coth_cot": complex(coth_cot),
-        "block_sum": complex(block_sum),
-        "block_sum_weighted": complex(block_sum_weighted),
-        "exp_terms": complex(exp_terms),
-    }
+    parts = dict(coth_cot=coth_cot, block_sum=block_sum, block_sum_weighted=block_sum_weighted, exp_terms=exp_terms)
     assembled = coth_cot + block_sum + block_sum_weighted + exp_terms
     compact = k * z * z / iv - z / iv + z + vterm / (4.0 * k) + 3.0 * s_hk
+    if not (cmath.isfinite(compact) and cmath.isfinite(assembled)):
+        raise DomainError(f"residue_at_origin at v={v}, z={z}: the residue leaves double range")
     return OriginResidue(compact=complex(compact), assembled=complex(assembled), parts=parts)
 
 
@@ -332,26 +337,17 @@ def circle_residue(func, pole: complex, radius: float) -> complex:
     accurate for integrands analytic in a punctured neighbourhood; serves as
     the oracle for every closed-form residue.
     """
-    if not radius > 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
+    if not (cmath.isfinite(pole) and math.isfinite(radius) and radius > 0):
+        raise ValidationError(f"need a finite pole and a finite positive radius, got {pole}, {radius}")
     return complex(_circle_sums(func, pole, radius))
-
-
-def _nearest_other_pole_distance(p: VerifierParams, x: complex) -> float:
-    """Distance from x to the closest kernel pole other than x itself."""
-    near = {"imag": round(x.imag * p.order), "real": round(-x.real * p.order * p.v)}
-    candidates = [_pole(p, family, n + step) for family, n in near.items() for step in (-1, 0, 1)]
-    return min(d for d in (abs(x - c) for c in candidates) if d > 1e-13)
-
-
-def _circle_radius(p: VerifierParams, pole: complex) -> float:
-    return 0.35 * _nearest_other_pole_distance(p, pole)
 
 
 def numeric_residue(p: VerifierParams, pole: complex) -> complex:
     """Quadrature residue of the kernel at the given pole: 64 points on the circle
-    of radius 0.35 times the distance to the nearest other pole."""
-    return circle_residue(lambda x: eval_kernel(p, x), pole, _circle_radius(p, pole))
+    of radius 0.35 times the pole's family spacing.  A point that is not a
+    kernel pole raises ValidationError."""
+    radius = _circle_radius(p, _pole_family(p, complex(pole)))
+    return circle_residue(lambda x: eval_kernel(p, x), pole, radius)
 
 
 @dataclass(frozen=True)
@@ -367,14 +363,15 @@ class ResidueReport:
         return abs(self.closed_form - self.oracle)
 
 
+_CLOSED_FORMS = {"imag": residue_at_imag_pole, "real": residue_at_real_pole}  # simple-pole residue by family
+
+
 def simple_pole_report(p: VerifierParams, family: str, n: int) -> ResidueReport:
     """Report for the simple pole of the given family ("imag" or "real")."""
-    if family not in ("imag", "real"):
+    if family not in _CLOSED_FORMS:
         raise ValidationError(f"family must be 'imag' or 'real', got {family!r}")
-    closed = (residue_at_imag_pole if family == "imag" else residue_at_real_pole)(p, n)
     pole = _pole(p, family, n)
-    oracle = numeric_residue(p, pole)
-    return ResidueReport(pole=pole, closed_form=closed, oracle=oracle)
+    return ResidueReport(pole=pole, closed_form=_CLOSED_FORMS[family](p, n), oracle=numeric_residue(p, pole))
 
 
 @dataclass(frozen=True)
@@ -394,8 +391,15 @@ def origin_report(p: VerifierParams) -> OriginReport:
 
 
 def enclosed_poles(p: VerifierParams) -> list[tuple[str, int, complex]]:
-    """All poles inside the parallelogram contour: (family, n, location)."""
-    return list(_pole_lattice(p, p.m))
+    """All poles inside the parallelogram contour as (family, n, location), in report order:
+    the origin, then the imag family and the real family, each by n = -m..m, n != 0."""
+    simple = [(family, n) for family in ("imag", "real") for n in range(-p.m, p.m + 1) if n]
+    return [("origin", 0, 0j)] + [(family, n, _pole(p, family, n)) for family, n in simple]
+
+
+def _vertices(p: VerifierParams) -> tuple[complex, ...]:
+    """The contour's vertices in traversal order; edge j runs from vertex j to vertex j + 1 (mod 4)."""
+    return (1.0 / p.v, 1j, -1.0 / p.v, -1j)
 
 
 @lru_cache(maxsize=1)
@@ -421,21 +425,17 @@ def contour_integral(p: VerifierParams) -> complex:
     down to ~1/(8 N), safely below the pole-to-path distance; the panel
     tolerances add up to 1e-9.  Refinement is breadth first: a panel is split
     until its halves agree with it, with the tolerance halved at each level,
-    and all panels of one level go to the kernel in one call.  Raises
-    GeometryError if any kernel pole sits within 1e-6 of the path and
-    QuadratureError if refinement stalls.
+    and all panels of one level go to the kernel in one call.  The poles
+    nearest the path are n = +-m of both families, 1/(2 N hypot(1, v)) from
+    their edges (every outside pole is 1/(2 N max(1, v)) or more from a
+    vertex): GeometryError if that is below 1e-6, QuadratureError if
+    refinement stalls.
     """
-    ea = np.array([1.0 / p.v, 1j, -1.0 / p.v, -1j])
+    clearance = 0.5 / (p.order * math.hypot(1.0, p.v))
+    if clearance < 1e-6:
+        raise GeometryError(f"at v={p.v}, m={p.m} the poles n = +-m lie {clearance:.3g} from the contour, below 1e-6")
+    ea = np.array(_vertices(p))
     eb = np.roll(ea, -1)
-    lattice = [pole for *_, pole in _pole_lattice(p, p.m + 3)]
-    x = np.array(lattice)[:, None]
-    t = np.clip(((x - ea) * np.conj(eb - ea)).real / abs(eb - ea) ** 2, 0.0, 1.0)
-    near = np.argwhere(abs(x - (ea + t * (eb - ea))) < 1e-6)
-    if near.size:
-        i, j = near[0]
-        raise GeometryError(
-            f"kernel pole at {lattice[i]} lies within 1e-6 of contour edge [{ea[j]}, {eb[j]}]"
-        )
     depth = max(8, math.ceil(math.log2(8.0 * p.order)))
     steps = 0.5 ** np.arange(1, depth + 1)
     breaks = np.unique(np.r_[0.0, steps, 1.0 - steps, 1.0])
@@ -498,12 +498,12 @@ def closure_residual(p: VerifierParams) -> ClosureReport:
 
     Holds exactly at every finite m for any meromorphic integrand, so it
     validates kernel, pole bookkeeping and quadrature at once, independent of
-    any closed form.  The circles are numeric_residue's defaults (64 points,
-    0.35 times the pole separation), all of them in one kernel call.
+    any closed form.  The circles are numeric_residue's (64 points, 0.35
+    times the family spacing), all of them in one kernel call.
     """
     enclosed = enclosed_poles(p)
     centres = [pole for *_, pole in enclosed]
-    radii = [_circle_radius(p, pole) for pole in centres]
+    radii = [_circle_radius(p, family) for family, *_ in enclosed]
     found = _circle_sums(lambda x: eval_kernel(p, x), centres, radii).tolist()
     poles = tuple(EnclosedResidue(*e, r, q) for e, r, q in zip(enclosed, radii, found))
     return ClosureReport(contour=contour_integral(p), residue_sum=sum(found), poles=poles)
@@ -525,18 +525,9 @@ def edge_limit_probe(p: VerifierParams, edge_index: int, t: float) -> complex:
         raise ValidationError(f"edge_index must be 0..3, got {edge_index!r}")
     if not 0.1 < t < 0.9:
         raise ValidationError(f"probe parameter must satisfy 0.1 < t < 0.9, got {t}")
-    verts = (1.0 / p.v, 1j, -1.0 / p.v, -1j)
+    verts = _vertices(p)
     x = (1.0 - t) * verts[edge_index] + t * verts[(edge_index + 1) % 4]
     return x * eval_kernel(p, x)
-
-
-def _check_log_sum_domain(a: complex, r: float) -> None:
-    if abs(a) * r >= 1.0 - 1e-12:
-        raise DomainError(f"geometric log sum diverges: |a r| = {abs(a) * r:.6g} is not below 1")
-    if abs(1 - a) < 1e-12:
-        raise DomainError("geometric log sum hits the lattice: a = 1")
-    if a.imag == 0.0 and a.real >= 1.0:
-        raise DomainError(f"geometric log sum sits on the logarithmic branch cut: a = {a.real:.6g} >= 1")
 
 
 def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
@@ -550,11 +541,19 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
     converge.
     """
     aa, rr = complex(a), complex(r)
+    if not cmath.isfinite(aa):
+        raise ValidationError(f"a must be finite, got a = {aa}")
     if not 0.0 < abs(rr) < 1.0:
         raise DomainError(f"|r| must be in (0, 1), got r = {rr}")
+    require_int(cap=cap)
     if cap < 1:
         raise ValidationError(f"cap must be at least 1, got {cap}")
-    _check_log_sum_domain(aa, abs(rr))
+    if abs(aa) * abs(rr) >= 1.0 - 1e-12:
+        raise DomainError(f"geometric log sum diverges: |a r| = {abs(aa) * abs(rr):.6g} is not below 1")
+    if abs(1 - aa) < 1e-12:
+        raise DomainError("geometric log sum hits the lattice: a = 1")
+    if aa.imag == 0.0 and aa.real >= 1.0:
+        raise DomainError(f"geometric log sum sits on the logarithmic branch cut: a = {aa.real:.6g} >= 1")
     if abs(aa) <= 0.75:
         total, step = 0j, aa
     else:
@@ -641,6 +640,7 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     log_theta1_by_residue_classes this does not require |Re z| < 1 (that is,
     |Im z'| < 1/v on the swapped side): the identity holds beyond it.
     """
+    require_int(sum_cap=sum_cap)
     if sum_cap < 1:
         raise ValidationError(f"sum_cap must be positive, got {sum_cap}")
     z = complex(p.z)
@@ -689,10 +689,8 @@ def verify_residues(p: VerifierParams, cap: int = 400) -> ResidueVerification:
     CLOSURE_REL_TOL, the log identity (inner sums cut at cap terms) within IDENTITY_TOL, and the contour gap."""
     closure = closure_residual(p)
     origin = residue_at_origin(p)
-    poles = tuple(sorted(closure.poles, key=lambda e: (("origin", "imag", "real").index(e.family), e.n)))
-    closed = (origin.assembled,) + tuple(
-        (residue_at_imag_pole if e.family == "imag" else residue_at_real_pole)(p, e.n) for e in poles[1:]
-    )
+    poles = closure.poles
+    closed = (origin.assembled,) + tuple(_CLOSED_FORMS[e.family](p, e.n) for e in poles[1:])
     tol = CLOSURE_REL_TOL * 2 * math.pi * sum(abs(e.residue) for e in poles)
     identity = log_identity_residual(p, cap)
     gap = abs(closure.contour - (-math.log(p.v)))

@@ -46,8 +46,9 @@ __all__ = [
     "lattice_distance",
 ]
 
-# _ROOTS24[j] = e^{i pi j/12}: the phases of integer translations of tau
-_ROOTS24 = tuple(cmath.exp(1j * math.pi * j / 12) for j in range(24))
+# _ROOTS8[b % 8] = e^{i pi b/4}, the phase theta1 gains under tau -> tau + b, every part exact or correctly rounded
+_R = math.sqrt(0.5)
+_ROOTS8 = (1 + 0j, complex(_R, _R), 1j, complex(-_R, _R), -1 + 0j, complex(-_R, -_R), 0 - 1j, complex(_R, -_R))
 _MAX_TERMS = 200_000  # cap on the terms or factors of any certified truncation
 _SERIES_OVERFLOW = (
     "series terms overflow double precision at this (z, tau); "
@@ -190,7 +191,7 @@ def _theta1_sum(z: complex, t: complex, lead: complex, ctl: TruncationControl) -
         step_down *= q2
     if not (cmath.isfinite(total) and math.isfinite(error_bound)):
         raise TruncationError(_SERIES_OVERFLOW)
-    return total * _ROOTS24[3 * b % 24], 2 * (n_cap + 1), error_bound
+    return total * _ROOTS8[b % 8], 2 * (n_cap + 1), error_bound
 
 
 def theta1_series_info(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEval:

@@ -207,10 +207,10 @@ def verify_eta_transformation(
     mat: ModularMatrix, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
 ) -> float:
     """Relative residual of eta(A tau) = eps(A) (-i(c tau+d))^{1/2} eta(tau).  eta reduces
-    tau first, so this tests the multipliers' consistency eps(M A) ~ eps(M) eps(A); c < 0 raises."""
+    tau first, so this tests the multipliers' consistency eps(M A) ~ eps(M) eps(A); c < 0 raises before any series."""
     t = require_upper_half(tau)
-    lhs = eta(moebius_apply(mat, t), ctl)
     rhs = eta_multiplier(mat).value * principal_power(-1j * _affine(mat.c, mat.d, t), 0.5) * eta(t, ctl)
+    lhs = eta(moebius_apply(mat, t), ctl)
     return abs(lhs - rhs) / max(abs(lhs), TINY)
 
 

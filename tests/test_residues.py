@@ -75,12 +75,31 @@ class TestVerifierParams:
         lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z="x", m=2),
         lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=True),
         lambda: neg_mod_inverse(1.0, 3),
+        lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z=complex(math.inf, 0.1), m=2),
+        lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z=complex(math.nan, 0.1), m=2),
+        lambda: circle_residue(lambda x: 1 / x, 0j, math.inf),
+        lambda: circle_residue(lambda x: 1 / x, complex(math.nan, 0.0), 0.3),
+        lambda: geometric_log_sum(math.nan, 0.5, 10),
+        lambda: geometric_log_sum(0.5, 0.5, 2.5),
+        lambda: log_identity_residual(BASE, 2.5),
+        lambda: verify_residues(BASE, 2.5),
+        lambda: numeric_residue(BASE, 0.1 + 0.1j),
+        lambda: numeric_residue(BASE, complex(math.nan, math.nan)),
     ],
-    ids=["float h", "float H", "bool v", "str z", "bool m", "float h inverse"],
+    ids=["float h", "float H", "bool v", "str z", "bool m", "float h inverse", "inf z", "nan z",
+         "inf radius", "nan pole", "nan log sum a", "float log sum cap", "float identity cap",
+         "float verify cap", "regular point residue", "nan point residue"],
 )
 def test_parameter_types_raise_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_origin_residue_outside_double_range_raises_domain_error():
+    # z^2 overflows at Re z = 1e300, where the residue used to come back as nan-infj
+    p = VerifierParams(h=1, k=2, H=1, v=1.5, z=1e300 + 0.1j, m=2)
+    with pytest.raises(DomainError, match=r"residue_at_origin at v=1\.5"):
+        residue_at_origin(p)
 
 
 class TestCircleResidue:
@@ -104,7 +123,7 @@ class TestCircleResidue:
                     for z in (0.2 + 0.1j, 0.2 - 0.1j):
                         p = VerifierParams(h=h, k=k, H=neg_mod_inverse(h, k), v=v, z=z, m=m)
                         centres = [pole for *_, pole in enclosed_poles(p)]
-                        radii = [residues._circle_radius(p, pole) for pole in centres]
+                        radii = [residues._circle_radius(p, family) for family, *_ in enclosed_poles(p)]
                         kernel = lambda x, p=p: eval_kernel(p, x)  # noqa: E731
                         coarse = residues._circle_sums(kernel, centres, radii)
                         fine = residues._circle_sums(kernel, centres, radii, 512)
@@ -341,6 +360,14 @@ class TestNumericResidueGeometry:
         value = numeric_residue(BASE, pole)
         assert abs(value - residue_at_imag_pole(BASE, 1)) < 1e-8
 
+    def test_only_kernel_poles_are_accepted(self):
+        pole = 1j / BASE.order
+        for x in (0.1 + 0.1j, pole + 1e-9, pole.imag, complex(math.inf, 0.0), complex(0.0, math.nan)):
+            with pytest.raises(ValidationError, match="is not a kernel pole"):
+                numeric_residue(BASE, x)
+        # a point off the pole by rounding is still that pole
+        assert abs(numeric_residue(BASE, pole + 1e-16) - residue_at_imag_pole(BASE, 1)) < 1e-8
+
 
 class TestClosure:
     def test_enclosed_pole_count(self):
@@ -429,6 +456,32 @@ class TestContour:
         params = VerifierParams(h=1, k=2, H=1, v=1e4, z=0.2 + 0.1j, m=64)
         with pytest.raises(GeometryError):
             contour_integral(params)
+
+    def test_clearance_matches_lattice_to_edge_distance(self, monkeypatch):
+        # GeometryError exactly when some kernel pole, |n| <= m + 3 in both families,
+        # lies within 1e-6 of an edge; the quadrature itself is stopped at its first panel call
+        class Cleared(Exception):
+            pass
+
+        def stop(*args):
+            raise Cleared
+
+        monkeypatch.setattr(residues, "_gl_panels", stop)
+        raised = 0
+        for m in (1, 3, 10, 40, 64):
+            n = np.arange(1, m + 4)
+            for v in np.logspace(-3, 5, 401).tolist():
+                p = VerifierParams(h=0, k=1, H=0, v=v, z=0.2 + 1e-4j, m=m)
+                order = m + 0.5
+                x = np.concatenate([[0j], 1j * n / order, -1j * n / order, n / (order * v), -n / (order * v)])[:, None]
+                ea = np.array([1 / v, 1j, -1 / v, -1j])
+                eb = np.roll(ea, -1)
+                t = np.clip(((x - ea) * np.conj(eb - ea)).real / abs(eb - ea) ** 2, 0.0, 1.0)
+                near = bool((abs(x - (ea + t * (eb - ea))) < 1e-6).any())
+                with pytest.raises(GeometryError if near else Cleared):
+                    contour_integral(p)
+                raised += near
+        assert 0 < raised < 5 * 401
 
     def test_refinement_evaluates_each_panel_once(self, monkeypatch):
         # at v = 10 the real-family poles crowd the vertices 1/v and -1/v,
@@ -596,18 +649,24 @@ class TestNearestPoleDistance:
 
 
 class TestNearestOtherPoleDistance:
-    @pytest.mark.parametrize("m, v", [(1, 0.8), (3, 1.5), (10, 0.3), (40, 2.5), (64, 1.0), (64, 7.0)])
+    @pytest.mark.parametrize(
+        "m, v",
+        [(1, 0.8), (3, 1.5), (10, 0.3), (40, 2.5), (64, 1.0), (64, 7.0),
+         (1, 1e-4), (2, 0.01), (3, 1e3), (40, 0.05), (63, 1e-4), (64, 1e3)],
+    )
     def test_matches_explicit_enumeration(self, m, v):
-        import random
-
-        params = VerifierParams(h=1, k=2, H=1, v=v, z=0.2 + 0.1j, m=m)
+        # each circle radius is 0.35 times its family spacing; here against 0.35 times
+        # the nearest other pole, found by a brute-force search of the lattice |n| <= m + 3
+        params = VerifierParams(h=1, k=2, H=1, v=v, z=0.2 + 1e-5j, m=m)
         n_order = m + 0.5
-        poles = [0j]
-        for n in range(1, 3 * m + 4):
-            poles += [1j * n / n_order, -1j * n / n_order, n / (n_order * v), -n / (n_order * v)]
-        rng = random.Random(m)
-        points = [pole for *_, pole in enclosed_poles(params)]
-        points += [complex(rng.uniform(-2.0, 2.0) / v, rng.uniform(-2.0, 2.0)) for _ in range(200)]
-        for x in points:
-            expected = min(d for d in (abs(x - pole) for pole in poles) if d > 1e-13)
-            assert residues._nearest_other_pole_distance(params, x) == expected
+        lattice = {("origin", 0): 0j}
+        for n in range(-m - 3, m + 4):
+            if n:
+                lattice["imag", n] = 1j * n / n_order
+                lattice["real", n] = -n / (n_order * v)
+        for family, n, x in enclosed_poles(params):
+            assert lattice[family, n] == x
+            nearest = min(abs(x - pole) for key, pole in lattice.items() if key != (family, n))
+            radius = residues._circle_radius(params, family)
+            assert abs(radius - 0.35 * nearest) <= 1e-13 * 0.35 * nearest, (family, n)
+            assert residues._pole_family(params, x) == family

@@ -24,6 +24,7 @@ from thetamod import (
     theta1_series,
     theta1_series_info,
 )
+from thetamod import theta
 from thetamod.theta import DEFAULT_CONTROL, _triple_factors
 
 TIGHT = TruncationControl(tolerance=1e-15)
@@ -382,6 +383,14 @@ class TestPeriodicity:
             a = theta1_series(z + 1, tau, TIGHT)
             b = -theta1_series(z, tau, TIGHT)
             assert abs(a - b) <= 1e-13 * max(abs(a), abs(b))
+
+    def test_translation_phases_are_exact(self):
+        # theta1(z, tau + b) = e^{i pi b/4} theta1(z, tau): eight entries, each part 0, +-1 or +-sqrt(1/2)
+        assert len(theta._ROOTS8) == 8
+        exact = {0.0, 1.0, -1.0, math.sqrt(0.5), -math.sqrt(0.5)}
+        for b, root in enumerate(theta._ROOTS8):
+            assert root.real in exact and root.imag in exact, b
+            assert abs(root - cmath.exp(1j * math.pi * b / 4)) < 1e-15, b
 
     def test_tau_shift(self):
         rng = random.Random(79)

@@ -31,6 +31,7 @@ from thetamod import (
     verify_eta_transformation,
     verify_transformation,
 )
+from thetamod import transform
 from thetamod.modular import _gauss_reduce
 from thetamod.transform import _theta_law_log, random_modular_matrix, random_tau, random_z
 
@@ -68,6 +69,13 @@ class TestTransformRhs:
             transform_rhs(ModularMatrix(0, 1, -1, 0), 0.1, 1j)
         with pytest.raises(ValidationError):
             verify_eta_transformation(ModularMatrix(-1, 0, -1, -1), 1j)
+
+    def test_eta_law_rejects_negative_c_before_any_series(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(transform, "eta", lambda *args: calls.append(args))
+        with pytest.raises(ValidationError):
+            verify_eta_transformation(ModularMatrix(-1, 0, -1, -1), 0.3 + 1.1j)
+        assert calls == []
 
     def test_law_holds_at_translations(self):
         # A = +-(1, b; 0, 1): the multipliers' c = 0 phases against the measured laws
