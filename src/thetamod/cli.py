@@ -12,9 +12,11 @@ Exit codes (stable for CI use):
     2  usage or parse error (including broken input invariants)
     3  domain or numeric error (pole proximity, truncation, overflow, ...)
 
-Each command builds its result rows once; JSON, CSV and text are written from
-them.  All randomness flows from one seeded generator echoed in the report,
-so identical seed and flags give byte-identical output.
+Each command builds its result rows once, as flat dicts that share one key
+list: CSV writes that list as its header and one line per row, JSON writes the
+rows as `results` and the report-wide fields after them, and the text layout
+is the command's own.  All randomness flows from one seeded generator echoed
+in the report, so identical seed and flags give byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from statistics import median
 
 from . import __version__
 from .dedekind import dedekind_sum_fast, eta_multiplier, theta_multiplier
@@ -72,12 +75,11 @@ def _parse_tolerance(text: str) -> float:
 
 @dataclass(frozen=True)
 class Report:
-    """One command's result rows (dicts in output key order), the row fields
-    written as CSV, the JSON fields after `results`, and the text layout."""
+    """One command's result rows (flat dicts in output key order, the same keys
+    in every row), the JSON fields after `results`, and the text layout."""
 
     params: dict
     rows: list[dict]
-    columns: tuple[str, ...]
     text: list[str]
     summary: dict = field(default_factory=dict)
     code: int = 0
@@ -90,9 +92,9 @@ def _emit(args, report: Report) -> int:
         payload = json.dumps(document, indent=2) + "\n"
     elif args.format == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(report.columns)
-        writer.writerows([row[name] for name in report.columns] for row in report.rows)
+        writer = csv.DictWriter(buffer, list(report.rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(report.rows)
         payload = buffer.getvalue()
     else:
         payload = "\n".join(report.text) + "\n"
@@ -123,11 +125,9 @@ def _verdict(passed: bool) -> str:
 
 def _cmd_eval(args) -> Report:
     info = theta1_fast_info(args.z, args.tau, TruncationControl(tolerance=max(args.tol, 1e-15)))
-    row = _value_row(info)
-    columns = tuple(row)
     trace = info.trace
     a, b, c, d = trace.matrix.entries()
-    row["reduction"] = {
+    reduction = {
         "matrix": [a, b, c, d],
         **_parts("tau_reduced", trace.tau_reduced),
         **_parts("z_reduced", trace.z_reduced),
@@ -140,15 +140,14 @@ def _cmd_eval(args) -> Report:
         f"reduction: matrix ({a},{b};{c},{d}), lattice shift {trace.lattice_shift}",
         f"reduced point: z = {trace.z_reduced!r}, tau = {trace.tau_reduced!r}",
     ]
-    params = {**_parts("z", args.z), **_parts("tau", args.tau)}
-    return Report({**params, "tolerance": args.tol}, [row], columns, text)
+    params = {**_parts("z", args.z), **_parts("tau", args.tau), "tolerance": args.tol}
+    return Report(params, [_value_row(info)], text, {"reduction": reduction})
 
 
 def _cmd_eta(args) -> Report:
     info = eta_info(args.tau, TruncationControl(tolerance=max(args.tol, 1e-15)))
-    row = _value_row(info)
     text = [f"eta({args.tau!r}) = {info.value!r}", _bound_line(info)]
-    return Report({**_parts("tau", args.tau), "tolerance": args.tol}, [row], tuple(row), text)
+    return Report({**_parts("tau", args.tau), "tolerance": args.tol}, [_value_row(info)], text)
 
 
 def _cmd_reduce(args) -> Report:
@@ -157,7 +156,7 @@ def _cmd_reduce(args) -> Report:
     a, b, c, d = mat.entries()
     row = {"a": a, "b": b, "c": c, "d": d, **_parts("tau", tau_red), "replay_residual": replay}
     text = [f"matrix: ({a},{b};{c},{d})", f"tau reduced: {tau_red!r}", f"replay residual: {replay!r}"]
-    return Report(_parts("tau", args.tau), [row], tuple(row), text)
+    return Report(_parts("tau", args.tau), [row], text)
 
 
 def _cmd_multiplier(args) -> Report:
@@ -170,59 +169,40 @@ def _cmd_multiplier(args) -> Report:
         f"eta multiplier:   exp(i pi * {eps.phase}) = {eps.value!r}",
         f"theta multiplier: exp(i pi * {eps1.phase}) = {eps1.value!r}",
     ]
-    return Report({"matrix": list(args.matrix)}, [row], tuple(row), text)
+    return Report({"matrix": list(args.matrix)}, [row], text)
 
 
 def _cmd_dedekind(args) -> Report:
     value = str(dedekind_sum_fast(args.h, args.k))
-    row = {"h": args.h, "k": args.k, "value": value}
-    return Report({"h": args.h, "k": args.k}, [row], tuple(row), [value])
+    return Report({"h": args.h, "k": args.k}, [{"h": args.h, "k": args.k, "value": value}], [value])
 
 
-def _case_row(case) -> dict:
+def _case_row(kind: str, case) -> dict:
     a, b, c, d = case.matrix.entries()
-    return {"a": a, "b": b, "c": c, "d": d, **_parts("z", case.z), **_parts("tau", case.tau),
+    return {"kind": kind, "a": a, "b": b, "c": c, "d": d, **_parts("z", case.z), **_parts("tau", case.tau),
             "residual": case.residual}
 
 
-def _cmd_verify_transform(args) -> Report:
-    sweep = transform_sweep(args.count, args.seed, kind="theta")
-    passed = sweep.max_residual < args.tol
-    rows = [_case_row(case) for case in sweep.cases]
-    text = [
-        f"verify-transform: {args.count} cases, seed {args.seed}",
-        f"max residual:    {sweep.max_residual!r}",
-        f"median residual: {sweep.median_residual!r}",
-        f"tolerance:       {args.tol!r}",
-        _verdict(passed),
-    ]
-    for row, case in zip(rows, sweep.cases):
-        if case.residual >= args.tol:
-            text.append(
-                f"  exceeds tolerance: A=({row['a']},{row['b']};{row['c']},{row['d']}) "
-                f"z={case.z!r} tau={case.tau!r} residual={case.residual!r}"
-            )
-    summary = {"max_residual": sweep.max_residual, "median_residual": sweep.median_residual,
+def _cmd_law_sweep(args) -> Report:
+    """verify-transform and sweep: one transform_sweep per kind the parser sets, one row per case."""
+    sweeps = [transform_sweep(args.count, args.seed, kind=kind) for kind in args.kinds]
+    rows = [_case_row(sweep.kind, case) for sweep in sweeps for case in sweep.cases]
+    residuals = [row["residual"] for row in rows]
+    passed = max(residuals) < args.tol
+    text = [f"{args.command}: {' and '.join(f'{args.count} {kind} cases' for kind in args.kinds)}, seed {args.seed}"]
+    for sweep in sweeps:
+        text += [f"{sweep.kind + ' max residual:':<23}{sweep.max_residual!r}",
+                 f"{sweep.kind + ' median residual:':<23}{sweep.median_residual!r}"]
+    text += [f"{'tolerance:':<23}{args.tol!r}", _verdict(passed)]
+    for sweep in sweeps:
+        for case in sweep.cases:
+            if case.residual >= args.tol:
+                a, b, c, d = case.matrix.entries()
+                text.append(f"  exceeds tolerance: {sweep.kind} A=({a},{b};{c},{d}) z={case.z!r} tau={case.tau!r} "
+                            f"residual={case.residual!r}")
+    summary = {"max_residual": max(residuals), "median_residual": median(residuals),
                "seed": args.seed, "pass": passed}
-    params = {"count": args.count, "tolerance": args.tol}
-    return Report(params, rows, tuple(rows[0]), text, summary, 0 if passed else 1)
-
-
-def _cmd_sweep(args) -> Report:
-    sweeps = [transform_sweep(args.count, args.seed, kind=kind) for kind in ("theta", "eta")]
-    theta_max, eta_max = (sweep.max_residual for sweep in sweeps)
-    passed = theta_max < args.tol and eta_max < args.tol
-    rows = [{"kind": sweep.kind, **_case_row(case)} for sweep in sweeps for case in sweep.cases]
-    text = [
-        f"sweep: {args.count} theta cases and {args.count} eta cases, seed {args.seed}",
-        f"theta max residual: {theta_max!r}",
-        f"eta max residual:   {eta_max!r}",
-        f"tolerance:          {args.tol!r}",
-        _verdict(passed),
-    ]
-    summary = {"max_residual": max(theta_max, eta_max), "seed": args.seed, "pass": passed}
-    params = {"count": args.count, "tolerance": args.tol}
-    return Report(params, rows, tuple(rows[0]), text, summary, 0 if passed else 1)
+    return Report({"count": args.count, "tolerance": args.tol}, rows, text, summary, 0 if passed else 1)
 
 
 def _cmd_verify_residues(args) -> Report:
@@ -232,15 +212,14 @@ def _cmd_verify_residues(args) -> Report:
         raise ValidationError(f"h={args.h} and k={args.k} must be coprime")
     H = neg_mod_inverse(args.h, args.k)
     r = verify_residues(VerifierParams(h=args.h, k=args.k, H=H, v=args.v, z=args.z, m=args.m), args.cap)
+    poles = r.closure.poles
     rows = [{"family": e.family, "n": e.n, **_parts("pole", e.pole), **_parts("closed", c),
-             **_parts("oracle", e.residue), "discrepancy": abs(c - e.residue)} for e, c in zip(r.poles, r.closed_forms)]
-    columns = tuple(rows[0])
-    rows[0]["compact_form_discrepancy"] = abs(r.origin.compact - r.poles[0].residue)
+             **_parts("oracle", e.residue), "discrepancy": abs(c - e.residue)} for e, c in zip(poles, r.closed_forms)]
     text = [
         f"verify-residues: h={args.h} k={args.k} H={H} v={args.v!r} z={args.z!r} m={args.m}",
         f"{'family':>8} {'n':>4} {'closed form':>28} {'oracle':>28} {'|diff|':>12}",
     ]
-    for e, c, row in zip(r.poles, r.closed_forms, rows):
+    for e, c, row in zip(poles, r.closed_forms, rows):
         text.append(f"{e.family:>8} {e.n:>4} {c:>28.16g} {e.residue:>28.16g} {row['discrepancy']:>12.3e}")
     text += [
         f"compact origin form differs from the assembled residue by {r.origin.discrepancy!r}",
@@ -249,11 +228,12 @@ def _cmd_verify_residues(args) -> Report:
         f"contour vs -log(v) gap at m={args.m}: {r.gap!r}",
         _verdict(r.passed),
     ]
-    summary = {"closure_residual": r.closure.residual, "identity_residual": r.identity,
+    summary = {"compact_form_discrepancy": abs(r.origin.compact - poles[0].residue),
+               "closure_residual": r.closure.residual, "identity_residual": r.identity,
                "contour_gap": r.gap, "max_residual": max(r.closure.residual, r.identity), "pass": r.passed}
     report_params = {"h": args.h, "k": args.k, "H": H, "v": args.v, **_parts("z", args.z),
                      "m": args.m, "cap": args.cap}
-    return Report(report_params, rows, columns, text, summary, 0 if r.passed else 1)
+    return Report(report_params, rows, text, summary, 0 if r.passed else 1)
 
 
 COMMANDS = {
@@ -262,8 +242,8 @@ COMMANDS = {
     "reduce": (_cmd_reduce, "reduce tau to the fundamental domain"),
     "multiplier": (_cmd_multiplier, "eta and theta multipliers of a matrix"),
     "dedekind": (_cmd_dedekind, "exact Dedekind sum s(h, k)"),
-    "verify-transform": (_cmd_verify_transform, "random sweep of the theta transformation law"),
-    "sweep": (_cmd_sweep, "theta and eta residual sweeps (plot-ready rows)"),
+    "verify-transform": (_cmd_law_sweep, "random sweep of the theta transformation law"),
+    "sweep": (_cmd_law_sweep, "theta and eta residual sweeps (plot-ready rows)"),
     "verify-residues": (_cmd_verify_residues, "closed-form residues vs quadrature, closure, identity"),
 }
 
@@ -284,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p["multiplier"].add_argument("--matrix", type=_parse_matrix_entries, required=True)
     p["dedekind"].add_argument("--h", type=int, required=True)
     p["dedekind"].add_argument("--k", type=int, required=True)
-    for name, count in (("verify-transform", 200), ("sweep", 100)):
+    for name, count, kinds in (("verify-transform", 200, ("theta",)), ("sweep", 100, ("theta", "eta"))):
+        p[name].set_defaults(kinds=kinds)
         p[name].add_argument("--count", type=int, default=count)
         p[name].add_argument("--tol", type=_parse_tolerance, default=1e-9)
         p[name].add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -167,19 +167,20 @@ def eval_kernel(p: VerifierParams, x):
     x is a point (the result is a complex) or an array of points (the result
     has its shape); every point must lie off the poles.  Every group carries
     the factor 1/(x (1 - e^(2 pi N x)) (1 - e^(2 pi i N v x))), taken out once.
-    A value outside double range (as at small v) raises DomainError.
+    A non-finite x, or a value outside double range (as at small v), raises
+    DomainError.
     """
     # a point becomes a 1-element array: the ufunc loops of an array, not numpy scalar math
     xx = np.array(x, dtype=complex, ndmin=1)
-    near = nearest_pole_distance(p, xx) <= 1e-12
-    if near.any():
-        raise DomainError(f"x={complex(xx[near].flat[0])} is within 1e-12 of a kernel pole")
     k, v, z = p.k, p.v, complex(p.z)
-    pnx = _TWO_PI * p.order * xx
-    pnvx = 2j * math.pi * p.order * v * xx
-    fx, ex, dx = _ratio_parts(pnx)
-    fv, ev, dv = _ratio_parts(pnvx)
-    with np.errstate(over="ignore", invalid="ignore"):  # one finiteness check below instead
+    with np.errstate(all="ignore"):  # one finiteness check below instead, which also rejects a non-finite x
+        near = nearest_pole_distance(p, xx) <= 1e-12
+        if near.any():
+            raise DomainError(f"x={complex(xx[near].flat[0])} is within 1e-12 of a kernel pole")
+        pnx = _TWO_PI * p.order * xx
+        pnvx = 2j * math.pi * p.order * v * xx
+        fx, ex, dx = _ratio_parts(pnx)
+        fv, ev, dv = _ratio_parts(pnvx)
         # coth(pi N x) cot(pi N v x)/(4 i x), with cot(y) = i coth(i y)
         total = 0.25 * (1 + ex) * (1 + ev)
         for mu in range(1, k):
@@ -672,11 +673,10 @@ IDENTITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ResidueVerification:
-    """verify_residues at one point; poles run origin, imag, real (each by n), next to their closed forms."""
+    """verify_residues at one point; closed_forms follow closure.poles: origin, imag, real (each by n)."""
 
     origin: OriginResidue
     closure: ClosureReport
-    poles: tuple[EnclosedResidue, ...]
     closed_forms: tuple[complex, ...]
     identity: float
     gap: float
@@ -689,10 +689,9 @@ def verify_residues(p: VerifierParams, cap: int = 400) -> ResidueVerification:
     CLOSURE_REL_TOL, the log identity (inner sums cut at cap terms) within IDENTITY_TOL, and the contour gap."""
     closure = closure_residual(p)
     origin = residue_at_origin(p)
-    poles = closure.poles
-    closed = (origin.assembled,) + tuple(_CLOSED_FORMS[e.family](p, e.n) for e in poles[1:])
-    tol = CLOSURE_REL_TOL * 2 * math.pi * sum(abs(e.residue) for e in poles)
+    closed = (origin.assembled,) + tuple(_CLOSED_FORMS[e.family](p, e.n) for e in closure.poles[1:])
+    tol = CLOSURE_REL_TOL * 2 * math.pi * sum(abs(e.residue) for e in closure.poles)
     identity = log_identity_residual(p, cap)
     gap = abs(closure.contour - (-math.log(p.v)))
     passed = closure.residual < tol and identity < IDENTITY_TOL
-    return ResidueVerification(origin, closure, poles, closed, identity, gap, tol, passed)
+    return ResidueVerification(origin, closure, closed, identity, gap, tol, passed)

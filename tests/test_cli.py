@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import statistics
 
 import mpmath as mp
 import numpy as np
@@ -80,6 +81,9 @@ class TestScalarCommands:
             assert field in result
         assert report["command"] == "eval"
         assert report["version"]
+        # the reduction trace is a report field, so every row stays flat
+        assert report["reduction"]["matrix"] == [1, 0, 0, 1]
+        assert "reduction" not in result
 
     def test_eval_reduced_path(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--z", "0.2+0i", "--tau", "0.3+0.002i")
@@ -213,7 +217,7 @@ class TestVerifyTransform:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "a,b,c,d,z_re,z_im,tau_re,tau_im,residual"
+        assert lines[0] == "kind,a,b,c,d,z_re,z_im,tau_re,tau_im,residual"
         assert len(lines) == 4
 
     def test_json_schema_and_round_trip(self, capsys):
@@ -275,6 +279,7 @@ class TestVerifyResidues:
         assert report["params"]["H"] == 2
         families = {row["family"] for row in report["results"]}
         assert families == {"origin", "imag", "real"}
+        assert abs(report["compact_form_discrepancy"] - 0.5) < 1e-12
 
     LARGE_RESIDUES = ("verify-residues", "--m", "40", "--k", "1", "--h", "0", "--v", "1.5",
                       "--z", "0.2+0.1i")
@@ -346,6 +351,30 @@ class TestSweep:
         assert lines[0] == "kind,a,b,c,d,z_re,z_im,tau_re,tau_im,residual"
         assert len(lines) == 7  # three theta rows plus three eta rows
 
+    def test_unreachable_tolerance_lists_both_kinds(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--count", "3", "--tol", "1e-16")
+        assert code == 1
+        assert "result: FAIL" in out
+        for kind in ("theta", "eta"):
+            assert f"{kind} median residual:" in out
+            assert f"  exceeds tolerance: {kind} A=(" in out
+
+    def test_one_builder_for_both_laws(self, capsys):
+        assert cli.COMMANDS["sweep"][0] is cli.COMMANDS["verify-transform"][0]
+        reports = {}
+        for command in ("verify-transform", "sweep"):
+            code, out, _ = run_cli(capsys, command, "--count", "3", "--seed", "4", "--format", "json")
+            assert code == 0
+            reports[command] = json.loads(out)
+        for report in reports.values():
+            residuals = [row["residual"] for row in report["results"]]
+            assert report["max_residual"] == max(residuals)
+            assert report["median_residual"] == statistics.median(residuals)
+            assert (report["seed"], report["pass"]) == (4, True)
+        # the theta rows of sweep are verify-transform's rows at the same seed
+        theta = [row for row in reports["sweep"]["results"] if row["kind"] == "theta"]
+        assert theta == reports["verify-transform"]["results"]
+
 
 class TestOutputFile:
     def test_out_writes_file(self, capsys, tmp_path):
@@ -400,6 +429,8 @@ def test_csv_rows_equal_json_results(capsys, argv):
     results = json.loads(out_json)["results"]
     assert len(rows) == len(results)
     for row, result in zip(rows, results):
+        # every row is flat and carries exactly the header's fields
+        assert list(result) == header
         # csv writes str() of each field, the shortest round-trip form for floats
         assert row == [str(result[name]) for name in header]
 

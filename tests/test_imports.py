@@ -1,11 +1,13 @@
 """Import layout of the package: numpy stays confined to the residue verifier, which loads
 only on first use of a residue name or of verify-residues, and every exported name exists
-and is what the package imports."""
+and is what the package imports.  The README's "Command line" block is read here, so each of
+its commands must keep running and only verify-residues may load numpy."""
 
 import ast
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -123,17 +125,16 @@ def test_cli_imports_residues_only_inside_its_command():
     assert everywhere and inside == everywhere
 
 
-README_COMMANDS = [
-    ["eval", "--z", "0.3+0i", "--tau", "0+1i", "--format", "json"],
-    ["eval", "--z", "0.2+0i", "--tau", "0.3+0.002i"],
-    ["eta", "--tau", "0+2i"],
-    ["reduce", "--tau", "5.3+0.8i"],
-    ["multiplier", "--matrix", "0,-1,1,0"],
-    ["dedekind", "--h", "1", "--k", "3"],
-    ["verify-transform", "--count", "200", "--tol", "1e-9", "--seed", "7"],
-    ["sweep", "--count", "100", "--format", "csv", "--out", "residuals.csv"],
-]
-NO_RESIDUE_CALLS = README_COMMANDS + [["--help"], ["--version"], ["eval", "--z", "nope", "--tau", "1i"]]
+def _readme_commands() -> list[list[str]]:
+    """The README's "Command line" block, one argv per line, without the program name and comments."""
+    block = (PACKAGE.parents[1] / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line.split("#")[0])[1:] for line in block.splitlines() if line.strip()]
+
+
+README_COMMANDS = _readme_commands()
+RESIDUE_CALLS = [argv for argv in README_COMMANDS if argv[0] == "verify-residues"]
+NO_RESIDUE_CALLS = ([argv for argv in README_COMMANDS if argv not in RESIDUE_CALLS]
+                    + [["--help"], ["--version"], ["eval", "--z", "nope", "--tau", "1i"]])
 
 FRESH_PROCESS = """
 import contextlib, io, json, sys
@@ -149,15 +150,21 @@ print(json.dumps(report))
 """
 
 
+def test_readme_shows_every_command():
+    from thetamod import cli
+
+    assert sorted({argv[0] for argv in README_COMMANDS}) == sorted(cli.COMMANDS)
+
+
 def test_fresh_process_loads_numpy_only_for_verify_residues(tmp_path):
-    residue_call = ["verify-residues", "--m", "3", "--k", "2", "--h", "1", "--v", "1.5", "--z", "0.2+0.1i"]
+    # every README command exits 0, and only verify-residues (run last) loads numpy
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    run = subprocess.run([sys.executable, "-c", FRESH_PROCESS, json.dumps(NO_RESIDUE_CALLS + [residue_call])],
+    run = subprocess.run([sys.executable, "-c", FRESH_PROCESS, json.dumps(NO_RESIDUE_CALLS + RESIDUE_CALLS)],
                          cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
     report = json.loads(run.stdout)
     expected = {"import thetamod": [0, False], **{" ".join(argv): [0, False] for argv in NO_RESIDUE_CALLS}}
     expected["eval --z nope --tau 1i"] = [2, False]
-    expected[" ".join(residue_call)] = [0, True]
+    expected.update({" ".join(argv): [0, True] for argv in RESIDUE_CALLS})
     expected["same verify_residues"] = [0, True]
     assert report == expected
     assert (tmp_path / "residuals.csv").stat().st_size > 0

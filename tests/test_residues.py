@@ -258,6 +258,15 @@ class TestKernel:
         with pytest.raises(DomainError):
             eval_kernel(BASE, xs)
 
+    @pytest.mark.parametrize("x", [complex(math.inf, 0), complex(0, math.inf), complex(math.nan, 0),
+                                   complex(-math.inf, 1), complex(math.inf, math.inf),
+                                   np.array([0.1 + 0.2j, complex(math.inf, 0), 0.3 - 0.1j])],
+                             ids=["inf", "infj", "nan", "-inf+1j", "inf+infj", "array"])
+    def test_non_finite_x_raises_domain_error_without_warnings(self, x):
+        # a RuntimeWarning is an error under pytest, so it would escape before the DomainError
+        with pytest.raises(DomainError, match="leaves double range"):
+            eval_kernel(BASE, x)
+
 
 class TestKernelRange:
     # at v = 0.01 the weighted blocks e^{2 pi N x (w/k + z)} pass e^709 on the far real edge
@@ -395,26 +404,26 @@ class TestVerifyResidues:
     def test_poles_in_cli_order(self, point):
         p, result = point
         simple = [(family, n) for family in ("imag", "real") for n in range(-p.m, p.m + 1) if n]
-        assert [(e.family, e.n) for e in result.poles] == [("origin", 0)] + simple
-        assert len(result.closed_forms) == len(result.poles) == 4 * p.m + 1
+        assert [(e.family, e.n) for e in result.closure.poles] == [("origin", 0)] + simple
+        assert len(result.closed_forms) == len(result.closure.poles) == 4 * p.m + 1
 
     def test_oracles_are_the_closure_residues(self, point):
         p, result = point
         closure = {(e.family, e.n): e.residue for e in closure_residual(p).poles}
-        assert all(e.residue == closure[e.family, e.n] for e in result.poles)
+        assert all(e.residue == closure[e.family, e.n] for e in result.closure.poles)
         assert result.closure.residual == closure_residual(p).residual
 
     def test_closed_forms_match_their_oracles(self, point):
         p, result = point
         assert result.closed_forms[0] == residue_at_origin(p).assembled == result.origin.assembled
-        for e, closed in zip(result.poles[1:], result.closed_forms[1:]):
+        for e, closed in zip(result.closure.poles[1:], result.closed_forms[1:]):
             assert closed == (residue_at_imag_pole if e.family == "imag" else residue_at_real_pole)(p, e.n)
-        assert max(abs(c - e.residue) for e, c in zip(result.poles, result.closed_forms)) < 1e-8
+        assert max(abs(c - e.residue) for e, c in zip(result.closure.poles, result.closed_forms)) < 1e-8
 
     def test_point_passes(self, point):
         p, result = point
         assert result.passed
-        assert result.closure_tol == CLOSURE_REL_TOL * 2 * math.pi * sum(abs(e.residue) for e in result.poles)
+        assert result.closure_tol == CLOSURE_REL_TOL * 2 * math.pi * sum(abs(e.residue) for e in result.closure.poles)
         assert result.closure.residual < result.closure_tol
         assert result.identity == log_identity_residual(p, 400) < IDENTITY_TOL
         assert result.gap == contour_gap(p)
