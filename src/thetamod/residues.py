@@ -26,6 +26,7 @@ exactly; that identity is the module's anchor truth, checked with
 circle-quadrature residues that are independent of every closed form here.
 Every circle has 64 points and radius 0.35 times its pole's family spacing:
 1/N on the imaginary axis, 1/(N v) on the real one, the smaller at the origin.
+A kernel point costs k + 4 exponentials; log-identity sums stop below rounding.
 verify_residues runs the whole check at one point: closed forms against
 closure's circle residues, closure, the log identity and the contour gap.
 """
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dedekind import dedekind_sum_fast
-from .errors import DomainError, GeometryError, QuadratureError, ValidationError
+from .errors import DomainError, GeometryError, QuadratureError, TruncationError, ValidationError
 from .modular import TransformParams, require_int
 from .theta import DEFAULT_CONTROL, TruncationControl, _product_cutoff
 
@@ -73,6 +74,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_ROUNDING = TruncationControl(1e-16)  # a tail this small changes no digit of the log identity's O(1) sums
 
 
 @dataclass(frozen=True)
@@ -117,22 +119,9 @@ def _exp_ratio(p: complex, q: complex) -> complex:
     return cmath.exp(p) / (1 - cmath.exp(q))
 
 
-def _ratio_parts(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, e, d) elementwise, with f = 1 where Re q > 0 (else 0), e = e^(-q) there
-    (else e^q) and d = (1 - 2 f)/(1 - e), so that |e| <= 1, nothing overflows and
-
-        e^p / (1 - e^q) = e^(p - f q) d,    coth(q/2) = -(1 + e) d.
-    """
-    flip = q.real > 0
-    e = np.exp(np.where(flip, -q, q))
-    return flip, e, np.where(flip, -1.0, 1.0) / (1 - e)
-
-
 def _pole(p: VerifierParams, family: str, n: int) -> complex:
     """Simple pole n of a family: i n/N for "imag", -n/(N v) for "real"."""
-    if family == "imag":
-        return 1j * n / p.order
-    return -n / (p.order * p.v)
+    return 1j * n / p.order if family == "imag" else -n / (p.order * p.v)
 
 
 def _circle_radius(p: VerifierParams, family: str) -> float:
@@ -153,11 +142,8 @@ def _pole_family(p: VerifierParams, x: complex) -> str:
 
 def nearest_pole_distance(p: VerifierParams, x):
     """Distance from x (a point or an array of points) to the closest kernel pole."""
-    xx = np.asarray(x, dtype=complex)
-    n_order = p.order
-    imag_pole = 1j * np.round(xx.imag * n_order) / n_order
-    real_pole = -np.round(-xx.real * n_order * p.v) / (n_order * p.v)
-    d = np.minimum(abs(xx - imag_pole), abs(xx - real_pole))
+    xx, n, nv = np.asarray(x, dtype=complex), p.order, p.order * p.v
+    d = np.minimum(abs(xx - 1j * np.round(xx.imag * n) / n), abs(xx - np.round(xx.real * nv) / nv))
     return float(d) if d.ndim == 0 else d
 
 
@@ -165,33 +151,43 @@ def eval_kernel(p: VerifierParams, x):
     """The full kernel F at x (all five groups), stable on the whole contour.
 
     x is a point (the result is a complex) or an array of points (the result
-    has its shape); every point must lie off the poles.  Every group carries
-    the factor 1/(x (1 - e^(2 pi N x)) (1 - e^(2 pi i N v x))), taken out once.
-    A non-finite x, or a value outside double range (as at small v), raises
-    DomainError.
+    has its shape).  With X = 2 pi N x and V = 2 pi i N v x, the factor
+    1/(x (1 - e^X) (1 - e^V)) of every group is taken out once, and each
+    exponential of X or V takes the sign that keeps its modulus <= 1; a point
+    costs k + 4 complex exponentials (4 at k = 1).  A point within 1e-12 of a
+    pole, a non-finite x, or a value outside double range (as at small v)
+    raises DomainError.
     """
     # a point becomes a 1-element array: the ufunc loops of an array, not numpy scalar math
     xx = np.array(x, dtype=complex, ndmin=1)
-    k, v, z = p.k, p.v, complex(p.z)
+    k, v, z, scale = p.k, p.v, complex(p.z), _TWO_PI * p.order
     with np.errstate(all="ignore"):  # one finiteness check below instead, which also rejects a non-finite x
-        near = nearest_pole_distance(p, xx) <= 1e-12
-        if near.any():
-            raise DomainError(f"x={complex(xx[near].flat[0])} is within 1e-12 of a kernel pole")
-        pnx = _TWO_PI * p.order * xx
-        pnvx = 2j * math.pi * p.order * v * xx
-        fx, ex, dx = _ratio_parts(pnx)
-        fv, ev, dv = _ratio_parts(pnvx)
-        # coth(pi N x) cot(pi N v x)/(4 i x), with cot(y) = i coth(i y)
-        total = 0.25 * (1 + ex) * (1 + ev)
-        for mu in range(1, k):
-            w = (p.h * mu) % k
-            plain = np.exp(pnx * (w / k - fx))
-            weighted = np.exp(pnx * (w / k + z - fx))
-            total += (plain + 2.0 * weighted) * np.exp(pnvx * (mu / k - fv))
-        # e^(q - fv q) and e^(-fv q) with q = 2 pi i N v x
-        total += np.exp(pnx * (z - fx)) * np.where(fv, 1.0, ev)
-        total += np.exp(pnx * (1 - z - fx)) * np.where(fv, ev, 1.0)
-        total *= dx * dv / xx
+        pnx = scale * xx
+        fx, fv = xx.real > 0, xx.imag < 0  # Re X > 0, Re V > 0
+        sgx, sgv = np.where(fx, -1.0, 1.0), np.where(fv, -1.0, 1.0)
+        # V is its own product: rounded through X it moved F by 4e-11 where the groups cancel (contour vertices)
+        ex, ev = np.exp(pnx * sgx), np.exp(2j * math.pi * p.order * v * xx * sgv)
+        dx, dv = 1 - ex, 1 - ev
+        gap = np.minimum(abs(dx), abs(dv) / v)  # 2 pi N times the distance to the nearest pole, near one
+        if np.fmin.reduce(gap, axis=None, initial=np.inf) <= 1e-12 * scale:  # fmin: a nan x is for the check below
+            raise DomainError(f"x={complex(xx.flat[np.nanargmin(gap)])} is within 1e-12 of a kernel pole")
+        total = 0.25 * (1 + ex) * (1 + ev)  # coth(pi N x) cot(pi N v x)/(4 i x), with cot(y) = i coth(i y)
+        # the exponential groups: e^(X (z - fx)) e^(V - fv V) and e^(X (1 - z - fx)) e^(-fv V)
+        e4, e5 = np.exp(pnx * (z - fx)), np.exp(pnx * (1 - z - fx))
+        total += np.where(fv, e4 + e5 * ev, e4 * ev + e5)
+        if k > 1:
+            # step j visits mu = j where fv = 0 and mu = k - j where fv = 1: class mu's blocks are then
+            # e^(s_j X) (1 + 2 e^(X z)) = e^(s_j X + f c) (1 + e^(c - 2 f c)), w_j = h j mod k,
+            # s_j = sgv (w_j + i v j)/k + fv - fx, c = X z + log 2, f = [Re c > 0]; e^(c - 2 f c) <= 1
+            c = pnx * z + math.log(2.0)
+            lift, fvx = c * (c.real > 0), np.subtract(fv, fx, dtype=float)
+            s = np.array([(p.h * j % k + 1j * v * j) / k for j in range(1, k)])
+            rows, blocks = max(1, 4096 // max(1, xx.size)), 0  # <= 4096 exponents a block: memory O(points)
+            for lo in range(0, k - 1, rows):
+                e = (np.multiply.outer(s[lo : lo + rows], sgv) + fvx) * pnx + lift
+                blocks += np.exp(e, out=e).sum(axis=0)
+            total += blocks * (1 + np.exp(c - 2 * lift))
+        total *= sgx * sgv / (dx * dv * xx)
     finite = np.isfinite(total)
     if not finite.all():
         bad = complex(xx[~finite][0])
@@ -569,17 +565,22 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
     return total
 
 
-def _log_sum_cap(a: complex, r: float, one_minus_r: float, ctl: TruncationControl) -> int:
-    """Term cap so the geometric tail of omitted summands falls below the tolerance."""
+def _log_sum_cap(a: complex, r: float, one_minus_r: float, cap: int | TruncationControl) -> int:
+    """Terms of S(a) to sum: until the tail of omitted summands is below a TruncationControl's tolerance,
+    or at most an integer cap, stopping sooner where that tail is below _ROUNDING's."""
     ratio = min(abs(a) if abs(a) <= 0.75 else abs(a) * r, 1.0 - 1e-12)
-    return _product_cutoff((1.0 - ratio) / one_minus_r, ratio, ctl)
+    if not isinstance(cap, int):
+        return _product_cutoff((1.0 - ratio) / one_minus_r, ratio, cap)
+    try:  # a ratio that rounds to 1 has no cut (and geometric_log_sum rejects it)
+        return min(cap, _product_cutoff((1.0 - ratio) / one_minus_r, ratio, _ROUNDING)) if r < 1.0 else cap
+    except TruncationError:  # the cut lies past _product_cutoff's own term cap
+        return cap
 
 
 def _class_log_sum(h: int, k: int, v: complex, z: complex, cap: int | TruncationControl) -> complex:
     """The sums of log_theta1_by_residue_classes at (h, k, v, z), added:
     sum_{mu=1}^{k} S(a_mu) + S(a_mu e^{2 pi i z}) + S(a_{mu-1} e^{-2 pi i z}) with
-    a_j = e^{2 pi i h j/k - 2 pi v j/k}, each S cut at cap terms or, for a
-    TruncationControl, where its tolerance is met.
+    a_j = e^{2 pi i h j/k - 2 pi v j/k}, each S cut where _log_sum_cap says.
     """
     v = complex(v)
     r = math.exp(-_TWO_PI * v.real)
@@ -587,13 +588,11 @@ def _class_log_sum(h: int, k: int, v: complex, z: complex, cap: int | Truncation
     # complex v keeps a residual phase in the ratio e^{-2 pi v}
     ratio = r * cmath.exp(-_TWO_PI * 1j * v.imag) if v.imag else r
     a = [cmath.exp(2j * math.pi * h * j / k - _TWO_PI * v * j / k) for j in range(k + 1)]
-    e_plus = cmath.exp(2j * math.pi * z)
-    e_minus = cmath.exp(-2j * math.pi * z)
+    e_plus, e_minus = cmath.exp(2j * math.pi * z), cmath.exp(-2j * math.pi * z)
     total = 0j
     for mu in range(1, k + 1):
         for x in (a[mu], a[mu] * e_plus, a[mu - 1] * e_minus):
-            n = cap if isinstance(cap, int) else _log_sum_cap(x, r, one_minus_r, cap)
-            total += geometric_log_sum(x, ratio, n)
+            total += geometric_log_sum(x, ratio, _log_sum_cap(x, r, one_minus_r, cap))
     return total
 
 
@@ -633,13 +632,14 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
         - i pi/2 + 3 i pi s(h,k) - (pi/(4k))(v - 1/v) + pi z^2 k / v
         + i pi z - pi z / v,
 
-    the right side is -(1/2) log v.  Every inner n-sum is truncated at
-    sum_cap; the sums are the m -> infinity limits of the enclosed-residue
-    totals, so a small residual here is the identity the whole contour
-    argument proves.  Each side is a sum of principal-branch logarithms, so
-    the identity holds only modulo 2 pi i.  Unlike
-    log_theta1_by_residue_classes this does not require |Re z| < 1 (that is,
-    |Im z'| < 1/v on the swapped side): the identity holds beyond it.
+    the right side is -(1/2) log v.  Every inner n-sum stops at sum_cap
+    terms, or sooner where its tail is below 1e-16; the sums are the
+    m -> infinity limits of the enclosed-residue totals, so a small residual
+    here is the identity the whole contour argument proves.  Each side is a
+    sum of principal-branch logarithms, so the identity holds only modulo
+    2 pi i.  Unlike log_theta1_by_residue_classes this does not require
+    |Re z| < 1 (that is, |Im z'| < 1/v on the swapped side): the identity
+    holds beyond it.
     """
     require_int(sum_cap=sum_cap)
     if sum_cap < 1:

@@ -65,3 +65,22 @@ def mp_eta_direct(tau: complex, terms: int = 200, dps: int = 50) -> complex:
         for n in range(1, terms + 1):
             prod *= 1 - mp.exp(2j * mp.pi * n * tt)
         return complex(mp.exp(1j * mp.pi * tt / 12) * prod)
+
+
+def mp_residue_kernel(h: int, k: int, v: float, z: complex, m: int, x: complex, dps: int = 30) -> complex:
+    """The residue kernel F(x) of thetamod.residues, its five groups written out at extended precision."""
+    with mp.workdps(dps):
+        n_order = mp.mpf(m) + mp.mpf(1) / 2
+        xx, vv, zz = mp.mpc(x), mp.mpf(v), mp.mpc(z)
+        e_x = mp.exp(2 * mp.pi * n_order * xx)
+        e_v = mp.exp(2j * mp.pi * n_order * vv * xx)
+        e_z = mp.exp(2 * mp.pi * n_order * zz * xx)
+        total = mp.coth(mp.pi * n_order * xx) * mp.cot(mp.pi * n_order * vv * xx) / (4j * xx)
+        for mu in range(1, k):
+            w = (h * mu) % k
+            block = (mp.exp(2 * mp.pi * n_order * w * xx / k) / (1 - e_x)
+                     * mp.exp(2j * mp.pi * n_order * mu * vv * xx / k) / (1 - e_v) / xx)
+            total += (1 + 2 * e_z) * block
+        total += e_z / xx / (1 - e_x) * e_v / (1 - e_v)
+        total += 1 / (e_z * xx) * e_x / (1 - e_x) / (1 - e_v)
+        return complex(total)

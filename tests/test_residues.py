@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import mp_residue_kernel
 
 from thetamod import residues
 from thetamod import (
@@ -267,6 +268,18 @@ class TestKernel:
         with pytest.raises(DomainError, match="leaves double range"):
             eval_kernel(BASE, x)
 
+    @pytest.mark.parametrize("h, k, H", [(0, 1, 0), (3, 7, 2)])
+    @pytest.mark.parametrize("family, n", [("imag", 2), ("real", -1), ("imag", 0)], ids=["imag", "real", "origin"])
+    def test_pole_guard_boundary(self, h, k, H, family, n):
+        # within 1e-12 of a pole raises, 2e-12 from it does not, in any direction; v far from 1
+        # tells the real family's spacing 1/(N v) from the imaginary family's 1/N
+        params = VerifierParams(h=h, k=k, H=H, v=3.0, z=0.2 + 0.1j, m=3)
+        pole = residues._pole(params, family, n)
+        for direction in (1, 1j, -1, -1j, cmath.exp(0.7j)):
+            with pytest.raises(DomainError, match="within 1e-12 of a kernel pole"):
+                eval_kernel(params, pole + 0.5e-12 * direction)
+            assert cmath.isfinite(eval_kernel(params, pole + 2e-12 * direction))
+
 
 class TestKernelRange:
     # at v = 0.01 the weighted blocks e^{2 pi N x (w/k + z)} pass e^709 on the far real edge
@@ -282,6 +295,64 @@ class TestKernelRange:
         pole = 40 / (self.SMALL_V.order * self.SMALL_V.v)  # the real-family pole n = -40
         with pytest.raises(DomainError, match=self.WHERE):
             numeric_residue(self.SMALL_V, pole)
+
+    @pytest.mark.parametrize(
+        "case, x",
+        [
+            # Re(2 pi N x z) = 709.9 and 710.3: e^(2 pi N x z) alone overflows, the kernel does not
+            ((1, 2, 1, 0.3, 0.9 + 0.05j, 40), 3.1 + 0.004567901234567901j),
+            ((1, 2, 1, 0.3, 2.5 + 0.05j, 40), 1.1166666666666667 + 0.004567901234567901j),
+            ((3, 7, 2, 0.3, 0.9 + 0.05j, 40), 3.1 + 0.004567901234567901j),
+            ((3, 7, 2, 0.3, 0.9 - 0.05j, 40), 3.1 - 0.004567901234567901j),
+        ],
+    )
+    def test_overflow_hazard_matches_extended_precision(self, case, x):
+        h, k, H, v, z, m = case
+        value = eval_kernel(VerifierParams(h=h, k=k, H=H, v=v, z=z, m=m), x)
+        reference = mp_residue_kernel(h, k, v, z, m, x)
+        assert abs(value - reference) <= 1e-12 * abs(reference)
+        if (k, z) == (2, 0.9 + 0.05j):  # the magnitude a lone e^(2 pi N x z) would lose
+            assert abs(value - (-2.78e136 - 2.51e136j)) <= 1e-2 * abs(value)
+
+
+class TestKernelCost:
+    @pytest.mark.parametrize("k, h, H", [(1, 0, 0), (2, 1, 1), (7, 3, 2)])
+    def test_exponentials_per_point(self, k, h, H, monkeypatch):
+        # k + 4 complex exponentials a point (4 at k = 1); the groups as written take 3(k - 1) + 4
+        exp = np.exp
+        counted = []
+
+        def counting_exp(a, *args, **kwargs):
+            counted.append(np.size(a))
+            return exp(a, *args, **kwargs)
+
+        params = VerifierParams(h=h, k=k, H=H, v=1.5, z=0.2 - 0.1j, m=10)
+        xs = np.array([complex(0.05 * i - 0.3, 0.37 - 0.03 * i) for i in range(24)])
+        monkeypatch.setattr(np, "exp", counting_exp)
+        eval_kernel(params, xs)
+        assert sum(counted) / xs.size == (k + 4 if k > 1 else 4)
+
+    def test_peak_memory_is_linear_in_the_points(self):
+        # closure_residual's points at m = 64; at k = 1000 the classes go through in blocks
+        import tracemalloc
+
+        peaks = {}
+        for k, h, H in ((7, 3, 2), (1000, 1, 999)):
+            params = VerifierParams(h=h, k=k, H=H, v=1.5, z=0.2 + 0.1j, m=64)
+            enclosed = enclosed_poles(params)
+            centres = np.array([pole for *_, pole in enclosed])
+            radii = np.array([residues._circle_radius(params, family) for family, *_ in enclosed])
+            xs = centres[:, None] + radii[:, None] * residues._circle_rotations(64)
+            assert xs.size == 16448
+            tracemalloc.start()
+            try:
+                eval_kernel(params, xs)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1000] <= 1.1 * peaks[7]
+        # the kernel with three exponentials per class, written out, peaked at 13.2 times xs.nbytes (numpy 2.4)
+        assert peaks[1000] <= 2 * 13.2 * xs.nbytes
 
 
 class TestClosedFormResidues:
@@ -613,6 +684,36 @@ class TestLogIdentity:
                 params = VerifierParams(h=h, k=k, H=H, v=v, z=z, m=2)
                 assert log_identity_residual(params, 400) < 1e-8
                 assert verify_transformation(mat, z, tau) < 1e-9
+
+
+class TestLogSumCut:
+    # the replay grid's (h, k, H, v, z) for every h at k = 7, and the README example
+    # (the README example is h=1, k=2, v=1.5, z=0.2+0.1i); the reference runs every sum to the cap
+    POINTS = [(h, k, neg_mod_inverse(h, k), v, z) for k, hs in ((1, [0]), (2, [1]), (7, range(1, 7)))
+              for h in hs for v in (0.8, 1.5) for z in (0.2 + 0.1j, 0.2 - 0.1j)]
+
+    @staticmethod
+    def full_cap(a, r, one_minus_r, cap):
+        return cap
+
+    @pytest.mark.parametrize("h, k, H, v, z", POINTS)
+    def test_rounding_cut_matches_every_sum_at_the_cap(self, h, k, H, v, z, monkeypatch):
+        params = VerifierParams(h=h, k=k, H=H, v=v, z=z, m=3)
+        cut = log_identity_residual(params, 400)
+        monkeypatch.setattr(residues, "_log_sum_cap", self.full_cap)
+        assert abs(cut - log_identity_residual(params, 400)) <= 1e-15
+
+    @pytest.mark.parametrize("v", [1e-3, 1e-5])
+    def test_cut_stays_at_the_cap_where_rounding_needs_more(self, v, monkeypatch):
+        # at v = 1e-3 the rounding cut lies past 400 terms, at 1e-5 past the 200 000-term cap of
+        # _product_cutoff: both sums run to the cap, and no TruncationError escapes
+        cut = residues._class_log_sum(3, 7, v, 0.2 - v / 10 * 1j, 400)
+        monkeypatch.setattr(residues, "_log_sum_cap", self.full_cap)
+        assert cut == residues._class_log_sum(3, 7, v, 0.2 - v / 10 * 1j, 400)
+        monkeypatch.undo()
+        params = VerifierParams(h=3, k=7, H=2, v=v, z=0.2 - v / 10 * 1j, m=3)
+        with pytest.raises(DomainError, match="e\\^\\(2 pi i z\\) overflows"):
+            log_identity_residual(params, 400)
 
 
 def float_ratio_log_sum(a, r, cap):
