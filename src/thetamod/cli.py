@@ -115,8 +115,10 @@ def _value_row(info) -> dict:
     return {**_parts("value", info.value), "terms": info.terms, "err_bound": info.error_bound}
 
 
-def _bound_line(info) -> str:
-    return f"terms: {info.terms}   certified error bound: {info.error_bound!r}"
+def _bound_lines(info, label: str = "") -> list[str]:
+    """The term count and bound, then a line saying so where the bound reaches |value|."""
+    line = f"{label}terms: {info.terms}   certified error bound: {info.error_bound!r}"
+    return [line] if info.error_bound < abs(info.value) else [line, "no digit of the value is certified"]
 
 
 def _verdict(passed: bool) -> str:
@@ -136,7 +138,7 @@ def _cmd_eval(args) -> Report:
     text = [
         f"theta1({args.z!r}, {args.tau!r}) = {info.value!r}",
         # every value is carried back from the reduced point; the label stays for parsers of this line
-        f"method: reduced   {_bound_line(info)}",
+        *_bound_lines(info, "method: reduced   "),
         f"reduction: matrix ({a},{b};{c},{d}), lattice shift {trace.lattice_shift}",
         f"reduced point: z = {trace.z_reduced!r}, tau = {trace.tau_reduced!r}",
     ]
@@ -146,7 +148,7 @@ def _cmd_eval(args) -> Report:
 
 def _cmd_eta(args) -> Report:
     info = eta_info(args.tau, TruncationControl(tolerance=max(args.tol, 1e-15)))
-    text = [f"eta({args.tau!r}) = {info.value!r}", _bound_line(info)]
+    text = [f"eta({args.tau!r}) = {info.value!r}", *_bound_lines(info)]
     return Report({**_parts("tau", args.tau), "tolerance": args.tol}, [_value_row(info)], text)
 
 

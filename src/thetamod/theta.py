@@ -58,7 +58,8 @@ _SERIES_OVERFLOW = (
 
 @dataclass(frozen=True)
 class TruncationControl:
-    """Absolute tail tolerance of every certified truncation."""
+    """Absolute tail tolerance of every certified truncation: a product's or geometric sum's omitted tail is
+    within tolerance, a theta series' within 4 tolerance (_series_cutoff)."""
 
     tolerance: float = 1e-12
 
@@ -134,9 +135,11 @@ def _series_cutoff(t: complex, z: complex, lead: complex, ctl: TruncationControl
 
     With x = n + 1/2, a = pi Im t and r = |Im z| / Im t, pair n is bounded by 2 t_n with
     log t_n = Re(lead) - a x (x - 2r); N is the smallest index whose first omitted pair has
-    t_{N+1} < tolerance.  The bound adds the truncation tail 2 t_{N+1} / (1 - rho) (rho the
-    tail ratio at N+1) and the recurrence's running error, k = 2N + 2 steps from the
-    largest term.  Working in r, nothing overflows before Im t itself does.
+    t_{N+1} < tolerance, so the whole tail 2 t_{N+1} / (1 - rho), rho = e^{-2a (N + 2 - r)} the tail
+    ratio at N+1, is below 4 tolerance wherever rho <= 1/2.  Only below N = r + ln 2/(2a) - 2 can rho
+    exceed 1/2; there N steps on until that tail is within 4 tolerance.  The bound adds the tail and the
+    recurrence's running error, k = 2N + 2 steps from the largest term.  Working in r, nothing overflows
+    before Im t itself does.
     """
     a, r = math.pi * t.imag, abs(z.imag) / t.imag
     log_tol = math.log(ctl.tolerance)
@@ -144,27 +147,29 @@ def _series_cutoff(t: complex, z: complex, lead: complex, ctl: TruncationControl
     def log_bound(n: int) -> float:  # the first omitted pair, x = n + 3/2
         return lead.real - a * (n + 1.5) * (n + 1.5 - 2.0 * r)
 
+    def tail(n: int) -> float:  # both omitted tails, 2 t_{N+1} / (1 - rho) with rho = e^{-2a (N + 2 - r)}
+        return 2.0 * math.exp(log_bound(n)) / (1.0 - math.exp(-2.0 * a * (n + 2 - r)))
+
     # the maximum of log t_n, at x = r (for eta the two summands cancel exactly);
     # if it overflows, no double-precision summation is meaningful
     peak = lead.real + math.pi * abs(z.imag) * r
     if peak - log_tol > 690.0:
         raise TruncationError(_SERIES_OVERFLOW)
-    # the root of log_bound = log_tol, raised so rho = e^{-2a (n + 2 - r)} <= 1/2,
-    # capped before the loop: near Im t = 1e-300 it is ~1e150, where n + 1 == n
-    start = max(0.0, r + math.sqrt(max(0.0, r * r + (lead.real - log_tol) / a)) - 1.5,
-                r + math.log(2.0) / (2.0 * a) - 2.0)
+    # the root of log_bound = log_tol, capped before the loop: near Im t = 1e-300 it is ~1e150, where n + 1 == n
+    start = max(0.0, r + math.sqrt(max(0.0, r * r + (lead.real - log_tol) / a)) - 1.5)
     n = math.ceil(min(start, _MAX_TERMS // 2))
     while n < _MAX_TERMS // 2 and log_bound(n) >= log_tol:
+        n += 1
+    n_half = min(r + math.log(2.0) / (2.0 * a) - 2.0, _MAX_TERMS // 2)
+    while n < n_half and tail(n) > 4.0 * ctl.tolerance:
         n += 1
     if n >= _MAX_TERMS // 2:
         raise TruncationError(f"theta1 series needs {round(2 * max(n, start) + 2, 0):.15g} terms for tolerance "
                               f"{ctl.tolerance} at Im tau = {t.imag:.3g} (cap {_MAX_TERMS}); reduce tau (theta1_fast)")
-    rho = math.exp(-2.0 * a * (n + 2 - r))
-    truncation = 2.0 * math.exp(log_bound(n)) / (1.0 - rho)
     # every term is bounded by e^{peak}; the exponent at x_p, the largest term, sets its relative error
     x_p = max(0.5, r)
     exponent = math.pi * (abs(t) * x_p * x_p + 2.0 * x_p * abs(z)) + abs(lead)
-    return n, truncation + _running_error(2 * n + 2, exponent, math.exp(min(695.0, peak)))
+    return n, tail(n) + _running_error(2 * n + 2, exponent, math.exp(min(695.0, peak)))
 
 
 def _theta1_sum(z: complex, t: complex, lead: complex, ctl: TruncationControl) -> tuple[complex, int, float]:
@@ -214,6 +219,8 @@ def _product_cutoff(deviation_scale: float, ratio: float, ctl: TruncationControl
     if ratio >= 1.0:
         raise DomainError("geometric tail does not converge")
     target = ctl.tolerance * (1.0 - ratio) / deviation_scale
+    if not target > 0.0:  # underflowed: the cut lies past any cap
+        raise TruncationError(f"geometric tail needs more terms than the cap {_MAX_TERMS} at tolerance {ctl.tolerance}")
     if target >= ratio:
         return 1
     n = math.ceil(math.log(target) / math.log(ratio))

@@ -85,6 +85,21 @@ class TestScalarCommands:
         assert report["reduction"]["matrix"] == [1, 0, 0, 1]
         assert "reduction" not in result
 
+    def test_eval_and_eta_say_when_no_digit_is_certified(self, capsys):
+        # the terms cancel by ~30 digits here: 9.29e103 with bound 1.25e125
+        code, out, _ = run_cli(capsys, "eval", "--z", "0.3+0.1i", "--tau", "0.1+1e-4i")
+        assert code == 0
+        assert out.splitlines()[1].startswith("method: reduced")
+        assert out.splitlines()[2] == "no digit of the value is certified"
+        code, out, _ = run_cli(capsys, "eta", "--tau", "1e3i")  # bound 1.2e-11 on a value of 2e-114
+        assert code == 0
+        assert out.splitlines()[2:] == ["no digit of the value is certified"]
+        # a value its bound resolves gets no such line, and the JSON row keeps its fields
+        for argv in (("eval", "--z", "0.2+0i", "--tau", "0.3+0.002i"), ("eta", "--tau", "0+2i")):
+            assert "no digit" not in run_cli(capsys, *argv)[1]
+        out = run_cli(capsys, "eval", "--z", "0.3+0.1i", "--tau", "0.1+1e-4i", "--format", "json")[1]
+        assert list(json.loads(out)["results"][0]) == ["value_re", "value_im", "terms", "err_bound"]
+
     def test_eval_reduced_path(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--z", "0.2+0i", "--tau", "0.3+0.002i")
         assert code == 0

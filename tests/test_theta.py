@@ -4,6 +4,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mp_eta_direct, mp_theta1_direct, mp_theta1_jtheta
 from thetamod import (
@@ -82,8 +84,8 @@ class TestTheta1Series:
             theta1_series_info(0.2, 0.3 + 1e-300j)
 
     def test_max_terms_exhaustion(self):
-        # the tail-ratio condition alone asks for ~2.2e9 terms; the cap is 200 000.
-        # The cutoff is closed-form, so this raises at once.
+        # the tolerance root alone asks for ~5.9e5 terms; the cap is 200 000.
+        # The cutoff starts at that root, so this raises at once.
         with pytest.raises(TruncationError, match=r"needs \d+ terms .* \(cap 200000\)"):
             theta1_series(0.2, 0.3 + 1e-10j)
 
@@ -94,7 +96,7 @@ class TestTheta1Series:
     @pytest.mark.parametrize(
         "z, tau",
         [
-            (0.3 + 0.1j, 0.1 + 1e-4j),  # 2103 pairs; |value| ~1e104, largest term ~e^314
+            (0.3 + 0.1j, 0.1 + 1e-4j),  # 2043 pairs; |value| ~1e104, largest term ~e^314
             (0.3 + 1.5j, 0.1 + 0.02j),  # 153 pairs; sin((2n+1) pi z) alone overflows
             (0.3 + 4j, 0.1 + 0.27j),  # 31 pairs; sin((2n+1) pi z) alone overflows
         ],
@@ -157,6 +159,63 @@ class TestTheta1Series:
         assert info.terms == 2 * pairs
         oracle = mp_theta1_direct(z, tau, terms=400)
         assert abs(info.value - oracle) <= info.error_bound + 1e-15 * abs(oracle)
+
+
+def _cutoff_with_ratio_at_most_half(t: complex, z: complex, ctl: TruncationControl):
+    """_series_cutoff at lead 0 as it was when its start also forced rho <= 1/2: (N, bound), or None where it
+    raised (past the cap, or a peak term past double range)."""
+    a, r = math.pi * t.imag, abs(z.imag) / t.imag
+    log_tol, peak = math.log(ctl.tolerance), math.pi * abs(z.imag) * r
+    if peak - log_tol > 690.0:
+        return None
+    start = max(0.0, r + math.sqrt(max(0.0, r * r - log_tol / a)) - 1.5, r + math.log(2.0) / (2.0 * a) - 2.0)
+    n = math.ceil(min(start, theta._MAX_TERMS // 2))
+    while n < theta._MAX_TERMS // 2 and -a * (n + 1.5) * (n + 1.5 - 2.0 * r) >= log_tol:
+        n += 1
+    if n >= theta._MAX_TERMS // 2:
+        return None
+    x_p = max(0.5, r)
+    exponent = math.pi * (abs(t) * x_p * x_p + 2.0 * x_p * abs(z))
+    roundoff = theta._running_error(2 * n + 2, exponent, math.exp(min(695.0, peak)))
+    return n, _omitted_tail(t, z, n) + roundoff
+
+
+def _omitted_tail(t: complex, z: complex, n: int) -> float:
+    """2 t_{N+1} / (1 - rho(N+1)), both tails of the series at lead 0 past pair N."""
+    a, r = math.pi * t.imag, abs(z.imag) / t.imag
+    return 2.0 * math.exp(-a * (n + 1.5) * (n + 1.5 - 2.0 * r)) / (1.0 - math.exp(-2.0 * a * (n + 2 - r)))
+
+
+class TestSeriesCutoff:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(
+        log_im=st.floats(-10.0, 1.0),
+        re_t=st.floats(-0.5, 0.5),
+        re_z=st.floats(-1.0, 1.0),
+        im_z_share=st.floats(-10.0, 10.0),
+        log_tol=st.floats(-16.0, -3.0),
+    )
+    def test_never_longer_than_the_ratio_rule(self, log_im, re_t, re_z, im_z_share, log_tol):
+        t, ctl = complex(re_t, 10.0**log_im), TruncationControl(tolerance=10.0**log_tol)
+        z = complex(re_z, im_z_share * t.imag)
+        old = _cutoff_with_ratio_at_most_half(t, z, ctl)
+        try:
+            n, bound = theta._series_cutoff(t, z, 0j, ctl)
+        except TruncationError:
+            assert old is None  # the old rule, never shorter, is past the cap too (or the peak overflows both)
+            return
+        assert _omitted_tail(t, z, n) <= 4.0 * ctl.tolerance
+        if old is None:
+            return
+        assert n <= old[0]
+        a, r = math.pi * t.imag, abs(z.imag) / t.imag
+        root = r + math.sqrt(r * r - math.log(ctl.tolerance) / a) - 1.5
+        if root >= r + math.log(2.0) / (2.0 * a) - 2.0:
+            assert (n, bound) == old  # where rho <= 1/2 did not bind, nothing moves, the bound to the bit
+
+    def test_long_direct_series_stops_at_its_tail(self):
+        # the rule that forced rho <= 1/2 summed 22 062 terms here; the tail is within 4 tolerance after 1946
+        assert theta1_series_info(0.1, 0.1 + 1e-5j).terms <= 2000
 
 
 class TestTheta1Product:
@@ -477,6 +536,12 @@ class TestLogThetaResidueClasses:
         params = TransformParams(H=0, h=0, k=1, v=1e-18)
         with pytest.raises(TruncationError):
             log_theta1_by_residue_classes(params, 0.1)
+
+    def test_underflowing_tail_target_raises_truncation_error(self):
+        # the cut's target tolerance (1 - r) underflows to 0 at Re v = 1e-320, where log(0) used to escape
+        params = TransformParams(H=1, h=1, k=2, v=1e-320)
+        with pytest.raises(TruncationError, match="cap 200000"):
+            log_theta1_by_residue_classes(params, 0.2)
 
     def test_branch_cut_rejected(self):
         # purely imaginary z with Im z > 0 puts a geometric head on [1, inf)

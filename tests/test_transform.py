@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 from statistics import pstdev
@@ -32,7 +33,7 @@ from thetamod import (
     verify_transformation,
 )
 from thetamod import transform
-from thetamod.modular import _gauss_reduce
+from thetamod.modular import _affine, _gauss_reduce
 from thetamod.transform import _theta_law_log, random_modular_matrix, random_tau, random_z
 
 TIGHT = TruncationControl(tolerance=1e-15)
@@ -344,6 +345,38 @@ class TestVerifyTransformation:
     def test_eta_sweep(self):
         result = transform_sweep(count=50, seed=17, kind="eta")
         assert result.max_residual < 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _left_side_points(seed: int, count: int) -> tuple[tuple[complex, complex], ...]:
+    """(z, A tau) where verify_transformation sums its left side, on transform_sweep's draws."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        mat = random_modular_matrix(rng)
+        tau = random_tau(rng)
+        z = random_z(rng, tau)
+        tau_image = moebius_apply(mat, tau)
+        points.append((reduce_z(z / _affine(mat.c, mat.d, tau), tau_image)[0], tau_image))
+    return tuple(points)
+
+
+def test_left_side_series_work_within_budget():
+    # a work counter, not a timer: these 2000 series sum 292 146 terms (p99 390); the cutoff that
+    # forced the tail ratio rho <= 1/2 summed 366 168 (p99 928), so its return fails here
+    terms = sorted(theta1_series_info(z, tau).terms for z, tau in _left_side_points(1, 2000))
+    assert sum(terms) <= 300_000
+    assert terms[int(0.99 * len(terms))] <= 450
+
+
+def test_left_side_series_within_bound_at_smallest_im_tau():
+    # the 100 image points nearest the real axis, where the cutoff steps on past the tolerance root
+    points = sorted(_left_side_points(1, 2000), key=lambda point: point[1].imag)[:100]
+    for z, tau in points:
+        info = theta1_series_info(z, tau)
+        # |Im z| <= Im tau / 2, so the oracle's omitted pairs are below e^{-80}
+        oracle = mp_theta1_direct(z, tau, terms=math.isqrt(int(80 / (math.pi * tau.imag))) + 8, dps=30)
+        assert abs(info.value - oracle) <= info.error_bound
 
 
 class TestRoundTrip:
