@@ -30,11 +30,11 @@ from .modular import (
 )
 # The residue verifier, and numpy with it, loads on first use of one of these names (PEP 562).
 _RESIDUE_NAMES = (
-    "ClosureReport", "EDGE_LIMITS", "OriginResidue", "ResidueReport", "ResidueVerification", "VerifierParams",
-    "circle_residue", "closure_residual", "contour_gap", "contour_integral", "edge_limit_probe", "enclosed_poles",
-    "eval_kernel", "geometric_log_sum", "log_identity_residual", "log_theta1_by_residue_classes", "numeric_residue",
-    "origin_report", "residue_at_imag_pole", "residue_at_origin", "residue_at_real_pole", "simple_pole_report",
-    "verify_residues",
+    "ClosureReport", "EDGE_LIMITS", "EnclosedResidue", "OriginReport", "OriginResidue", "ResidueReport",
+    "ResidueVerification", "VerifierParams", "circle_residue", "closure_residual", "contour_gap", "contour_integral",
+    "edge_limit_probe", "enclosed_poles", "eval_kernel", "geometric_log_sum", "log_identity_residual",
+    "log_theta1_by_residue_classes", "origin_report", "residue_at_imag_pole", "residue_at_origin",
+    "residue_at_real_pole", "simple_pole_report", "verify_residues",
 )
 from .theta import (
     DEFAULT_CONTROL,

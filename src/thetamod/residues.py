@@ -55,9 +55,9 @@ __all__ = [
     "residue_at_real_pole",
     "residue_at_origin",
     "circle_residue",
-    "numeric_residue",
     "simple_pole_report",
     "origin_report",
+    "OriginReport",
     "enclosed_poles",
     "contour_integral",
     "contour_gap",
@@ -129,17 +129,6 @@ def _circle_radius(p: VerifierParams, family: str) -> float:
     return 0.35 / (p.order * {"imag": 1.0, "real": p.v, "origin": max(1.0, p.v)}[family])
 
 
-def _pole_family(p: VerifierParams, x: complex) -> str:
-    """The family of the kernel pole at x, to 1e-12 of its circle radius; ValidationError if x is none."""
-    for family, t in (("imag", x.imag * p.order), ("real", -x.real * p.order * p.v)):
-        if math.isfinite(t):
-            n = round(t)
-            found = family if n else "origin"
-            if abs(x - _pole(p, family, n)) <= 1e-12 * _circle_radius(p, found):
-                return found
-    raise ValidationError(f"x={x} is not a kernel pole at v={p.v}, m={p.m}")
-
-
 def nearest_pole_distance(p: VerifierParams, x):
     """Distance from x (a point or an array of points) to the closest kernel pole."""
     xx, n, nv = np.asarray(x, dtype=complex), p.order, p.order * p.v
@@ -200,22 +189,28 @@ def _validate_pole_index(p: VerifierParams, n: int) -> None:
         raise DomainError(f"pole index must satisfy 1 <= |n| <= m={p.m}, got {n!r}")
 
 
-def _simple_residue(n, k, g, beta, coth_arg, unit, weight, at_beta, at_zero) -> complex:
-    """The shape both simple-pole closed forms share, with E(j) = e^{beta j/k}/(1 - e^beta):
+def _swap(p: VerifierParams) -> tuple[int, float, complex]:
+    """The point (H, 1/v, -iz/v) that the proof pairs with (h, v, z)."""
+    return p.H, 1.0 / p.v, -1j * complex(p.z) / p.v
 
-        (unit/(4 pi n)) coth(coth_arg) + (unit/(2 pi n)) [ at_beta E(k) + at_zero E(0)
-            + (1 + 2 weight) sum_{j=1}^{k-1} e^{2 pi i n g j / k} E(j) ]
-    """
-    beta = complex(beta)
+
+def _imag_family_residue(n: int, k: int, g: int, v: float, z: complex, where: tuple) -> complex:
+    """residue_at_imag_pole's formula at pole n of the parameters (g, k, v, z).  A DomainError names the
+    public call where = (name, v, z, n) when e^{2 pi i n z} overflows."""
+    try:
+        e_plus, e_minus = cmath.exp(2j * math.pi * n * z), cmath.exp(-2j * math.pi * n * z)
+    except OverflowError:
+        raise DomainError("{} at v={}, z={}, n={}: an exponential weight overflows".format(*where)) from None
+    beta, coth_arg = complex(-_TWO_PI * n * v), math.pi * n * v
     e = math.exp(-2 * abs(coth_arg))  # coth(coth_arg) from e^(-2 |coth_arg|)
-    res = (unit / (4 * math.pi * n)) * math.copysign((1 + e) / (1 - e), coth_arg)
+    res = (1j / (4 * math.pi * n)) * math.copysign((1 + e) / (1 - e), coth_arg)
     if k > 1:
         block = 0j
         for j in range(1, k):
             block += cmath.exp(2j * math.pi * n * g * j / k) * _exp_ratio(beta * j / k, beta)
-        res += (unit / (2 * math.pi * n)) * (1 + 2 * weight) * block
-    exp_part = at_beta * _exp_ratio(beta, beta) + at_zero * _exp_ratio(0j, beta)
-    return res + (unit / (2 * math.pi * n)) * exp_part
+        res += (1j / (2 * math.pi * n)) * (1 + 2 * e_plus) * block
+    exp_part = e_plus * _exp_ratio(beta, beta) + e_minus * _exp_ratio(0j, beta)
+    return res + (1j / (2 * math.pi * n)) * exp_part
 
 
 def residue_at_imag_pole(p: VerifierParams, n: int) -> complex:
@@ -230,11 +225,7 @@ def residue_at_imag_pole(p: VerifierParams, n: int) -> complex:
     with E(mu) = e^{-2 pi n v mu / k}/(1 - e^{-2 pi n v}).
     """
     _validate_pole_index(p, n)
-    try:
-        e_plus, e_minus = cmath.exp(2j * math.pi * n * p.z), cmath.exp(-2j * math.pi * n * p.z)
-    except OverflowError:
-        raise DomainError(f"residue_at_imag_pole at v={p.v}, z={p.z}, n={n}: e^(2 pi i n z) overflows") from None
-    return _simple_residue(n, p.k, p.h, -_TWO_PI * n * p.v, math.pi * n * p.v, 1j, e_plus, e_plus, e_minus)
+    return _imag_family_residue(n, p.k, p.h, p.v, p.z, ("residue_at_imag_pole", p.v, p.z, n))
 
 
 def residue_at_real_pole(p: VerifierParams, n: int) -> complex:
@@ -246,16 +237,13 @@ def residue_at_real_pole(p: VerifierParams, n: int) -> complex:
         + (1/(2 pi i n)) [ e^{-2 pi n z / v}/(1 - e^{-2 pi n / v})
                           + e^{2 pi n z / v} e^{-2 pi n / v}/(1 - e^{-2 pi n / v}) ]
 
-    with E(w) = e^{-2 pi n w/(k v)}/(1 - e^{-2 pi n / v}); the block sum runs
-    over the residue classes w = h mu mod k, reindexed through
-    H h = -1 (mod k).
+    with E(w) = e^{-2 pi n w/(k v)}/(1 - e^{-2 pi n / v}).  This is minus the
+    imaginary-family formula at pole -n of the swapped point (H, 1/v, -iz/v):
+    there E(j) is -E(k - j), and with w = k - j and coth odd each group is
+    minus its group here.
     """
     _validate_pole_index(p, n)
-    try:
-        e_minus, e_plus = cmath.exp(-_TWO_PI * n * p.z / p.v), cmath.exp(_TWO_PI * n * p.z / p.v)
-    except OverflowError:
-        raise DomainError(f"residue_at_real_pole at v={p.v}, z={p.z}, n={n}: e^(2 pi n z/v) overflows") from None
-    return _simple_residue(n, p.k, p.H, -_TWO_PI * n / p.v, math.pi * n / p.v, -1j, e_minus, e_plus, e_minus)
+    return -_imag_family_residue(-n, p.k, *_swap(p), ("residue_at_real_pole", p.v, p.z, n))
 
 
 @dataclass(frozen=True)
@@ -339,14 +327,6 @@ def circle_residue(func, pole: complex, radius: float) -> complex:
     return complex(_circle_sums(func, pole, radius))
 
 
-def numeric_residue(p: VerifierParams, pole: complex) -> complex:
-    """Quadrature residue of the kernel at the given pole: 64 points on the circle
-    of radius 0.35 times the pole's family spacing.  A point that is not a
-    kernel pole raises ValidationError."""
-    radius = _circle_radius(p, _pole_family(p, complex(pole)))
-    return circle_residue(lambda x: eval_kernel(p, x), pole, radius)
-
-
 @dataclass(frozen=True)
 class ResidueReport:
     """Closed form vs quadrature oracle for one pole."""
@@ -367,8 +347,9 @@ def simple_pole_report(p: VerifierParams, family: str, n: int) -> ResidueReport:
     """Report for the simple pole of the given family ("imag" or "real")."""
     if family not in _CLOSED_FORMS:
         raise ValidationError(f"family must be 'imag' or 'real', got {family!r}")
-    pole = _pole(p, family, n)
-    return ResidueReport(pole=pole, closed_form=_CLOSED_FORMS[family](p, n), oracle=numeric_residue(p, pole))
+    pole, closed = _pole(p, family, n), _CLOSED_FORMS[family](p, n)
+    oracle = circle_residue(lambda x: eval_kernel(p, x), pole, _circle_radius(p, family))
+    return ResidueReport(pole=pole, closed_form=closed, oracle=oracle)
 
 
 @dataclass(frozen=True)
@@ -384,7 +365,8 @@ class OriginReport:
 
 
 def origin_report(p: VerifierParams) -> OriginReport:
-    return OriginReport(origin=residue_at_origin(p), oracle=numeric_residue(p, 0j))
+    oracle = circle_residue(lambda x: eval_kernel(p, x), 0j, _circle_radius(p, "origin"))
+    return OriginReport(origin=residue_at_origin(p), oracle=oracle)
 
 
 def enclosed_poles(p: VerifierParams) -> list[tuple[str, int, complex]]:
@@ -495,8 +477,9 @@ def closure_residual(p: VerifierParams) -> ClosureReport:
 
     Holds exactly at every finite m for any meromorphic integrand, so it
     validates kernel, pole bookkeeping and quadrature at once, independent of
-    any closed form.  The circles are numeric_residue's (64 points, 0.35
-    times the family spacing), all of them in one kernel call.
+    any closed form.  The circles are those of simple_pole_report and
+    origin_report (64 points, 0.35 times the family spacing), all of them in
+    one kernel call.
     """
     enclosed = enclosed_poles(p)
     centres = [pole for *_, pole in enclosed]
@@ -577,8 +560,8 @@ def _log_sum_cap(a: complex, r: float, one_minus_r: float, cap: int | Truncation
         return cap
 
 
-def _class_log_sum(h: int, k: int, v: complex, z: complex, cap: int | TruncationControl) -> complex:
-    """The sums of log_theta1_by_residue_classes at (h, k, v, z), added:
+def _class_log_sum(k: int, h: int, v: complex, z: complex, cap: int | TruncationControl) -> complex:
+    """The sums of log_theta1_by_residue_classes at the point (h, v, z), added:
     sum_{mu=1}^{k} S(a_mu) + S(a_mu e^{2 pi i z}) + S(a_{mu-1} e^{-2 pi i z}) with
     a_j = e^{2 pi i h j/k - 2 pi v j/k}, each S cut where _log_sum_cap says.
     """
@@ -618,7 +601,7 @@ def log_theta1_by_residue_classes(
     if abs(zz.imag) >= v.real:
         raise DomainError(f"|Im z| = {abs(zz.imag):.6g} must stay below Re v = {v.real:.6g}")
     closed = -0.5j * math.pi + 1j * math.pi * zz + 1j * math.pi * (1j * v + params.h) / (4 * params.k)
-    return closed - _class_log_sum(params.h, params.k, v, zz, ctl)
+    return closed - _class_log_sum(params.k, params.h, v, zz, ctl)
 
 
 def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
@@ -648,8 +631,8 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     v, k = p.v, p.k
     s_hk = float(dedekind_sum_fast(p.h, p.k))
     try:
-        main_sums = _class_log_sum(p.h, k, v, z, sum_cap)
-        swap_sums = _class_log_sum(p.H, k, 1.0 / v, -1j * z / v, sum_cap)
+        main_sums = _class_log_sum(k, p.h, v, z, sum_cap)
+        swap_sums = _class_log_sum(k, *_swap(p), sum_cap)
     except OverflowError:  # e^(2 pi i z) at z or at the swapped -iz/v
         raise DomainError(f"log_identity_residual at v={v}, z={z}: e^(2 pi i z) overflows") from None
     lhs = (

@@ -163,9 +163,10 @@ def _series_cutoff(t: complex, z: complex, lead: complex, ctl: TruncationControl
     n_half = min(r + math.log(2.0) / (2.0 * a) - 2.0, _MAX_TERMS // 2)
     while n < n_half and tail(n) > 4.0 * ctl.tolerance:
         n += 1
-    if n >= _MAX_TERMS // 2:
-        raise TruncationError(f"theta1 series needs {round(2 * max(n, start) + 2, 0):.15g} terms for tolerance "
-                              f"{ctl.tolerance} at Im tau = {t.imag:.3g} (cap {_MAX_TERMS}); reduce tau (theta1_fast)")
+    if n >= _MAX_TERMS // 2:  # the loops stop at the cap, so only a root past it gives the count needed
+        need = f"{round(2 * start + 2, 0):.15g}" if start >= _MAX_TERMS // 2 else f"more than {_MAX_TERMS}"
+        raise TruncationError(f"theta1 series needs {need} terms for tolerance {ctl.tolerance} at Im tau = "
+                              f"{t.imag:.3g} (cap {_MAX_TERMS}); reduce tau (theta1_fast)")
     # every term is bounded by e^{peak}; the exponent at x_p, the largest term, sets its relative error
     x_p = max(0.5, r)
     exponent = math.pi * (abs(t) * x_p * x_p + 2.0 * x_p * abs(z)) + abs(lead)

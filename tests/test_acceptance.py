@@ -25,12 +25,11 @@ from thetamod import (
     lattice_distance,
     log_identity_residual,
     neg_mod_inverse,
-    origin_report,
-    simple_pole_report,
     theta1_fast_info,
     theta1_series,
     theta1_product,
     transform_sweep,
+    verify_residues,
 )
 from thetamod.residues import EDGE_LIMITS
 
@@ -168,16 +167,13 @@ def test_criterion_06_closed_forms_vs_oracle():
         H = neg_mod_inverse(h, k)
         for m in (2, 3):
             for v in (1.3, 2.0):
-                params = VerifierParams(h=h, k=k, H=H, v=v, z=0.2 + 0.1j, m=m)
-                for family in ("imag", "real"):
-                    for n in range(-m, m + 1):
-                        if n == 0:
-                            continue
-                        rep = simple_pole_report(params, family, n)
-                        worst_simple = max(worst_simple, rep.discrepancy)
-                orep = origin_report(params)
-                worst_origin = max(worst_origin, orep.discrepancy_assembled)
-                compact_discrepancies.append(orep.origin.discrepancy)
+                result = verify_residues(VerifierParams(h=h, k=k, H=H, v=v, z=0.2 + 0.1j, m=m))
+                # the path verify-residues runs: each closed form against closure's circle residue,
+                # the origin first (its assembled form), then both simple-pole families
+                gaps = [abs(c - e.residue) for e, c in zip(result.closure.poles, result.closed_forms)]
+                worst_origin = max(worst_origin, gaps[0])
+                worst_simple = max(worst_simple, *gaps[1:])
+                compact_discrepancies.append(result.origin.discrepancy)
     elapsed = time.perf_counter() - start
     # the compact origin form differs from the oracle-backed assembly by a
     # constant 1/2; the discrepancy record is emitted here, and closure

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import mp_residue_kernel
@@ -26,7 +27,6 @@ from thetamod import (
     geometric_log_sum,
     log_identity_residual,
     neg_mod_inverse,
-    numeric_residue,
     origin_report,
     residue_at_imag_pole,
     residue_at_origin,
@@ -84,12 +84,10 @@ class TestVerifierParams:
         lambda: geometric_log_sum(0.5, 0.5, 2.5),
         lambda: log_identity_residual(BASE, 2.5),
         lambda: verify_residues(BASE, 2.5),
-        lambda: numeric_residue(BASE, 0.1 + 0.1j),
-        lambda: numeric_residue(BASE, complex(math.nan, math.nan)),
     ],
     ids=["float h", "float H", "bool v", "str z", "bool m", "float h inverse", "inf z", "nan z",
          "inf radius", "nan pole", "nan log sum a", "float log sum cap", "float identity cap",
-         "float verify cap", "regular point residue", "nan point residue"],
+         "float verify cap"],
 )
 def test_parameter_types_raise_validation_error(call):
     with pytest.raises(ValidationError):
@@ -292,9 +290,10 @@ class TestKernelRange:
             contour_integral(self.SMALL_V)
 
     def test_numeric_residue_raises_domain_error(self):
-        pole = 40 / (self.SMALL_V.order * self.SMALL_V.v)  # the real-family pole n = -40
+        # the family circle simple_pole_report integrates, at the real-family pole n = -40
+        pole, radius = residues._pole(self.SMALL_V, "real", -40), residues._circle_radius(self.SMALL_V, "real")
         with pytest.raises(DomainError, match=self.WHERE):
-            numeric_residue(self.SMALL_V, pole)
+            circle_residue(lambda x: eval_kernel(self.SMALL_V, x), pole, radius)
 
     @pytest.mark.parametrize(
         "case, x",
@@ -401,6 +400,50 @@ class TestClosedFormResidues:
             residue_at_imag_pole(p, -3)
 
 
+def mp_imag_family(h, k, v, z, n):
+    """residue_at_imag_pole's docstring formula at 50 digits."""
+    with mp.workdps(50):
+        v, z, c = mp.mpf(v), mp.mpc(z), 1j / (2 * mp.pi * n)
+        q, ez = mp.exp(-2 * mp.pi * n * v), mp.exp(2j * mp.pi * n * z)
+        blocks = sum(mp.exp(2j * mp.pi * n * h * mu / k) * mp.exp(-2 * mp.pi * n * v * mu / k) / (1 - q)
+                     for mu in range(1, k))
+        return complex(1j / (4 * mp.pi * n) * mp.coth(mp.pi * n * v) + c * (1 + 2 * ez) * blocks
+                       + c * (ez * q / (1 - q) + 1 / (ez * (1 - q))))
+
+
+def mp_real_family(H, k, v, z, n):
+    """residue_at_real_pole's docstring formula at 50 digits, written out (not through the swap)."""
+    with mp.workdps(50):
+        v, z, c = mp.mpf(v), mp.mpc(z), 1 / (2j * mp.pi * n)
+        q, ez = mp.exp(-2 * mp.pi * n / v), mp.exp(-2 * mp.pi * n * z / v)
+        blocks = sum(mp.exp(2j * mp.pi * n * H * w / k) * mp.exp(-2 * mp.pi * n * w / (k * v)) / (1 - q)
+                     for w in range(1, k))
+        return complex(1 / (4j * mp.pi * n) * mp.coth(mp.pi * n / v) + c * (1 + 2 * ez) * blocks
+                       + c * (ez / (1 - q) + q / (ez * (1 - q))))
+
+
+class TestClosedFormsAgainstMpmath:
+    def test_both_families_match_their_formulas_at_50_digits(self):
+        # seeded draws: k in {1, 2, 3, 5, 7, 13}, v log-uniform in [0.1, 10], |Re z| <= 1.5, m <= 64;
+        # n is redrawn while a weight e^(2 pi |n| Im z) or e^(2 pi |n| Re z / v) would pass e^700,
+        # where the closed forms raise DomainError instead (TestClosedFormResidues covers that)
+        rng = random.Random(26)
+        worst = {"imag": 0.0, "real": 0.0}
+        for _ in range(300):
+            k = rng.choice((1, 2, 3, 5, 7, 13))
+            h = rng.choice([h for h in range(k) if math.gcd(h, k) == 1])
+            v = 10 ** rng.uniform(-1, 1)
+            z = complex(rng.uniform(-1.5, 1.5), rng.choice((-1, 1)) * rng.uniform(0.001, 0.999) * v)
+            p = VerifierParams(h=h, k=k, H=neg_mod_inverse(h, k), v=v, z=z, m=rng.randint(1, 64))
+            n = 0
+            while not n or 2 * math.pi * abs(n) * max(abs(z.imag), abs(z.real) / v) > 700:
+                n = rng.choice((-1, 1)) * rng.randint(1, p.m)
+            for family, closed, reference in (("imag", residue_at_imag_pole(p, n), mp_imag_family(h, k, v, z, n)),
+                                              ("real", residue_at_real_pole(p, n), mp_real_family(p.H, k, v, z, n))):
+                worst[family] = max(worst[family], abs(closed - reference) / abs(reference))
+        assert worst["imag"] <= 1e-12 and worst["real"] <= 1e-12, worst
+
+
 class TestOriginResidue:
     def test_assembled_matches_oracle(self):
         report = origin_report(BASE)
@@ -436,17 +479,14 @@ class TestOriginResidue:
 
 class TestNumericResidueGeometry:
     def test_default_radius_works(self):
-        pole = 1j * 1 / BASE.order
-        value = numeric_residue(BASE, pole)
-        assert abs(value - residue_at_imag_pole(BASE, 1)) < 1e-8
-
-    def test_only_kernel_poles_are_accepted(self):
-        pole = 1j / BASE.order
-        for x in (0.1 + 0.1j, pole + 1e-9, pole.imag, complex(math.inf, 0.0), complex(0.0, math.nan)):
-            with pytest.raises(ValidationError, match="is not a kernel pole"):
-                numeric_residue(BASE, x)
-        # a point off the pole by rounding is still that pole
-        assert abs(numeric_residue(BASE, pole + 1e-16) - residue_at_imag_pole(BASE, 1)) < 1e-8
+        # the per-pole oracles integrate 0.35 times the family spacing: 1/N, 1/(N v), 1/(N max(1, v))
+        kernel = lambda x: eval_kernel(BASE, x)  # noqa: E731
+        report = simple_pole_report(BASE, "imag", 1)
+        assert report.oracle == circle_residue(kernel, 1j / BASE.order, 0.35 / BASE.order)
+        assert abs(report.oracle - residue_at_imag_pole(BASE, 1)) < 1e-8
+        report = simple_pole_report(BASE, "real", 1)
+        assert report.oracle == circle_residue(kernel, -1 / (BASE.order * BASE.v), 0.35 / (BASE.order * BASE.v))
+        assert origin_report(BASE).oracle == circle_residue(kernel, 0j, 0.35 / (BASE.order * BASE.v))
 
 
 class TestClosure:
@@ -707,9 +747,9 @@ class TestLogSumCut:
     def test_cut_stays_at_the_cap_where_rounding_needs_more(self, v, monkeypatch):
         # at v = 1e-3 the rounding cut lies past 400 terms, at 1e-5 past the 200 000-term cap of
         # _product_cutoff: both sums run to the cap, and no TruncationError escapes
-        cut = residues._class_log_sum(3, 7, v, 0.2 - v / 10 * 1j, 400)
+        cut = residues._class_log_sum(7, 3, v, 0.2 - v / 10 * 1j, 400)
         monkeypatch.setattr(residues, "_log_sum_cap", self.full_cap)
-        assert cut == residues._class_log_sum(3, 7, v, 0.2 - v / 10 * 1j, 400)
+        assert cut == residues._class_log_sum(7, 3, v, 0.2 - v / 10 * 1j, 400)
         monkeypatch.undo()
         params = VerifierParams(h=3, k=7, H=2, v=v, z=0.2 - v / 10 * 1j, m=3)
         with pytest.raises(DomainError, match="e\\^\\(2 pi i z\\) overflows"):
@@ -779,4 +819,3 @@ class TestNearestOtherPoleDistance:
             nearest = min(abs(x - pole) for key, pole in lattice.items() if key != (family, n))
             radius = residues._circle_radius(params, family)
             assert abs(radius - 0.35 * nearest) <= 1e-13 * 0.35 * nearest, (family, n)
-            assert residues._pole_family(params, x) == family

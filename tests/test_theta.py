@@ -89,6 +89,14 @@ class TestTheta1Series:
         with pytest.raises(TruncationError, match=r"needs \d+ terms .* \(cap 200000\)"):
             theta1_series(0.2, 0.3 + 1e-10j)
 
+    def test_term_cap_message_counts_only_what_it_knows(self):
+        # at 1e-9 the tolerance root lies below the cap and the tail loop stops at it: the need is
+        # past the cap, not 200002; at 1e-12 the root itself lies past the cap and is the count
+        with pytest.raises(TruncationError, match=r"needs more than 200000 terms .* \(cap 200000\)"):
+            theta1_series_info(0.1, 0.1 + 1e-9j)
+        with pytest.raises(TruncationError, match=r"needs 5931349 terms .* \(cap 200000\)"):
+            theta1_series_info(0.1, 0.1 + 1e-12j)
+
     def test_lower_half_plane_rejected(self):
         with pytest.raises(DomainError):
             theta1_series(0.1, -1j)
