@@ -28,10 +28,10 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from statistics import median
 
 from . import __version__
+from ._record import record
 from .dedekind import dedekind_sum_fast, eta_multiplier, theta_multiplier
 from .errors import ThetamodError, ValidationError
 from .modular import ModularMatrix, moebius_apply, neg_mod_inverse, reduce_to_fundamental_domain
@@ -73,7 +73,7 @@ def _parse_tolerance(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     """One command's result rows (flat dicts in output key order, the same keys
     in every row), the JSON fields after `results`, and the text layout."""
@@ -81,14 +81,14 @@ class Report:
     params: dict
     rows: list[dict]
     text: list[str]
-    summary: dict = field(default_factory=dict)
+    summary: dict | None = None
     code: int = 0
 
 
 def _emit(args, report: Report) -> int:
     if args.format == "json":
         document = {"command": args.command, "params": report.params, "results": report.rows,
-                    **report.summary, "version": __version__}
+                    **(report.summary or {}), "version": __version__}
         payload = json.dumps(document, indent=2) + "\n"
     elif args.format == "csv":
         buffer = io.StringIO()

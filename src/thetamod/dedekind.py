@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import DomainError, ValidationError
 from .modular import ModularMatrix
 
@@ -80,7 +80,7 @@ def dedekind_sum_fast(h: int, k: int) -> Fraction:
     return Fraction(h + pow(h, -1, k) + k * alternating - (k if sign > 0 else 3 * k), 12 * k)
 
 
-@dataclass(frozen=True)
+@record
 class MultiplierValue:
     """Unit-modulus multiplier exp(i pi phase), phase an exact rational.
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DomainError, NonConvergenceError, ValidationError
 
 __all__ = [
@@ -50,7 +50,7 @@ def require_int(**values) -> None:
             raise ValidationError(f"{name}={value!r} is not an integer")
 
 
-@dataclass(frozen=True)
+@record
 class ModularMatrix:
     """Integer matrix (a, b; c, d) with a*d - b*c = 1 exactly."""
 
@@ -167,7 +167,7 @@ def _gauss_reduce(tau: complex, max_steps: int = 1000) -> tuple[ModularMatrix, c
                               "float Gauss steps that maps it into the domain")
 
 
-@dataclass(frozen=True)
+@record
 class TransformParams:
     """Change-of-variables parameters H, h, k and v = -i(c tau + d).
 

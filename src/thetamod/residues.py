@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from ._record import record
 from .dedekind import dedekind_sum_fast
 from .errors import DomainError, GeometryError, QuadratureError, TruncationError, ValidationError
 from .modular import TransformParams, require_int
@@ -77,7 +77,7 @@ _TWO_PI = 2.0 * math.pi
 _ROUNDING = TruncationControl(1e-16)  # a tail this small changes no digit of the log identity's O(1) sums
 
 
-@dataclass(frozen=True)
+@record
 class VerifierParams(TransformParams):
     """Kernel parameters (h, k, H, v, z, m); the order N = m + 1/2 derives.
 
@@ -108,15 +108,6 @@ class VerifierParams(TransformParams):
     def order(self) -> float:
         """Half-integer order N = m + 1/2."""
         return self.m + 0.5
-
-
-# The closed-form residues evaluate a few scalars each, so they keep cmath and
-# math: the array form of e^p/(1 - e^q) costs ~15 us on a scalar, this ~0.6 us.
-def _exp_ratio(p: complex, q: complex) -> complex:
-    """e^p / (1 - e^q), rewritten when Re q > 0 so nothing overflows."""
-    if q.real > 0:
-        return -cmath.exp(p - q) / (1 - cmath.exp(-q))
-    return cmath.exp(p) / (1 - cmath.exp(q))
 
 
 def _pole(p: VerifierParams, family: str, n: int) -> complex:
@@ -194,9 +185,11 @@ def _swap(p: VerifierParams) -> tuple[int, float, complex]:
     return p.H, 1.0 / p.v, -1j * complex(p.z) / p.v
 
 
+# The closed-form residues evaluate a few scalars each, so they keep cmath and
+# math: a ratio e^p/(1 - e^q) costs ~15 us in numpy's array form on a scalar, ~0.6 us in cmath.
 def _imag_family_residue(n: int, k: int, g: int, v: float, z: complex, where: tuple) -> complex:
-    """residue_at_imag_pole's formula at pole n of the parameters (g, k, v, z).  A DomainError names the
-    public call where = (name, v, z, n) when e^{2 pi i n z} overflows."""
+    """residue_at_imag_pole's formula at pole n of the parameters (g, k, v, z), in 2k + 1 complex
+    exponentials.  A DomainError names the public call where = (name, v, z, n) when e^{2 pi i n z} overflows."""
     try:
         e_plus, e_minus = cmath.exp(2j * math.pi * n * z), cmath.exp(-2j * math.pi * n * z)
     except OverflowError:
@@ -204,12 +197,18 @@ def _imag_family_residue(n: int, k: int, g: int, v: float, z: complex, where: tu
     beta, coth_arg = complex(-_TWO_PI * n * v), math.pi * n * v
     e = math.exp(-2 * abs(coth_arg))  # coth(coth_arg) from e^(-2 |coth_arg|)
     res = (1j / (4 * math.pi * n)) * math.copysign((1 + e) / (1 - e), coth_arg)
+    # every ratio e^p/(1 - e^beta) shares one denominator; where Re beta > 0 it is -e^(p - beta)/(1 - e^-beta),
+    # so nothing overflows, and for p = beta or 0 the numerator is the denominator's exponential or 1
+    flip = beta.real > 0
+    e_beta = cmath.exp(-beta if flip else beta)
+    den = 1 - e_beta
     if k > 1:
         block = 0j
         for j in range(1, k):
-            block += cmath.exp(2j * math.pi * n * g * j / k) * _exp_ratio(beta * j / k, beta)
+            ratio = -cmath.exp(beta * j / k - beta) / den if flip else cmath.exp(beta * j / k) / den
+            block += cmath.exp(2j * math.pi * n * g * j / k) * ratio
         res += (1j / (2 * math.pi * n)) * (1 + 2 * e_plus) * block
-    exp_part = e_plus * _exp_ratio(beta, beta) + e_minus * _exp_ratio(0j, beta)
+    exp_part = e_plus * (-1 / den if flip else e_beta / den) + e_minus * (-e_beta / den if flip else 1 / den)
     return res + (1j / (2 * math.pi * n)) * exp_part
 
 
@@ -246,7 +245,7 @@ def residue_at_real_pole(p: VerifierParams, n: int) -> complex:
     return -_imag_family_residue(-n, p.k, *_swap(p), ("residue_at_real_pole", p.v, p.z, n))
 
 
-@dataclass(frozen=True)
+@record
 class OriginResidue:
     """The two closed forms for the order-3 residue at x = 0.
 
@@ -327,7 +326,7 @@ def circle_residue(func, pole: complex, radius: float) -> complex:
     return complex(_circle_sums(func, pole, radius))
 
 
-@dataclass(frozen=True)
+@record
 class ResidueReport:
     """Closed form vs quadrature oracle for one pole."""
 
@@ -352,7 +351,7 @@ def simple_pole_report(p: VerifierParams, family: str, n: int) -> ResidueReport:
     return ResidueReport(pole=pole, closed_form=closed, oracle=oracle)
 
 
-@dataclass(frozen=True)
+@record
 class OriginReport:
     """Both origin closed forms against the oracle; never silently passes."""
 
@@ -401,14 +400,15 @@ def contour_integral(p: VerifierParams) -> complex:
 
     Composite adaptive 24-point Gauss-Legendre per edge, with dyadic
     pre-subdivision toward the vertices where the pole families accumulate,
-    down to ~1/(8 N), safely below the pole-to-path distance; the panel
-    tolerances add up to 1e-9.  Refinement is breadth first: a panel is split
-    until its halves agree with it, with the tolerance halved at each level,
-    and all panels of one level go to the kernel in one call.  The poles
-    nearest the path are n = +-m of both families, 1/(2 N hypot(1, v)) from
-    their edges (every outside pole is 1/(2 N max(1, v)) or more from a
-    vertex): GeometryError if that is below 1e-6, QuadratureError if
-    refinement stalls.
+    down to 2^-depth of an edge, depth = max(8, ceil(log2(8 N))): at most
+    1/(8 N), safely below the pole-to-path distance, and 2^-8 for every
+    m <= 31, where the floor binds.  The panel tolerances add up to 1e-9.
+    Refinement is breadth first: a panel is split until its halves agree with
+    it, with the tolerance halved at each level, and all panels of one level
+    go to the kernel in one call.  The poles nearest the path are n = +-m of
+    both families, 1/(2 N hypot(1, v)) from their edges (every outside pole is
+    1/(2 N max(1, v)) or more from a vertex): GeometryError if that is below
+    1e-6, QuadratureError if refinement stalls.
     """
     clearance = 0.5 / (p.order * math.hypot(1.0, p.v))
     if clearance < 1e-6:
@@ -458,7 +458,7 @@ class EnclosedResidue(NamedTuple):
     residue: complex
 
 
-@dataclass(frozen=True)
+@record
 class ClosureReport:
     """Residue-theorem closure at finite m: contour vs 2 pi i * residue sum,
     with the quadrature residue of every enclosed pole."""
@@ -511,7 +511,7 @@ def edge_limit_probe(p: VerifierParams, edge_index: int, t: float) -> complex:
 
 
 def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
-    """sum_{n=1}^{cap} a^n / (n (1 - r^n)) for a ratio 0 < |r| < 1.
+    """sum_{n=1}^{cap} a^n / (n (1 - r^n)) for a ratio 0 <= |r| < 1 (at r = 0, sum a^n/n -> -log(1 - a)).
 
     For |a| <= 3/4 the sum is taken term by term.  For larger |a| the head
     sum_n a^n / n (slowly convergent on |a| = 1, formally divergent beyond) is
@@ -523,8 +523,8 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
     aa, rr = complex(a), complex(r)
     if not cmath.isfinite(aa):
         raise ValidationError(f"a must be finite, got a = {aa}")
-    if not 0.0 < abs(rr) < 1.0:
-        raise DomainError(f"|r| must be in (0, 1), got r = {rr}")
+    if not abs(rr) < 1.0:
+        raise DomainError(f"|r| must be in [0, 1), got r = {rr}")
     require_int(cap=cap)
     if cap < 1:
         raise ValidationError(f"cap must be at least 1, got {cap}")
@@ -654,7 +654,7 @@ CLOSURE_REL_TOL = 1e-10  # closure passes below this share of 2 pi * (sum of |qu
 IDENTITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@record
 class ResidueVerification:
     """verify_residues at one point; closed_forms follow closure.poles: origin, imag, real (each by n)."""
 

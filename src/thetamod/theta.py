@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .dedekind import MultiplierValue, eta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
 from .modular import _gauss_reduce, require_upper_half
@@ -56,7 +56,7 @@ _SERIES_OVERFLOW = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class TruncationControl:
     """Absolute tail tolerance of every certified truncation: a product's or geometric sum's omitted tail is
     within tolerance, a theta series' within 4 tolerance (_series_cutoff)."""
@@ -71,7 +71,7 @@ class TruncationControl:
 DEFAULT_CONTROL = TruncationControl()
 
 
-@dataclass(frozen=True)
+@record
 class SeriesEval:
     """A value together with its term count and certified error bound."""
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from statistics import median
 
+from ._record import record
 from .dedekind import eta_multiplier, theta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
 from .modular import ModularMatrix, _affine, moebius_apply, principal_power, reduce_to_fundamental_domain
@@ -98,7 +98,7 @@ def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
     return z_red, int(m), int(n), -1j * math.pi * n * n * t - 2j * math.pi * n * z_red
 
 
-@dataclass(frozen=True)
+@record
 class ReductionTrace:
     """Record of one full (z, tau) reduction:
 
@@ -140,7 +140,7 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
     )
 
 
-@dataclass(frozen=True)
+@record
 class FastEval(SeriesEval):
     """theta1_fast result: the reduced series' terms, the carried-back bound, and the trace."""
 
@@ -247,7 +247,7 @@ def random_z(rng: random.Random, tau: complex) -> complex:
             return zz
 
 
-@dataclass(frozen=True)
+@record
 class SweepCase:
     matrix: ModularMatrix
     z: complex
@@ -255,7 +255,7 @@ class SweepCase:
     residual: float
 
 
-@dataclass(frozen=True)
+@record
 class SweepResult:
     kind: str
     seed: int

@@ -168,3 +168,22 @@ def test_fresh_process_loads_numpy_only_for_verify_residues(tmp_path):
     expected["same verify_residues"] = [0, True]
     assert report == expected
     assert (tmp_path / "residuals.csv").stat().st_size > 0
+
+
+NO_INSPECT = """
+import json, sys
+loaded = {}
+for name in ("thetamod", "thetamod.cli"):
+    before = set(sys.modules)
+    __import__(name)
+    loaded[name] = sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))
+print(json.dumps(loaded))
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # the records are built by thetamod._record; a module a site hook preloaded is not counted
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", NO_INSPECT], cwd=tmp_path, env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(run.stdout) == {"thetamod": [], "thetamod.cli": []}

@@ -331,6 +331,25 @@ class TestKernelCost:
         eval_kernel(params, xs)
         assert sum(counted) / xs.size == (k + 4 if k > 1 else 4)
 
+    @pytest.mark.parametrize("k, h, H", [(1, 0, 0), (2, 1, 1), (7, 3, 2)])
+    @pytest.mark.parametrize("n", [3, -3])
+    def test_closed_form_exponentials(self, k, h, H, n, monkeypatch):
+        # 2k + 1 complex exponentials a closed form, in both families and at both signs of Re beta;
+        # a denominator 1 - e^(+-beta) made again for each class takes 3k + 3
+        exp = cmath.exp
+        counted = []
+
+        def counting_exp(a):
+            counted.append(a)
+            return exp(a)
+
+        params = VerifierParams(h=h, k=k, H=H, v=1.5, z=0.2 - 0.1j, m=10)
+        monkeypatch.setattr(cmath, "exp", counting_exp)
+        for closed_form in (residue_at_imag_pole, residue_at_real_pole):
+            counted.clear()
+            closed_form(params, n)
+            assert len(counted) == 2 * k + 1
+
     def test_peak_memory_is_linear_in_the_points(self):
         # closure_residual's points at m = 64; at k = 1000 the classes go through in blocks
         import tracemalloc
@@ -779,6 +798,17 @@ def test_geometric_log_sum_real_ratio_matches_float_arithmetic():
         cap = rng.randint(1, 200)
         new, ref = geometric_log_sum(a, r, cap), float_ratio_log_sum(a, r, cap)
         assert (new.real.hex(), new.imag.hex()) == (ref.real.hex(), ref.imag.hex()), (a, r, cap)
+
+
+def test_geometric_log_sum_at_zero_ratio_is_minus_log():
+    # r = 0 (e^{-2 pi v} underflows past v ~ 118.5): S(a) = -log(1 - a), taken whole for |a| > 3/4
+    for a in (0.9j, -0.8, cmath.rect(0.99, 2.0)):
+        assert geometric_log_sum(a, 0.0, 1) == -cmath.log(1 - a)
+    for a in (0.5, 0.3 - 0.4j, -0.75):
+        assert geometric_log_sum(a, 0j, 200) == pytest.approx(-cmath.log(1 - a), rel=1e-15)
+    for r in (1.0, -1.0, 1j):
+        with pytest.raises(DomainError, match=r"\|r\| must be in \[0, 1\)"):
+            geometric_log_sum(0.5, r, 10)
 
 
 class TestNearestPoleDistance:
