@@ -380,26 +380,29 @@ def _vertices(p: VerifierParams) -> tuple[complex, ...]:
     return (1.0 / p.v, 1j, -1.0 / p.v, -1j)
 
 
-@lru_cache(maxsize=1)
-def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(24)  # ~0.7 ms, so made once
+# bit for bit np.polynomial.legendre.leggauss(24), mirrored (it is exactly symmetric): numpy.polynomial never loads
+_GL_X = (0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451, 0.5454214713888396,
+         0.6480936519369755, 0.7401241915785544, 0.820001985973903, 0.8864155270044011, 0.9382745520027328,
+         0.9747285559713095, 0.9951872199970213)
+_GL_W = (0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552, 0.10744427011596556,
+         0.09761865210411393, 0.0861901615319532, 0.07334648141108016, 0.05929858491543636, 0.04427743881741941,
+         0.02853138862893356, 0.01234122979998869)
+_GL_NODES, _GL_WEIGHTS = np.array([-x for x in _GL_X[::-1]] + list(_GL_X)), np.array(_GL_W[::-1] + _GL_W)
 
 
 def _gl_panels(p: VerifierParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """24-point Gauss-Legendre values of the kernel on the panels [a_j, b_j],
     all from one kernel call."""
-    nodes, weights = _gl_rule()
     half = 0.5 * (b - a)
-    values = eval_kernel(p, (0.5 * (a + b))[:, None] + half[:, None] * nodes)
-    return (values @ weights) * half
+    return (eval_kernel(p, (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS) * half
 
 
 def contour_integral(p: VerifierParams) -> complex:
     """Integral of the kernel over the parallelogram (1/v, i, -1/v, -i),
     traversed counterclockwise.
 
-    Composite adaptive 24-point Gauss-Legendre per edge, with dyadic
-    pre-subdivision toward the vertices where the pole families accumulate,
+    Composite adaptive 24-point Gauss-Legendre (a constant table) per edge, with
+    sorted dyadic breakpoints toward the vertices where the pole families accumulate,
     down to 2^-depth of an edge, depth = max(8, ceil(log2(8 N))): at most
     1/(8 N), safely below the pole-to-path distance, and 2^-8 for every
     m <= 31, where the floor binds.  The panel tolerances add up to 1e-9.
@@ -417,7 +420,7 @@ def contour_integral(p: VerifierParams) -> complex:
     eb = np.roll(ea, -1)
     depth = max(8, math.ceil(math.log2(8.0 * p.order)))
     steps = 0.5 ** np.arange(1, depth + 1)
-    breaks = np.unique(np.r_[0.0, steps, 1.0 - steps, 1.0])
+    breaks = np.r_[0.0, steps[::-1], 1.0 - steps[1:], 1.0]  # sorted, 1/2 once
     a = (ea[:, None] + (eb - ea)[:, None] * breaks[:-1]).ravel()
     b = (ea[:, None] + (eb - ea)[:, None] * breaks[1:]).ravel()
     whole = _gl_panels(p, a, b)
@@ -548,10 +551,14 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
     return total
 
 
+def _log_sum_ratio(a: complex, r: float) -> float:  # q with S(a)'s n-th summand O(q^n): |a|, or |a| r past the head
+    return min(abs(a) if abs(a) <= 0.75 else abs(a) * r, 1.0 - 1e-12)
+
+
 def _log_sum_cap(a: complex, r: float, one_minus_r: float, cap: int | TruncationControl) -> int:
     """Terms of S(a) to sum: until the tail of omitted summands is below a TruncationControl's tolerance,
     or at most an integer cap, stopping sooner where that tail is below _ROUNDING's."""
-    ratio = min(abs(a) if abs(a) <= 0.75 else abs(a) * r, 1.0 - 1e-12)
+    ratio = _log_sum_ratio(a, r)
     if not isinstance(cap, int):
         return _product_cutoff((1.0 - ratio) / one_minus_r, ratio, cap)
     try:  # a ratio that rounds to 1 has no cut (and geometric_log_sum rejects it)
@@ -560,10 +567,11 @@ def _log_sum_cap(a: complex, r: float, one_minus_r: float, cap: int | Truncation
         return cap
 
 
-def _class_log_sum(k: int, h: int, v: complex, z: complex, cap: int | TruncationControl) -> complex:
+def _class_log_sum(k: int, h: int, v: complex, z: complex, cap: int | TruncationControl, needs=None) -> complex:
     """The sums of log_theta1_by_residue_classes at the point (h, v, z), added:
     sum_{mu=1}^{k} S(a_mu) + S(a_mu e^{2 pi i z}) + S(a_{mu-1} e^{-2 pi i z}) with
-    a_j = e^{2 pi i h j/k - 2 pi v j/k}, each S cut where _log_sum_cap says.
+    a_j = e^{2 pi i h j/k - 2 pi v j/k}, each S cut where _log_sum_cap says.  A short integer cap appends
+    to needs the n with ratio^n <= IDENTITY_TOL (1 - r), _product_cutoff's rule for a tail below IDENTITY_TOL.
     """
     v = complex(v)
     r = math.exp(-_TWO_PI * v.real)
@@ -575,7 +583,10 @@ def _class_log_sum(k: int, h: int, v: complex, z: complex, cap: int | Truncation
     total = 0j
     for mu in range(1, k + 1):
         for x in (a[mu], a[mu] * e_plus, a[mu - 1] * e_minus):
-            total += geometric_log_sum(x, ratio, _log_sum_cap(x, r, one_minus_r, cap))
+            terms = _log_sum_cap(x, r, one_minus_r, cap)
+            if needs is not None and terms == cap and (q := _log_sum_ratio(x, r)) ** cap > IDENTITY_TOL * one_minus_r:
+                needs.append(math.ceil(math.log(IDENTITY_TOL * one_minus_r) / math.log(q)))
+            total += geometric_log_sum(x, ratio, terms)
     return total
 
 
@@ -616,13 +627,14 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
         + i pi z - pi z / v,
 
     the right side is -(1/2) log v.  Every inner n-sum stops at sum_cap
-    terms, or sooner where its tail is below 1e-16; the sums are the
-    m -> infinity limits of the enclosed-residue totals, so a small residual
-    here is the identity the whole contour argument proves.  Each side is a
-    sum of principal-branch logarithms, so the identity holds only modulo
-    2 pi i.  Unlike log_theta1_by_residue_classes this does not require
-    |Re z| < 1 (that is, |Im z'| < 1/v on the swapped side): the identity
-    holds beyond it.
+    terms, or sooner where its tail is below 1e-16, and a sum_cap that leaves
+    a tail above IDENTITY_TOL raises TruncationError naming the terms needed;
+    the sums are the m -> infinity limits of the enclosed-residue totals, so
+    a small residual here is the identity the whole contour argument proves.
+    Each side is a sum of principal-branch logarithms, so the identity holds
+    only modulo 2 pi i.  Unlike log_theta1_by_residue_classes this does not
+    require |Re z| < 1 (that is, |Im z'| < 1/v on the swapped side): the
+    identity holds beyond it.
     """
     require_int(sum_cap=sum_cap)
     if sum_cap < 1:
@@ -630,11 +642,14 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     z = complex(p.z)
     v, k = p.v, p.k
     s_hk = float(dedekind_sum_fast(p.h, p.k))
+    needs: list[int] = []
     try:
-        main_sums = _class_log_sum(k, p.h, v, z, sum_cap)
-        swap_sums = _class_log_sum(k, *_swap(p), sum_cap)
+        main_sums = _class_log_sum(k, p.h, v, z, sum_cap, needs)
+        swap_sums = _class_log_sum(k, *_swap(p), sum_cap, needs)
     except OverflowError:  # e^(2 pi i z) at z or at the swapped -iz/v
         raise DomainError(f"log_identity_residual at v={v}, z={z}: e^(2 pi i z) overflows") from None
+    if needs:  # a short cap is an error, not a residual
+        raise TruncationError(f"log identity needs {max(needs)} terms, not {sum_cap}, for tails below {IDENTITY_TOL}")
     lhs = (
         swap_sums
         - main_sums

@@ -1,10 +1,13 @@
-"""Shared extended-precision oracles for the test suite.
+"""Shared oracles for the test suite.
 
-Every oracle here is a direct summation or product evaluated with mpmath at
-elevated working precision, independent of the code paths under test.
+The analytic oracles are direct summations or products evaluated with mpmath
+at elevated working precision; the multiplier oracle is Petersson's closed
+form in exact integers.  Each is independent of the code paths under test.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -84,3 +87,38 @@ def mp_residue_kernel(h: int, k: int, v: float, z: complex, m: int, x: complex, 
         total += e_z / xx / (1 - e_x) * e_v / (1 - e_v)
         total += 1 / (e_z * xx) * e_x / (1 - e_x) / (1 - e_v)
         return complex(total)
+
+
+def jacobi_symbol(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity in O(log n) integer steps
+    (Cohen, A Course in Computational Algebraic Number Theory, Algorithm 1.4.10)."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:  # (2/n) = -1 exactly for n = 3, 5 (mod 8)
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a  # reciprocity: the sign flips when both are 3 (mod 4)
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def petersson_eta_phase(a: int, b: int, c: int, d: int) -> Fraction:
+    """The phase p in [0, 2) of the eta multiplier eps(A) = e^{i pi p} of A = (a, b; c, d), c > 0, by
+    Petersson's closed form (Knopp, Modular Functions in Analytic Number Theory, ch. 4), no Dedekind sum:
+
+        v(A) = (d/c) e^{pi i [(a + d) c - b d (c^2 - 1) - 3 c]/12}                    for odd c,
+        v(A) = (c/|d|) e^{pi i [(a + d) c - b d (c^2 - 1) + 3 d - 3 - 3 c d]/12}      for even c,
+
+    with Jacobi symbols in front.  Knopp's law carries (c tau + d)^{1/2} and this library's carries
+    (-i (c tau + d))^{1/2}, so eps(A) = v(A) e^{i pi/4}.
+    """
+    head = (a + d) * c - b * d * (c * c - 1)
+    if c % 2:
+        symbol, bracket = jacobi_symbol(d, c), head - 3 * c
+    else:
+        symbol, bracket = jacobi_symbol(c, abs(d)), head + 3 * d - 3 - 3 * c * d
+    return (Fraction(bracket, 12) + Fraction(1, 4) + (symbol < 0)) % 2

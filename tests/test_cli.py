@@ -318,16 +318,22 @@ class TestVerifyResidues:
         assert code == 1
         assert "result: FAIL" in out
 
-    @pytest.mark.parametrize("v, code", [("120", 0), ("500", 1)])
+    @pytest.mark.parametrize("v, code", [("120", 0), ("500", 3)])
     def test_ratio_that_underflows_to_zero(self, capsys, v, code):
         # e^{-2 pi v} is 0 in double precision: the log sums take r = 0.  At v = 500 the swapped
-        # ratio e^{-2 pi/500} needs more than the 400 terms the identity's sums are capped at
-        code_out, out, _ = run_cli(capsys, "verify-residues", "--m", "3", "--k", "1", "--h", "0", "--v", v,
-                                   "--z", "0.2-0.1i", "--format", "json")
+        # ratio e^{-2 pi/500} needs 1513 terms, more than the default cap of 400: a short cap is a
+        # truncation error (exit 3), not a failed identity, and --cap 2000 passes
+        argv = ("verify-residues", "--m", "3", "--k", "1", "--h", "0", "--v", v, "--z", "0.2-0.1i", "--format", "json")
+        code_out, out, err = run_cli(capsys, *argv)
         assert code_out == code
+        if code == 3:
+            assert out == ""
+            assert err == "error: log identity needs 1513 terms, not 400, for tails below 1e-08\n"
+            code_out, out, _ = run_cli(capsys, *argv, "--cap", "2000")
+            assert code_out == 0
         report = json.loads(out)
         assert report["closure_residual"] < 1e-10
-        assert (report["identity_residual"] < 1e-12) if code == 0 else (1e-4 < report["identity_residual"] < 1e-3)
+        assert report["identity_residual"] < (1e-12 if code == 0 else 1e-11)  # 4.4e-13 at v = 120, 1.4e-12 at 500
 
     def test_kernel_out_of_range_exit_three(self, capsys):
         # the weighted blocks overflow at v = 0.01: one error line, no numpy warnings

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import EXTREME_TAUS
+from conftest import EXTREME_TAUS, jacobi_symbol, petersson_eta_phase
 from thetamod import (
     DomainError,
     ModularMatrix,
@@ -229,3 +231,47 @@ def test_integer_paths_return_exact_values_or_raise_library_errors():
     assert failures == []
     assert inexact == []
     assert rejected_matrices == {(0, 1, -1, 0)}
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 13, 97, 101, 1009])
+def test_jacobi_symbol_is_eulers_criterion_at_primes(n):
+    assert [jacobi_symbol(a, n) for a in range(-n, 2 * n)] == [
+        {0: 0, 1: 1, n - 1: -1}[pow(a, (n - 1) // 2, n)] for a in range(-n, 2 * n)]
+
+
+@st.composite
+def matrices_of_parity(draw, parity: int) -> ModularMatrix:
+    """A = (a, b; c, d) with c > 0 of the given parity and |a|, |b|, c, |d| up to about 10**300:
+    c/2 and |d| have about n digits for an n drawn from 1..300, so large and small sizes both occur."""
+    digits = st.sampled_from(range(1, 301))
+    n = draw(digits)
+    c = 2 * draw(st.integers(10 ** (n - 1) - parity, 10**n)) + parity
+    n = draw(digits)
+    d = draw(st.integers(10 ** (n - 1) - 1, 10**n)) * draw(st.sampled_from((1, -1)))
+    while math.gcd(c, d) != 1:  # the next d coprime to c, a few steps on
+        d += 1
+    a = pow(d, -1, c) - draw(st.integers(0, 1)) * c
+    return ModularMatrix(a, (a * d - 1) // c, c, d)
+
+
+def assert_petersson_phases(mat: ModularMatrix) -> None:
+    """eta's phase against Petersson's form, theta's against -i eps^3, exactly as Fractions mod 2."""
+    eta_phase = petersson_eta_phase(*mat.entries())
+    assert (eta_multiplier(mat).phase - eta_phase) % 2 == 0
+    assert (theta_multiplier(mat).phase - (3 * eta_phase - Fraction(1, 2))) % 2 == 0
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_multipliers_equal_petersson_closed_form(parity, data):
+    assert_petersson_phases(data.draw(matrices_of_parity(parity)))
+
+
+def test_multipliers_equal_petersson_closed_form_at_small_c():
+    # every coprime (c, d) with 1 <= c <= 24 and |d| <= 24, where hypothesis draws few
+    for c in range(1, 25):
+        for d in range(-24, 25):
+            if math.gcd(c, d) == 1:
+                a = pow(d, -1, c)
+                assert_petersson_phases(ModularMatrix(a, (a * d - 1) // c, c, d))

@@ -1,11 +1,14 @@
 """Import layout of the package: numpy stays confined to the residue verifier, which loads
 only on first use of a residue name or of verify-residues, and every exported name exists
 and is what the package imports.  The README's "Command line" block is read here, so each of
-its commands must keep running and only verify-residues may load numpy."""
+its commands must keep running and only verify-residues may load numpy.  The verifier's first
+call loads nothing of numpy past `import numpy`: its contour breakpoints and Gauss-Legendre
+rule are built without numpy.ma and numpy.polynomial, and equal what those would give."""
 
 import ast
 import importlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -187,3 +190,55 @@ def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
     run = subprocess.run([sys.executable, "-c", NO_INSPECT], cwd=tmp_path, env=env, capture_output=True,
                          text=True, check=True)
     assert json.loads(run.stdout) == {"thetamod": [], "thetamod.cli": []}
+
+
+FIRST_RESIDUE_CALL = """
+import json, sys
+from thetamod import residues
+before = set(sys.modules)
+residues.verify_residues(residues.VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=3))
+print(json.dumps(sorted(name for name in set(sys.modules) - before if name.split(".")[0] in ("numpy", "inspect"))))
+"""
+
+
+def test_first_residue_call_loads_no_more_of_numpy(tmp_path):
+    # numpy.ma (np.unique, which imports inspect) and numpy.polynomial (leggauss) stay unloaded; modules
+    # loaded before the call, by import numpy or a site hook, are not counted
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", FIRST_RESIDUE_CALL], cwd=tmp_path, env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(run.stdout) == []
+
+
+def test_gauss_legendre_table_is_leggauss_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    residues = _module("residues")
+    nodes, weights = leggauss(24)
+    assert residues._GL_NODES.tobytes() == nodes.tobytes()
+    assert residues._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_contour_breakpoints_equal_the_sorted_unique_form(monkeypatch):
+    # the first panels of contour_integral, for every m, against those of np.unique's breakpoints
+    import numpy as np
+
+    residues = _module("residues")
+    first = []
+
+    def record_first_panels(p, a, b):
+        first.append((a, b))
+        raise StopIteration
+
+    monkeypatch.setattr(residues, "_gl_panels", record_first_panels)
+    for m in range(1, 65):
+        p = residues.VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=m)
+        with pytest.raises(StopIteration):
+            residues.contour_integral(p)
+        steps = 0.5 ** np.arange(1, max(8, math.ceil(math.log2(8.0 * p.order))) + 1)
+        breaks = np.unique(np.r_[0.0, steps, 1.0 - steps, 1.0])
+        ea = np.array(residues._vertices(p))
+        eb = np.roll(ea, -1)
+        a, b = first.pop()
+        assert a.tobytes() == (ea[:, None] + (eb - ea)[:, None] * breaks[:-1]).ravel().tobytes()
+        assert b.tobytes() == (ea[:, None] + (eb - ea)[:, None] * breaks[1:]).ravel().tobytes()

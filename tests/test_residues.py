@@ -14,6 +14,7 @@ from thetamod import (
     GeometryError,
     QuadratureError,
     TransformParams,
+    TruncationError,
     ValidationError,
     VerifierParams,
     circle_residue,
@@ -691,10 +692,15 @@ class TestLogIdentity:
         residual = log_identity_residual(params, 400)
         assert math.expm1(residual) < 1e-8
 
-    def test_doubling_cap_reduces_residual(self):
+    def test_short_cap_raises_naming_the_terms_needed(self):
+        # a cap that leaves a sum's tail above IDENTITY_TOL is an error, not a residual: every short cap
+        # names the count the longest sum of both sides needs (30 at (h, v, z), 14 at the swapped point),
+        # and from that count on the identity holds
         params = VerifierParams(h=1, k=3, H=2, v=0.6, z=0.2 + 0.3j, m=2)
-        residuals = [log_identity_residual(params, cap) for cap in (4, 8, 16)]
-        assert residuals[0] > residuals[1] > residuals[2]
+        for cap in (4, 8, 16, 29):
+            with pytest.raises(TruncationError, match=f"^log identity needs 30 terms, not {cap}, for tails below"):
+                log_identity_residual(params, cap)
+        assert log_identity_residual(params, 30) < IDENTITY_TOL
 
     def test_branch_cut_rejected(self):
         # Re z = 0 with Im z > 0 puts the continued geometric head on [1, inf)
