@@ -23,7 +23,6 @@ __all__ = [
     "ModularMatrix",
     "IDENTITY",
     "S_INVERSION",
-    "require_upper_half",
     "moebius_apply",
     "principal_power",
     "reduce_to_fundamental_domain",
@@ -128,27 +127,30 @@ def principal_power(base: complex, exponent: complex) -> complex:
         raise DomainError(f"{b}**{exponent} leaves double range") from None
 
 
-def reduce_to_fundamental_domain(tau: complex, max_steps: int = 1000) -> tuple[ModularMatrix, complex]:
+def reduce_to_fundamental_domain(tau: complex) -> tuple[ModularMatrix, complex]:
     """Gauss-reduce tau into |Re| <= 1/2, |tau| >= 1.
 
     Returns (A, tau') with tau' = A tau, A signed so that c > 0 or A = (1, b; 0, 1)
     (-A acts identically).  Boundary points are accepted as-is
     (no canonical side is forced); Im tau' >= Im tau always.  Inputs that fail to settle
-    within max_steps, or on a matrix whose exact image is not a finite point of the domain to
+    within _GAUSS_STEPS steps, or on a matrix whose exact image is not a finite point of the domain to
     a 1e-12 margin (both only at precision limits near the real line) raise NonConvergenceError.
     """
-    mat, image, _ = _gauss_reduce(tau, max_steps)
+    mat, image, _ = _gauss_reduce(tau)
     return mat, image
 
 
-def _gauss_reduce(tau: complex, max_steps: int = 1000) -> tuple[ModularMatrix, complex, complex]:
+_GAUSS_STEPS = 1000  # float Gauss steps before a reduction gives up
+
+
+def _gauss_reduce(tau: complex) -> tuple[ModularMatrix, complex, complex]:
     """reduce_to_fundamental_domain's (A, A tau) and A's denominator c tau + d, formed once for the image check.
 
     0 - den negates exactly and keeps a zero part +0.0, as _affine(-c, -d, tau) would.
     """
     t = start = require_upper_half(tau)
     a, b, c, d = 1, 0, 0, 1  # the matrix so far, as ints: one ModularMatrix at the end
-    for _ in range(max_steps):
+    for _ in range(_GAUSS_STEPS):
         shift = round(t.real)
         if shift:
             a, b = a - shift * c, b - shift * d  # (1, -shift; 0, 1) times the matrix
@@ -163,7 +165,7 @@ def _gauss_reduce(tau: complex, max_steps: int = 1000) -> tuple[ModularMatrix, c
             break
         a, b, c, d = -c, -d, a, b  # S_INVERSION times the matrix
         t = -1 / t
-    raise NonConvergenceError(f"fundamental-domain reduction of tau={tau} found no matrix within {max_steps} "
+    raise NonConvergenceError(f"fundamental-domain reduction of tau={tau} found no matrix within {_GAUSS_STEPS} "
                               "float Gauss steps that maps it into the domain")
 
 

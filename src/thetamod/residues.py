@@ -40,40 +40,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _RESIDUE_NAMES as __all__  # the package's lazily loaded names
 from ._record import record
 from .dedekind import dedekind_sum_fast
 from .errors import DomainError, GeometryError, QuadratureError, TruncationError, ValidationError
 from .modular import TransformParams, require_int
 from .theta import DEFAULT_CONTROL, TruncationControl, _product_cutoff
 
-__all__ = [
-    "VerifierParams",
-    "ResidueReport",
-    "OriginResidue",
-    "eval_kernel",
-    "residue_at_imag_pole",
-    "residue_at_real_pole",
-    "residue_at_origin",
-    "circle_residue",
-    "simple_pole_report",
-    "origin_report",
-    "OriginReport",
-    "enclosed_poles",
-    "contour_integral",
-    "contour_gap",
-    "closure_residual",
-    "ClosureReport",
-    "EnclosedResidue",
-    "edge_limit_probe",
-    "EDGE_LIMITS",
-    "log_identity_residual",
-    "log_theta1_by_residue_classes",
-    "geometric_log_sum",
-    "verify_residues",
-    "ResidueVerification",
-]
-
 _TWO_PI = 2.0 * math.pi
+_LOG_SUM_HEAD = 0.75  # geometric_log_sum takes the head sum_n a^n/n in closed form for |a| above this
 _ROUNDING = TruncationControl(1e-16)  # a tail this small changes no digit of the log identity's O(1) sums
 
 
@@ -537,7 +512,7 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
         raise DomainError("geometric log sum hits the lattice: a = 1")
     if aa.imag == 0.0 and aa.real >= 1.0:
         raise DomainError(f"geometric log sum sits on the logarithmic branch cut: a = {aa.real:.6g} >= 1")
-    if abs(aa) <= 0.75:
+    if abs(aa) <= _LOG_SUM_HEAD:
         total, step = 0j, aa
     else:
         total, step = -cmath.log(1 - aa), aa * rr
@@ -552,7 +527,7 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
 
 
 def _log_sum_ratio(a: complex, r: float) -> float:  # q with S(a)'s n-th summand O(q^n): |a|, or |a| r past the head
-    return min(abs(a) if abs(a) <= 0.75 else abs(a) * r, 1.0 - 1e-12)
+    return min(abs(a) if abs(a) <= _LOG_SUM_HEAD else abs(a) * r, 1.0 - 1e-12)
 
 
 def _log_sum_cap(a: complex, r: float, one_minus_r: float, cap: int | TruncationControl) -> int:

@@ -36,12 +36,11 @@ from ._record import record
 from .dedekind import eta_multiplier, theta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
 from .modular import ModularMatrix, _affine, moebius_apply, principal_power, reduce_to_fundamental_domain
-from .modular import require_upper_half
+from .modular import require_int, require_upper_half
 from .theta import DEFAULT_CONTROL, SeriesEval, TruncationControl, _carry_back, _law_log, _require_finite_z, eta
 from .theta import lattice_distance, theta1_series, theta1_series_info
 
 __all__ = [
-    "TINY",
     "transform_rhs",
     "reduce_z",
     "ReductionTrace",
@@ -51,9 +50,6 @@ __all__ = [
     "FastEval",
     "verify_transformation",
     "verify_eta_transformation",
-    "random_modular_matrix",
-    "random_tau",
-    "random_z",
     "SweepCase",
     "SweepResult",
     "transform_sweep",
@@ -234,9 +230,9 @@ def random_modular_matrix(rng: random.Random) -> ModularMatrix:
         return ModularMatrix(a, b, c, d)
 
 
-def random_tau(rng: random.Random, im_range: tuple[float, float] = (0.3, 3.0)) -> complex:
-    """tau with |Re| <= 1 and Im in the given range."""
-    return complex(rng.uniform(-1.0, 1.0), rng.uniform(*im_range))
+def random_tau(rng: random.Random) -> complex:
+    """tau with |Re| <= 1 and 0.3 <= Im <= 3."""
+    return complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0))
 
 
 def random_z(rng: random.Random, tau: complex) -> complex:
@@ -278,6 +274,7 @@ def transform_sweep(count: int, seed: int, kind: str = "theta") -> SweepResult:
     """
     if kind not in ("theta", "eta"):
         raise ValidationError(f"unknown sweep kind {kind!r}")
+    require_int(count=count)
     if count < 1:
         raise ValidationError(f"count must be positive, got {count}")
     rng = random.Random(seed)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -275,3 +276,25 @@ def test_multipliers_equal_petersson_closed_form_at_small_c():
             if math.gcd(c, d) == 1:
                 a = pow(d, -1, c)
                 assert_petersson_phases(ModularMatrix(a, (a * d - 1) // c, c, d))
+
+
+def test_eta_multiplier_is_a_cocycle():
+    # eta(AB tau) by the law for AB, and by the laws for A at B tau and for B at tau, agree: with
+    # X = c_A (B tau) + d_A, Y = c_B tau + d_B and Z = c_M tau + d_M for M = +-AB signed to c >= 0,
+    # eps(M) = eps(A) eps(B) s where s = (-iX)^{1/2} (-iY)^{1/2} / (-iZ)^{1/2}, principal roots
+    rng = random.Random(5)
+    mismatches, quarter_turns = [], set()
+    for _ in range(2000):
+        a, b = random_modular_matrix(rng), random_modular_matrix(rng)
+        m = a @ b if (a @ b).c >= 0 else -(a @ b)
+        tau = random_tau(rng)
+        x, y, z = a.c * moebius_apply(b, tau) + a.d, b.c * tau + b.d, m.c * tau + m.d
+        s = cmath.sqrt(-1j * x) * cmath.sqrt(-1j * y) / cmath.sqrt(-1j * z)
+        turns = 4 * cmath.phase(s) / math.pi
+        assert abs(turns - round(turns)) < 1e-9
+        quarter_turns.add(round(turns))
+        defect = eta_multiplier(m).phase - eta_multiplier(a).phase - eta_multiplier(b).phase
+        if (defect - Fraction(round(turns), 4)) % 2:
+            mismatches.append((a, b))
+    assert mismatches == []
+    assert quarter_turns == {-1, 1}  # s is e^{+-i pi/4}, both signs drawn

@@ -1,9 +1,10 @@
 """Import layout of the package: numpy stays confined to the residue verifier, which loads
 only on first use of a residue name or of verify-residues, and every exported name exists
-and is what the package imports.  The README's "Command line" block is read here, so each of
-its commands must keep running and only verify-residues may load numpy.  The verifier's first
-call loads nothing of numpy past `import numpy`: its contour breakpoints and Gauss-Legendre
-rule are built without numpy.ma and numpy.polynomial, and equal what those would give."""
+and is declared once, in its module's __all__.  The README's "Command line" block is read
+here, so each of its commands must keep running and only verify-residues may load numpy.
+The verifier's first call loads nothing of numpy past `import numpy`: its contour
+breakpoints and Gauss-Legendre rule are built without numpy.ma and numpy.polynomial, and
+equal what those would give."""
 
 import ast
 import importlib
@@ -49,19 +50,16 @@ def test_every_exported_name_exists():
         assert not missing, f"{path.name} exports missing names {missing}"
 
 
-def test_package_imports_only_exported_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    for node in imports:
-        exported = set(_module(node.module).__all__)
-        unlisted = [alias.name for alias in node.names if alias.name not in exported]
-        assert not unlisted, f"thetamod imports {unlisted} from {node.module}, which does not export them"
-    lazy = thetamod._RESIDUE_NAMES
+def test_package_all_is_its_modules_lists():
+    # each public name is declared once, in its module's __all__; the lazy residue names are residues.__all__
+    names = thetamod.__all__
     residues = _module("residues")
-    assert len(set(lazy)) == len(lazy)
-    assert set(lazy) == set(residues.__all__)
-    assert [name for name in lazy if getattr(thetamod, name) is not getattr(residues, name)] == []
+    eager = [thetamod.dedekind, thetamod.errors, thetamod.modular, thetamod.theta, thetamod.transform]
+    assert len(set(names)) == len(names)
+    assert names == [name for module in eager for name in module.__all__] + list(thetamod._RESIDUE_NAMES)
+    assert residues.__all__ is thetamod._RESIDUE_NAMES
+    owner = {name: module for module in [*eager, residues] for name in module.__all__}
+    assert [name for name in names if getattr(thetamod, name) is not getattr(owner[name], name)] == []
 
 
 def test_package_all_is_the_public_names():

@@ -20,6 +20,7 @@ from thetamod import (
     reduce_to_fundamental_domain,
     transform_params_from_matrix,
 )
+from thetamod import modular
 from thetamod.modular import _affine, _gauss_reduce
 from thetamod.transform import random_modular_matrix
 
@@ -217,9 +218,10 @@ class TestFundamentalDomain:
             expected = _affine(mat.c, mat.d, tau)
             assert (den.real.hex(), den.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
-    def test_iteration_cap(self):
-        with pytest.raises(NonConvergenceError):
-            reduce_to_fundamental_domain(0.4142135623730951 + 1e-300j, max_steps=5)
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(modular, "_GAUSS_STEPS", 5)
+        with pytest.raises(NonConvergenceError, match="within 5 float Gauss steps"):
+            reduce_to_fundamental_domain(0.4142135623730951 + 1e-300j)
 
     def test_image_off_the_upper_half_plane_names_the_input(self):
         # at Im tau = 1e-300 the float loop settles on a matrix whose exact

@@ -346,6 +346,11 @@ class TestVerifyTransformation:
         result = transform_sweep(count=50, seed=17, kind="eta")
         assert result.max_residual < 1e-10
 
+    @pytest.mark.parametrize("count", [2.5, True, "3", 0, -1])
+    def test_sweep_count_must_be_a_positive_int(self, count):
+        with pytest.raises(ValidationError, match="count"):
+            transform_sweep(count, 1)
+
 
 @functools.lru_cache(maxsize=None)
 def _left_side_points(seed: int, count: int) -> tuple[tuple[complex, complex], ...]:
@@ -412,7 +417,7 @@ class TestMultiplierConsistency:
             expected = theta_multiplier(mat).value
             measured = []
             for _ in range(20):
-                tau = random_tau(rng, im_range=(0.5, 2.0))
+                tau = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0))
                 z = random_z(rng, tau)
                 den = mat.c * tau + mat.d
                 lhs = theta1_series(z / den, moebius_apply(mat, tau), TIGHT)
