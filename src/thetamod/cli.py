@@ -153,7 +153,7 @@ def _cmd_eta(args) -> Report:
 
 
 def _cmd_reduce(args) -> Report:
-    mat, tau_red = reduce_to_fundamental_domain(args.tau)
+    mat, tau_red, _ = reduce_to_fundamental_domain(args.tau)
     replay = abs(moebius_apply(mat.inverse(), tau_red) - args.tau) / abs(args.tau)
     a, b, c, d = mat.entries()
     row = {"a": a, "b": b, "c": c, "d": d, **_parts("tau", tau_red), "replay_residual": replay}

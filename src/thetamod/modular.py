@@ -127,26 +127,18 @@ def principal_power(base: complex, exponent: complex) -> complex:
         raise DomainError(f"{b}**{exponent} leaves double range") from None
 
 
-def reduce_to_fundamental_domain(tau: complex) -> tuple[ModularMatrix, complex]:
-    """Gauss-reduce tau into |Re| <= 1/2, |tau| >= 1.
-
-    Returns (A, tau') with tau' = A tau, A signed so that c > 0 or A = (1, b; 0, 1)
-    (-A acts identically).  Boundary points are accepted as-is
-    (no canonical side is forced); Im tau' >= Im tau always.  Inputs that fail to settle
-    within _GAUSS_STEPS steps, or on a matrix whose exact image is not a finite point of the domain to
-    a 1e-12 margin (both only at precision limits near the real line) raise NonConvergenceError.
-    """
-    mat, image, _ = _gauss_reduce(tau)
-    return mat, image
-
-
 _GAUSS_STEPS = 1000  # float Gauss steps before a reduction gives up
 
 
-def _gauss_reduce(tau: complex) -> tuple[ModularMatrix, complex, complex]:
-    """reduce_to_fundamental_domain's (A, A tau) and A's denominator c tau + d, formed once for the image check.
+def reduce_to_fundamental_domain(tau: complex) -> tuple[ModularMatrix, complex, complex]:
+    """Gauss-reduce tau into |Re| <= 1/2, |tau| >= 1.
 
-    0 - den negates exactly and keeps a zero part +0.0, as _affine(-c, -d, tau) would.
+    Returns (A, tau', c tau + d) with tau' = A tau, A signed so that c > 0 or A = (1, b; 0, 1)
+    (-A acts identically), and A's denominator as _affine(c, d, tau) forms it: 0 - den negates exactly
+    and keeps a zero part +0.0.  Boundary points are accepted as-is (no canonical side is forced);
+    Im tau' >= Im tau always.  Inputs that fail to settle within _GAUSS_STEPS steps, or on a matrix whose
+    exact image is not a finite point of the domain to a 1e-12 margin (both only at precision limits near
+    the real line) raise NonConvergenceError.
     """
     t = start = require_upper_half(tau)
     a, b, c, d = 1, 0, 0, 1  # the matrix so far, as ints: one ModularMatrix at the end

@@ -163,15 +163,15 @@ def _swap(p: VerifierParams) -> tuple[int, float, complex]:
 # The closed-form residues evaluate a few scalars each, so they keep cmath and
 # math: a ratio e^p/(1 - e^q) costs ~15 us in numpy's array form on a scalar, ~0.6 us in cmath.
 def _imag_family_residue(n: int, k: int, g: int, v: float, z: complex, where: tuple) -> complex:
-    """residue_at_imag_pole's formula at pole n of the parameters (g, k, v, z), in 2k + 1 complex
-    exponentials.  A DomainError names the public call where = (name, v, z, n) when e^{2 pi i n z} overflows."""
+    """residue_at_imag_pole's formula at pole n of (g, k, v, z), in 2k + 1 complex exponentials.  A DomainError
+    names the call where = (name, v, z, n) when e^{2 pi i n z} overflows or e^{-2 pi |n v|} = |e^beta| rounds to 1."""
     try:
         e_plus, e_minus = cmath.exp(2j * math.pi * n * z), cmath.exp(-2j * math.pi * n * z)
-    except OverflowError:
-        raise DomainError("{} at v={}, z={}, n={}: an exponential weight overflows".format(*where)) from None
-    beta, coth_arg = complex(-_TWO_PI * n * v), math.pi * n * v
-    e = math.exp(-2 * abs(coth_arg))  # coth(coth_arg) from e^(-2 |coth_arg|)
-    res = (1j / (4 * math.pi * n)) * math.copysign((1 + e) / (1 - e), coth_arg)
+        beta, coth_arg = complex(-_TWO_PI * n * v), math.pi * n * v
+        e = math.exp(-2 * abs(coth_arg))  # coth(coth_arg) from e^(-2 |coth_arg|)
+        res = (1j / (4 * math.pi * n)) * math.copysign((1 + e) / (1 - e), coth_arg)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("{} at v={}, z={}, n={}: an exponential or coth leaves double range".format(*where)) from None
     # every ratio e^p/(1 - e^beta) shares one denominator; where Re beta > 0 it is -e^(p - beta)/(1 - e^-beta),
     # so nothing overflows, and for p = beta or 0 the numerator is the denominator's exponential or 1
     flip = beta.real > 0
@@ -587,7 +587,10 @@ def log_theta1_by_residue_classes(
     if abs(zz.imag) >= v.real:
         raise DomainError(f"|Im z| = {abs(zz.imag):.6g} must stay below Re v = {v.real:.6g}")
     closed = -0.5j * math.pi + 1j * math.pi * zz + 1j * math.pi * (1j * v + params.h) / (4 * params.k)
-    return closed - _class_log_sum(params.k, params.h, v, zz, ctl)
+    try:
+        return closed - _class_log_sum(params.k, params.h, v, zz, ctl)
+    except OverflowError:  # e^(2 pi i z)
+        raise DomainError(f"log_theta1_by_residue_classes at v={v}, z={zz}: e^(2 pi i z) overflows") from None
 
 
 def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:

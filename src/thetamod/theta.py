@@ -30,7 +30,7 @@ import math
 from ._record import record
 from .dedekind import MultiplierValue, eta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
-from .modular import _gauss_reduce, require_upper_half
+from .modular import reduce_to_fundamental_domain, require_upper_half
 
 __all__ = [
     "TruncationControl",
@@ -116,7 +116,7 @@ def _carry_back(total: complex, bound: float, log_factor: complex, exponent_size
     absolute precision.  A value or bound outside double range raises DomainError; where() builds its message."""
     try:
         factor = cmath.exp(log_factor)
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: an infinite imaginary part
         factor = complex(math.inf)  # rejected below with any other non-finite result
     value = sign * factor * total
     err = bound * abs(factor) + _running_error(4, exponent_size, abs(value)) + 2.3e-308
@@ -239,7 +239,7 @@ def _triple_factors(z: complex, tau: complex, ctl: TruncationControl):
     try:
         q2 = cmath.exp(2j * math.pi * tau)  # Q^2
         w2, w2i = cmath.exp(2j * math.pi * z), cmath.exp(-2j * math.pi * z)
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: an infinite imaginary part
         raise DomainError(f"triple product factors leave double range at z={z}, tau={tau}") from None
     aq = abs(q2)
     n_cap = 1 + _product_cutoff((1.0 + abs(w2)) * aq + abs(w2i), aq, ctl)
@@ -280,16 +280,16 @@ def jacobi_triple_product_check(
         raise DomainError(f"|q| must be below 1, got {abs(qq)}")
     if qq == 0:
         return 1 + 0j, 1 + 0j  # only the n = 0 term; every product factor is 1
-    # the left side is theta1's series at q = e^{i pi tau}, e^{2 pi i z} = -w^2/q
-    tau = cmath.log(qq) / (1j * math.pi)
-    z = cmath.log(-ww * ww / qq) / (2j * math.pi)
-    try:  # w^2 overflowing leaves z non-finite; q near 0 leaves Q^2 = 0
+    try:  # w^2 overflowing leaves z non-finite, underflowing makes log(0) raise ValueError; q near 0 leaves Q^2 = 0
+        # the left side is theta1's series at q = e^{i pi tau}, e^{2 pi i z} = -w^2/q
+        tau = cmath.log(qq) / (1j * math.pi)
+        z = cmath.log(-ww * ww / qq) / (2j * math.pi)
         lhs = 1j * cmath.exp(-1j * math.pi * (z + tau / 4)) * theta1_series_info(z, tau, ctl).value
         rhs = math.prod(a * b * c for a, b, c in _triple_factors(z, tau, ctl))
-    except (DomainError, TruncationError) as exc:
+    except (DomainError, TruncationError, ValueError) as exc:
         raise TruncationError(
-            f"jacobi_triple_product_check at w={ww}, q={qq}: a side overflows "
-            "double precision or the series needs more terms than the cap"
+            f"jacobi_triple_product_check at w={ww}, q={qq}: a side leaves double "
+            "range or the series needs more terms than the cap"
         ) from exc
     return lhs, rhs
 
@@ -301,7 +301,7 @@ def eta_info(tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEv
     raises DomainError).  Relative precision holds near cusps.  The bound is absolute, its roundoff taken
     against the terms' peak 1, not |eta(tau')|: 1.2e-11 on a value of 2e-114 at tau = 1e3 i."""
     t = require_upper_half(tau)
-    mat, t_red, den = _gauss_reduce(t)
+    mat, t_red, den = reduce_to_fundamental_domain(t)
     t3 = 3 * t_red
     if not cmath.isfinite(t3):
         raise DomainError(f"eta at tau={tau}: 3 tau leaves double range")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 from statistics import median
 
 from ._record import record
@@ -70,10 +71,11 @@ def _theta_law_log(mat: ModularMatrix, z: complex, den: complex) -> complex:
 def transform_rhs(
     mat: ModularMatrix, z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
 ) -> complex:
-    """Right side of the law: eps1 * (-i(c tau+d))^{1/2} e^{pi i c z^2/(c tau+d)} theta1(z, tau), c >= 0."""
+    """Right side of the law, eps1 (-i(c tau+d))^{1/2} e^{pi i c z^2/(c tau+d)} theta1(z, tau), c >= 0 (_carry_back)."""
     t = require_upper_half(tau)
     zz = complex(z)
-    return cmath.exp(_theta_law_log(mat, zz, _affine(mat.c, mat.d, t))) * theta1_series(zz, t, ctl)
+    law = _theta_law_log(mat, zz, _affine(mat.c, mat.d, t))
+    return _carry_back(theta1_series(zz, t, ctl), 0.0, law, 0.0, lambda: f"transform_rhs at z={zz}, tau={t}", sign=1)[0]
 
 
 def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
@@ -82,16 +84,22 @@ def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
     Returns (z_red, m, n, exponent) with z = z_red + m + n tau and
     theta1(z, tau) = (-1)^{m+n} exp(exponent) theta1(z_red, tau), where
     exponent = -i pi n^2 tau - 2 i pi n z_red, left unexponentiated because
-    its real part can leave double range on its own.  A non-finite z raises
-    DomainError.
+    its real part can leave double range on its own.  A non-finite z or exponent, or a
+    shift z - n tau rounded where its real part reaches 2**52 (no digit of z left), raises DomainError.
     """
     t = require_upper_half(tau)
     zz = _require_finite_z(z)
-    n = round(zz.imag / t.imag)
-    partial = zz - n * t
-    m = round(partial.real)
-    z_red = partial - m
-    return z_red, int(m), int(n), -1j * math.pi * n * n * t - 2j * math.pi * n * z_red
+    try:  # round() of an infinite quotient or shift raises OverflowError
+        n = round(zz.imag / t.imag)
+        partial = zz - n * t
+        z_red = partial - (m := round(partial.real))
+        exponent = -1j * math.pi * n * n * t - 2j * math.pi * n * z_red
+    except OverflowError:
+        exponent = complex(math.inf)
+    if not cmath.isfinite(exponent) or (abs(partial.real) >= 2**52  # an exact shift, as at Re tau = 0, keeps z
+                                        and partial.real != Fraction(zz.real) - n * Fraction(t.real)):
+        raise DomainError(f"the lattice reduction of z={zz} at tau={t} leaves double range or precision")
+    return z_red, m, n, exponent
 
 
 @record
@@ -119,12 +127,11 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
     """
     t = require_upper_half(tau)
     zz = _require_finite_z(z)
-    mat, tau_red = reduce_to_fundamental_domain(t)
-    den = _affine(mat.c, mat.d, t)
-    z_image = zz / den
-    if not cmath.isfinite(z_image):
-        raise DomainError(f"z/(c tau + d) leaves double range at z={zz}, tau={t}")
-    z_red, m_shift, n_shift, quasi_log = reduce_z(z_image, tau_red)
+    mat, tau_red, den = reduce_to_fundamental_domain(t)
+    try:  # reduce_z names the image z/(c tau + d), a point the caller never passed
+        z_red, m_shift, n_shift, quasi_log = reduce_z(zz / den, tau_red)
+    except DomainError as exc:
+        raise DomainError(f"z/(c tau + d) or its lattice shift leaves double precision at z={zz}, tau={t}") from exc
     # theta1(z/(c t+d), tau_red) = e^{law_log} theta1(z, tau)
     #                            = (-1)^{m+n} e^{quasi_log} theta1(z_red, tau_red)
     return ReductionTrace(
@@ -190,12 +197,13 @@ def verify_transformation(
     The left side theta1(z/(c tau+d), A tau) is evaluated by the direct
     series (after a plain quasi-periodicity shift of its argument, which is a
     series identity independent of the law being tested); the right side by
-    transform_rhs.  Returns |lhs - rhs| / max(|lhs|, TINY).
+    transform_rhs.  Returns |lhs - rhs| / max(|lhs|, TINY); a side outside double range raises DomainError.
     """
     rhs = transform_rhs(mat, z, tau, ctl)  # rejects c < 0 and tau off the upper half-plane
     tau_image = moebius_apply(mat, tau)
     z_red, m, n, quasi_log = reduce_z(complex(z) / _affine(mat.c, mat.d, complex(tau)), tau_image)
-    lhs = (-1) ** (m + n) * cmath.exp(quasi_log) * theta1_series(z_red, tau_image, ctl)
+    lhs, _ = _carry_back(theta1_series(z_red, tau_image, ctl), 0.0, quasi_log, 0.0,
+                         lambda: f"verify_transformation at z={z}, tau={tau}: the left side", sign=(-1) ** (m + n))
     return abs(lhs - rhs) / max(abs(lhs), TINY)
 
 

@@ -27,6 +27,7 @@ from thetamod import (
     eval_kernel,
     geometric_log_sum,
     log_identity_residual,
+    log_theta1_by_residue_classes,
     neg_mod_inverse,
     origin_report,
     residue_at_imag_pole,
@@ -92,6 +93,28 @@ class TestVerifierParams:
 )
 def test_parameter_types_raise_validation_error(call):
     with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, where",
+    [
+        # coth(pi n v) and 1/(1 - e^{-2 pi n v}): e^{-2 pi |n v|} rounds to 1, where 1 - e used to divide by zero
+        (lambda: residue_at_imag_pole(VerifierParams(h=0, k=1, H=0, v=1e-300, z=1e-301j, m=1), 1),
+         r"residue_at_imag_pole at v=1e-300, z=1e-301j, n=1"),
+        (lambda: residue_at_imag_pole(VerifierParams(h=3, k=7, H=2, v=1e-300, z=0.2 + 1e-301j, m=1), -1),
+         r"residue_at_imag_pole at v=1e-300, z=\(0\.2\+1e-301j\), n=-1"),
+        # the swapped point's v is 1/v = 1e-300
+        (lambda: residue_at_real_pole(VerifierParams(h=0, k=1, H=0, v=1e300, z=0.2 + 0.1j, m=1), 1),
+         r"residue_at_real_pole at v=1e\+300, z=\(0\.2\+0\.1j\), n=1"),
+        # e^{2 pi i z} at Im z = -1e299, where a raw OverflowError used to escape
+        (lambda: log_theta1_by_residue_classes(TransformParams(H=0, h=0, k=1, v=1e300), 0.2 - 1e299j),
+         r"log_theta1_by_residue_classes at v=\(1e\+300\+0j\), z=\(0\.2-1e\+299j\)"),
+    ],
+    ids=["imag pole tiny v", "imag pole tiny v k=7", "real pole huge v", "class sums huge Im z"],
+)
+def test_values_outside_double_range_raise_domain_error_naming_the_call(call, where):
+    with pytest.raises(DomainError, match=where):
         call()
 
 

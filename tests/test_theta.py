@@ -299,6 +299,12 @@ class TestJacobiTripleProduct:
             jacobi_triple_product_check(1e-30, 0.5)
         assert "theta1_fast" not in str(info.value)
 
+    @pytest.mark.parametrize("w, q", [(1e-300, 0.999999), (1e-200, 0.5)])
+    def test_underflowing_w_squared_raises_truncation_error(self, w, q):
+        # w^2 rounds to 0, so z = log(-w^2/q)/(2 pi i) is log(0), which used to raise a raw ValueError
+        with pytest.raises(TruncationError, match=f"jacobi_triple_product_check at w=\\({w}\\+0j\\)"):
+            jacobi_triple_product_check(w, q)
+
     def test_vanishing_product_nome_gives_one(self):
         # q = 1e-300 puts Im tau near 220, where Q^2 = e^{2 pi i tau} underflows to 0; both sides are 1
         lhs, rhs = jacobi_triple_product_check(0.5, 1e-300)

@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+import re
 from statistics import pstdev
 
 import pytest
@@ -19,12 +20,15 @@ from thetamod import (
     TruncationError,
     ValidationError,
     eta_info,
+    log_theta1,
     moebius_apply,
     reduce_theta_arguments,
+    reduce_to_fundamental_domain,
     reduce_z,
     theta_multiplier,
     theta1_fast,
     theta1_fast_info,
+    theta1_product,
     theta1_series,
     theta1_series_info,
     transform_rhs,
@@ -33,7 +37,7 @@ from thetamod import (
     verify_transformation,
 )
 from thetamod import transform
-from thetamod.modular import _affine, _gauss_reduce
+from thetamod.modular import _affine
 from thetamod.transform import _theta_law_log, random_modular_matrix, random_tau, random_z
 
 TIGHT = TruncationControl(tolerance=1e-15)
@@ -285,14 +289,14 @@ def _bits(value: complex) -> tuple[str, str]:
 
 
 def test_reduction_trace_from_the_gauss_denominator_is_bit_identical():
-    # the trace rebuilt from the denominator _gauss_reduce returns, instead of a second
+    # the trace rebuilt from the denominator reduce_to_fundamental_domain returns, instead of a second
     # _affine(c, d, tau), is reduce_theta_arguments' trace to the bit
     rng = random.Random(23)
     for i in range(20000):
         re = rng.uniform(-3, 3) if i % 2 else rng.randint(-36, 36) / rng.randint(1, 12)
         tau = complex(re, 10 ** rng.uniform(-6, 1))
         z = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        mat, tau_red, den = _gauss_reduce(tau)
+        mat, tau_red, den = reduce_to_fundamental_domain(tau)
         z_red, m, n, quasi_log = reduce_z(z / den, tau_red)
         trace = reduce_theta_arguments(z, tau)
         assert (trace.matrix, _bits(trace.tau_reduced), _bits(trace.z_reduced), trace.lattice_shift,
@@ -300,20 +304,34 @@ def test_reduction_trace_from_the_gauss_denominator_is_bit_identical():
                                                 _bits(_theta_law_log(mat, z, den) - quasi_log))
 
 
+# the inversion, a translation by 10**300 and a c = 1 matrix with entries of that size
+EXTREME_MATRICES = [S_INVERSION, ModularMatrix(1, 10**300, 0, 1), ModularMatrix(10**300 + 1, 10**300, 1, 1)]
+
+
+def _numbers(result) -> list:
+    """The numbers a grid call returns: a SeriesEval's value and bound, a tuple's entries, or the value."""
+    if isinstance(result, SeriesEval):
+        return [result.value, result.error_bound]
+    return list(result) if isinstance(result, tuple) else [result]
+
+
 def test_entry_points_return_finite_or_raise_library_errors():
     calls = [(eta_info, (tau,)) for tau in EXTREME_TAUS]
-    calls += [(f, (z, tau)) for tau in EXTREME_TAUS for z in EXTREME_ZS for f in (theta1_series_info, theta1_fast_info)]
+    calls += [(f, (z, tau)) for tau in EXTREME_TAUS for z in EXTREME_ZS
+              for f in (theta1_series_info, theta1_fast_info, reduce_z, theta1_product, log_theta1)]
+    calls += [(f, (mat, z, tau)) for mat in EXTREME_MATRICES for tau in EXTREME_TAUS for z in EXTREME_ZS
+              for f in (transform_rhs, verify_transformation)]
     failures = []
     for f, args in calls:
         try:
-            info = f(*args)
+            result = f(*args)
         except ThetamodError:
             continue
         except Exception as exc:  # noqa: BLE001 - any other exception is the failure being counted
             failures.append(f"{f.__name__}{args}: {type(exc).__name__}: {exc}")
             continue
-        if not (cmath.isfinite(info.value) and math.isfinite(info.error_bound)):
-            failures.append(f"{f.__name__}{args}: value {info.value!r}, bound {info.error_bound!r}")
+        if not all(isinstance(x, int) or cmath.isfinite(x) for x in _numbers(result)):
+            failures.append(f"{f.__name__}{args}: {result!r}")
     assert failures == []
 
 
@@ -324,6 +342,21 @@ def test_reduced_z_outside_double_range_names_the_callers_point():
     message = str(info.value)
     assert "z=(-1e+300+0.001j), tau=(0.5+1e-200j)" in message
     assert "inf" not in message
+
+
+@pytest.mark.parametrize("z, tau", [(1e17 + 0.5j, 0.3 + 0.01j), (0.3 + 1e200j, 0.3 + 0.01j)])
+def test_lattice_shift_that_loses_z_names_the_callers_point(z, tau):
+    # the shift z - n tau at the reduced point rounds past 2**52 (the first point returned 0 with a
+    # bound of 1.2e-14, the second raised a raw ValueError); the message names (z, tau), not the image
+    with pytest.raises(DomainError, match=re.escape(f"at z={complex(z)}, tau={complex(tau)}")):
+        theta1_fast_info(z, tau)
+
+
+def test_exact_lattice_shift_past_2_52_is_kept():
+    # at Re tau = 0 the shift is exact: 1e17 + 2i is the lattice point 1e17 + 2 tau, where theta1 is 0
+    z_red, m, n, _ = reduce_z(1e17 + 2j, 1j)
+    assert (z_red, m, n) == (0j, 10**17, 2)
+    assert theta1_fast_info(1e17 + 2j, 1j).value == 0
 
 
 class TestVerifyTransformation:
@@ -341,6 +374,13 @@ class TestVerifyTransformation:
         a = transform_sweep(count=10, seed=99, kind="theta")
         b = transform_sweep(count=10, seed=99, kind="theta")
         assert a == b
+
+    @pytest.mark.parametrize("mat, z", [(S_INVERSION, 1e200), (ModularMatrix(1, 10**300, 0, 1), 0.3 + 4j)])
+    def test_side_outside_double_precision_raises_domain_error(self, mat, z):
+        # at tau = 2i: z^2 = 1e400 in the law factor (the residual was nan), and the left side's
+        # shift z - 2 A tau = 0.3 - 2e300 rounds z away (the residual was inf)
+        with pytest.raises(DomainError):
+            verify_transformation(mat, z, 2j)
 
     def test_eta_sweep(self):
         result = transform_sweep(count=50, seed=17, kind="eta")
