@@ -355,38 +355,45 @@ def _vertices(p: VerifierParams) -> tuple[complex, ...]:
     return (1.0 / p.v, 1j, -1.0 / p.v, -1j)
 
 
-# bit for bit np.polynomial.legendre.leggauss(24), mirrored (it is exactly symmetric): numpy.polynomial never loads
+# bit for bit np.polynomial.legendre.leggauss(24) and (12), mirrored (each is exactly symmetric): it never loads
 _GL_X = (0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451, 0.5454214713888396,
          0.6480936519369755, 0.7401241915785544, 0.820001985973903, 0.8864155270044011, 0.9382745520027328,
          0.9747285559713095, 0.9951872199970213)
 _GL_W = (0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552, 0.10744427011596556,
          0.09761865210411393, 0.0861901615319532, 0.07334648141108016, 0.05929858491543636, 0.04427743881741941,
          0.02853138862893356, 0.01234122979998869)
+_GL12_X = (0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047, 0.9041172563704748,
+           0.9815606342467192)
+_GL12_W = (0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642, 0.10693932599531907,
+           0.04717533638651141)
 _GL_NODES, _GL_WEIGHTS = np.array([-x for x in _GL_X[::-1]] + list(_GL_X)), np.array(_GL_W[::-1] + _GL_W)
+_GL12_NODES, _GL12_WEIGHTS = np.array([-x for x in _GL12_X[::-1]] + list(_GL12_X)), np.array(_GL12_W[::-1] + _GL12_W)
+_PANEL_NODES = np.concatenate([_GL_NODES, _GL12_NODES])  # 36 kernel points a panel
 
 
-def _gl_panels(p: VerifierParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """24-point Gauss-Legendre values of the kernel on the panels [a_j, b_j],
-    all from one kernel call."""
+def _gl_panels(p: VerifierParams, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """24- and 12-point Gauss-Legendre values of the kernel on the panels [a_j, b_j],
+    both from one kernel call on the 36 nodes of every panel."""
     half = 0.5 * (b - a)
-    return (eval_kernel(p, (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS) * half
+    values = eval_kernel(p, (0.5 * (a + b))[:, None] + half[:, None] * _PANEL_NODES)
+    return (values[:, :24] @ _GL_WEIGHTS) * half, (values[:, 24:] @ _GL12_WEIGHTS) * half
 
 
 def contour_integral(p: VerifierParams) -> complex:
     """Integral of the kernel over the parallelogram (1/v, i, -1/v, -i),
     traversed counterclockwise.
 
-    Composite adaptive 24-point Gauss-Legendre (a constant table) per edge, with
-    sorted dyadic breakpoints toward the vertices where the pole families accumulate,
-    down to 2^-depth of an edge, depth = max(8, ceil(log2(8 N))): at most
-    1/(8 N), safely below the pole-to-path distance, and 2^-8 for every
-    m <= 31, where the floor binds.  The panel tolerances add up to 1e-9.
-    Refinement is breadth first: a panel is split until its halves agree with
-    it, with the tolerance halved at each level, and all panels of one level
-    go to the kernel in one call.  The poles nearest the path are n = +-m of
-    both families, 1/(2 N hypot(1, v)) from their edges (every outside pole is
-    1/(2 N max(1, v)) or more from a vertex): GeometryError if that is below
-    1e-6, QuadratureError if refinement stalls.
+    Composite adaptive 24-point Gauss-Legendre per edge, with sorted dyadic
+    breakpoints toward the vertices where the pole families accumulate, down
+    to 2^-depth of an edge, depth = max(8, ceil(log2(8 N))): at most 1/(8 N),
+    safely below the pole-to-path distance, and 2^-8 for every m <= 31, where
+    the floor binds.  A panel's 24-point value stands where the 12-point rule,
+    in the same kernel call, agrees with it (the tolerances add up to 1e-9,
+    halved per split); the others are split, at most depth + 1 times, breadth
+    first, one kernel call a level: 64 x 36 = 2304 points if none splits at m <= 31.
+    The poles nearest the path are n = +-m of both families, 1/(2 N hypot(1, v))
+    from their edges (every outside pole is 1/(2 N max(1, v)) or more from a
+    vertex): GeometryError if that is below 1e-6, QuadratureError if refinement stalls.
     """
     clearance = 0.5 / (p.order * math.hypot(1.0, p.v))
     if clearance < 1e-6:
@@ -398,18 +405,16 @@ def contour_integral(p: VerifierParams) -> complex:
     breaks = np.r_[0.0, steps[::-1], 1.0 - steps[1:], 1.0]  # sorted, 1/2 once
     a = (ea[:, None] + (eb - ea)[:, None] * breaks[:-1]).ravel()
     b = (ea[:, None] + (eb - ea)[:, None] * breaks[1:]).ravel()
-    whole = _gl_panels(p, a, b)
     tol = 1e-9 / a.size
     total = 0j
-    for level in range(depth, -1, -1):
-        mid = 0.5 * (a + b)
-        left, right = np.split(_gl_panels(p, np.concatenate([a, mid]), np.concatenate([mid, b])), 2)
-        fine = left + right
-        err = abs(fine - whole)
-        done = (err <= tol) | (err <= 1e-12 * abs(fine))
-        total += fine[done].sum()
+    for level in range(depth + 1, -1, -1):
+        g24, g12 = _gl_panels(p, a, b)
+        err = abs(g24 - g12)
+        done = (err <= tol) | (err <= 1e-12 * abs(g24))
+        total += g24[done].sum()
         if done.all():
             return complex(total)
+        mid = 0.5 * (a + b)
         if level == 0:
             j = np.flatnonzero(~done)[0]
             raise QuadratureError(
@@ -417,7 +422,6 @@ def contour_integral(p: VerifierParams) -> complex:
                 f"midpoint {nearest_pole_distance(p, mid[j]):.2g} from the nearest kernel pole"
             )
         a, b = np.concatenate([a[~done], mid[~done]]), np.concatenate([mid[~done], b[~done]])
-        whole = np.concatenate([left[~done], right[~done]])
         tol *= 0.5
 
 
@@ -553,11 +557,12 @@ def _class_log_sum(k: int, h: int, v: complex, z: complex, cap: int | Truncation
     one_minus_r = -math.expm1(-_TWO_PI * v.real)  # stays nonzero where r rounds to 1
     # complex v keeps a residual phase in the ratio e^{-2 pi v}
     ratio = r * cmath.exp(-_TWO_PI * 1j * v.imag) if v.imag else r
-    a = [cmath.exp(2j * math.pi * h * j / k - _TWO_PI * v * j / k) for j in range(k + 1)]
-    e_plus, e_minus = cmath.exp(2j * math.pi * z), cmath.exp(-2j * math.pi * z)
+    # each a_mu e^{+-2 pi i z} is one exponential of a summed exponent: it can be in range where e^{2 pi i z} is not
+    log_a = [2j * math.pi * h * j / k - _TWO_PI * v * j / k for j in range(k + 1)]
+    iz = 2j * math.pi * z
     total = 0j
     for mu in range(1, k + 1):
-        for x in (a[mu], a[mu] * e_plus, a[mu - 1] * e_minus):
+        for x in map(cmath.exp, (log_a[mu], log_a[mu] + iz, log_a[mu - 1] - iz)):
             terms = _log_sum_cap(x, r, one_minus_r, cap)
             if needs is not None and terms == cap and (q := _log_sum_ratio(x, r)) ** cap > IDENTITY_TOL * one_minus_r:
                 needs.append(math.ceil(math.log(IDENTITY_TOL * one_minus_r) / math.log(q)))
@@ -589,8 +594,8 @@ def log_theta1_by_residue_classes(
     closed = -0.5j * math.pi + 1j * math.pi * zz + 1j * math.pi * (1j * v + params.h) / (4 * params.k)
     try:
         return closed - _class_log_sum(params.k, params.h, v, zz, ctl)
-    except OverflowError:  # e^(2 pi i z)
-        raise DomainError(f"log_theta1_by_residue_classes at v={v}, z={zz}: e^(2 pi i z) overflows") from None
+    except OverflowError:  # a class term a_mu e^(+-2 pi i z)
+        raise DomainError(f"log_theta1_by_residue_classes at v={v}, z={zz}: a_mu e^(+-2 pi i z) overflows") from None
 
 
 def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
@@ -624,8 +629,8 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     try:
         main_sums = _class_log_sum(k, p.h, v, z, sum_cap, needs)
         swap_sums = _class_log_sum(k, *_swap(p), sum_cap, needs)
-    except OverflowError:  # e^(2 pi i z) at z or at the swapped -iz/v
-        raise DomainError(f"log_identity_residual at v={v}, z={z}: e^(2 pi i z) overflows") from None
+    except OverflowError:  # a class term a_mu e^(+-2 pi i z) at z or at the swapped -iz/v
+        raise DomainError(f"log_identity_residual at v={v}, z={z}: a_mu e^(+-2 pi i z) overflows") from None
     if needs:  # a short cap is an error, not a residual
         raise TruncationError(f"log identity needs {max(needs)} terms, not {sum_cap}, for tails below {IDENTITY_TOL}")
     lhs = (

@@ -17,18 +17,29 @@ EXTREME_TAUS = [0.2 + 5e-324j, 0.1 + 1e-300j, 0.5 + 1e-320j, 1e-300j, 1e308j, 1e
                 1.5 + 1e-100j, 1 / 3 + 1e-30j, 1e308 + 1j, -1e308 + 1e-5j, 0.3 + 1e-310j]
 
 
+def _mp_theta1_series(z: complex, tau: complex, terms: int):
+    """The two-sided theta series over n = -terms..terms-1, as an mpc at the working precision."""
+    zz = mp.mpc(z)
+    tt = mp.mpc(tau)
+    total = mp.mpc(0)
+    for n in range(-terms, terms):
+        half = n + mp.mpf(1) / 2
+        total += (-1) ** n * mp.exp(
+            1j * mp.pi * tt * half * half + (2 * n + 1) * 1j * mp.pi * zz
+        )
+    return -1j * total
+
+
 def mp_theta1_direct(z: complex, tau: complex, terms: int = 200, dps: int = 50) -> complex:
     """Two-sided direct summation of the theta series at extended precision."""
     with mp.workdps(dps):
-        zz = mp.mpc(z)
-        tt = mp.mpc(tau)
-        total = mp.mpc(0)
-        for n in range(-terms, terms):
-            half = n + mp.mpf(1) / 2
-            total += (-1) ** n * mp.exp(
-                1j * mp.pi * tt * half * half + (2 * n + 1) * 1j * mp.pi * zz
-            )
-        return complex(-1j * total)
+        return complex(_mp_theta1_series(z, tau, terms))
+
+
+def mp_log_theta1_direct(z: complex, tau: complex, terms: int = 200, dps: int = 50) -> complex:
+    """The logarithm of mp_theta1_direct's sum, taken before rounding to double: finite where theta1 is not."""
+    with mp.workdps(dps):
+        return complex(mp.log(_mp_theta1_series(z, tau, terms)))
 
 
 def mp_theta1_stepped(z: complex, tau: complex, pairs: int, dps: int = 50) -> complex:

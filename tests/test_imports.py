@@ -215,6 +215,9 @@ def test_gauss_legendre_table_is_leggauss_bit_for_bit():
     nodes, weights = leggauss(24)
     assert residues._GL_NODES.tobytes() == nodes.tobytes()
     assert residues._GL_WEIGHTS.tobytes() == weights.tobytes()
+    nodes, weights = leggauss(12)
+    assert residues._GL12_NODES.tobytes() == nodes.tobytes()
+    assert residues._GL12_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_contour_breakpoints_equal_the_sorted_unique_form(monkeypatch):

@@ -107,9 +107,11 @@ def test_parameter_types_raise_validation_error(call):
         # the swapped point's v is 1/v = 1e-300
         (lambda: residue_at_real_pole(VerifierParams(h=0, k=1, H=0, v=1e300, z=0.2 + 0.1j, m=1), 1),
          r"residue_at_real_pole at v=1e\+300, z=\(0\.2\+0\.1j\), n=1"),
-        # e^{2 pi i z} at Im z = -1e299, where a raw OverflowError used to escape
-        (lambda: log_theta1_by_residue_classes(TransformParams(H=0, h=0, k=1, v=1e300), 0.2 - 1e299j),
-         r"log_theta1_by_residue_classes at v=\(1e\+300\+0j\), z=\(0\.2-1e\+299j\)"),
+        # the class term a_0 e^{-2 pi i z} = e^{2 pi 1e299} at Im z = 1e299 (at Im z = -1e299 every class term is in
+        # range, and the value is finite)
+        (lambda: log_theta1_by_residue_classes(TransformParams(H=0, h=0, k=1, v=1e300), 0.2 + 1e299j),
+         r"log_theta1_by_residue_classes at v=\(1e\+300\+0j\), z=\(0\.2\+1e\+299j\): "
+         r"a_mu e\^\(\+-2 pi i z\) overflows"),
     ],
     ids=["imag pole tiny v", "imag pole tiny v k=7", "real pole huge v", "class sums huge Im z"],
 )
@@ -658,8 +660,53 @@ class TestContour:
 
         monkeypatch.setattr(residues, "_gl_panels", counted)
         contour_integral(VerifierParams(h=0, k=1, H=0, v=10.0, z=0.2 + 0.1j, m=3))
-        assert sum(calls.values()) > 3 * 64  # 64 dyadic panels, whole plus halves each
+        assert sum(calls.values()) == 64 + 56  # 64 dyadic panels, then the halves of the 28 that fail their check
         assert max(calls.values()) == 1
+
+    def test_unrefined_contour_is_one_kernel_call(self, monkeypatch):
+        # at the README's verify-residues point every dyadic panel passes its 12-point check:
+        # 64 panels of 24 + 12 nodes, all in one kernel call
+        sizes = []
+        kernel = residues.eval_kernel
+
+        def counted(p, x):
+            sizes.append(np.size(x))
+            return kernel(p, x)
+
+        monkeypatch.setattr(residues, "eval_kernel", counted)
+        contour_integral(VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=3))
+        assert sizes == [64 * 36]
+
+    def test_matches_a_finer_rule_on_the_replay_grid(self, monkeypatch):
+        # the 36 replay-grid points of seed 1 (k in {1, 2, 7}, h at k = 7 drawn in grid order) against
+        # leggauss(48) on each quarter of every dyadic panel, the panels taken from the first _gl_panels call
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(48)
+        quarter = (np.arange(4) + 0.5) / 4 - 0.5  # quarter midpoints, in panel lengths from the panel midpoint
+        rng = random.Random(1)
+        first = []
+        panels = residues._gl_panels
+
+        def record(p, a, b):
+            first.append((a, b))
+            return panels(p, a, b)
+
+        monkeypatch.setattr(residues, "_gl_panels", record)
+        for k in (1, 2, 7):
+            for m in (3, 10, 40):
+                for z in (0.2 + 0.1j, 0.2 - 0.1j):
+                    for v in (0.8, 1.5):
+                        h = 0 if k == 1 else 1 if k == 2 else rng.randint(1, k - 1)
+                        p = VerifierParams(h=h, k=k, H=neg_mod_inverse(h, k), v=v, z=z, m=m)
+                        first.clear()
+                        value = contour_integral(p)
+                        a, b = first[0]
+                        length = (b - a)[:, None, None]
+                        x = (0.5 * (a + b))[:, None, None] + length * (quarter[:, None] + nodes / 8)
+                        parts = (eval_kernel(p, x) @ weights) * length[..., 0] / 8
+                        size = abs(parts.sum(axis=1)).sum()
+                        assert abs(value - parts.sum()) <= 1e-14 * size, (h, k, v, z, m)
 
     @pytest.mark.parametrize("k, h, H", [(1, 0, 0), (2, 1, 1), (7, 3, 2)])
     def test_extreme_points_raise_no_runtime_warning(self, k, h, H):
@@ -675,9 +722,10 @@ class TestContour:
 
     def test_stalled_refinement_names_the_pole_distance(self):
         # the edge from 1/v to i passes ~8e-6 from the pole i 64/64.5: above the
-        # GeometryError threshold, too close for the panels to converge
+        # GeometryError threshold, too close for the panels to converge; the panel named is
+        # the smallest evaluated, 2^-(depth+1) of a dyadic panel, whose midpoint is 7.8e-6 from the pole
         params = VerifierParams(h=1, k=2, H=1, v=1e3, z=0.2 + 0.1j, m=64)
-        with pytest.raises(QuadratureError, match=r"midpoint 8\.1e-06 from the nearest kernel pole"):
+        with pytest.raises(QuadratureError, match=r"midpoint 7\.8e-06 from the nearest kernel pole"):
             contour_integral(params)
 
 
@@ -741,9 +789,10 @@ class TestLogIdentity:
             log_identity_residual(BASE, 0)
 
     def test_exponential_outside_double_range_raises_domain_error(self):
-        # e^{2 pi i z'} at the swapped z' = -iz/v = -0.1 - 200i has exponent ~1257
-        params = VerifierParams(h=1, k=7, H=6, v=1e-3, z=0.2 - 1e-4j, m=3)
-        with pytest.raises(DomainError, match=r"log_identity_residual at v=0\.001, z=\(0\.2-0\.0001j\)"):
+        # a_1 e^{2 pi i z'} at the swapped z' = -iz/v = -0.1 - 2000i has exponent 2 pi (2000 - 10^4/7) ~ 3590
+        # (at v = 1e-3, z' = -0.1 - 200i, every class term is in range)
+        params = VerifierParams(h=1, k=7, H=6, v=1e-4, z=0.2 - 1e-5j, m=3)
+        with pytest.raises(DomainError, match=r"log_identity_residual at v=0\.0001, z=\(0\.2-1e-05j\)"):
             log_identity_residual(params, 400)
 
     @pytest.mark.parametrize("h, k", [(3, 7), (2, 5)])
@@ -794,13 +843,16 @@ class TestLogSumCut:
     @pytest.mark.parametrize("v", [1e-3, 1e-5])
     def test_cut_stays_at_the_cap_where_rounding_needs_more(self, v, monkeypatch):
         # at v = 1e-3 the rounding cut lies past 400 terms, at 1e-5 past the 200 000-term cap of
-        # _product_cutoff: both sums run to the cap, and no TruncationError escapes
+        # _product_cutoff: both sums run to the cap, and no TruncationError escapes.  The identity then
+        # needs more terms at v = 1e-3; at 1e-5 the swapped side's a_1 e^{2 pi i z'} = e^{2 pi (2e4 - 1e5/7)} overflows
         cut = residues._class_log_sum(7, 3, v, 0.2 - v / 10 * 1j, 400)
         monkeypatch.setattr(residues, "_log_sum_cap", self.full_cap)
         assert cut == residues._class_log_sum(7, 3, v, 0.2 - v / 10 * 1j, 400)
         monkeypatch.undo()
         params = VerifierParams(h=3, k=7, H=2, v=v, z=0.2 - v / 10 * 1j, m=3)
-        with pytest.raises(DomainError, match="e\\^\\(2 pi i z\\) overflows"):
+        error, message = {1e-3: (TruncationError, "needs 3586 terms, not 400"),
+                          1e-5: (DomainError, r"a_mu e\^\(\+-2 pi i z\) overflows")}[v]
+        with pytest.raises(error, match=message):
             log_identity_residual(params, 400)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mp_eta_direct, mp_theta1_direct, mp_theta1_jtheta
+from conftest import mp_eta_direct, mp_log_theta1_direct, mp_theta1_direct, mp_theta1_jtheta
 from thetamod import (
     DomainError,
     ThetamodError,
@@ -532,6 +532,16 @@ class TestLogThetaResidueClasses:
         rhs = log_theta1(z, (1.5j + 1) / 2, TIGHT)
         diff = (lhs - rhs) / (2j * math.pi)
         assert abs(diff - round(diff.real)) < 1e-10
+
+    @pytest.mark.parametrize("h, k, H", [(0, 1, 0), (3, 7, 2)])
+    def test_class_terms_in_range_where_e_2_pi_i_z_overflows(self, h, k, H):
+        # e^{2 pi i z} = e^{300 pi} overflows at Im z = -150, but every class term a_mu e^{2 pi i z} is in range:
+        # at k = 1 it is e^{-300 pi}, at k = 7 the largest is e^{2 pi (150 - 300/7)}
+        params = TransformParams(H=H, h=h, k=k, v=300.0)
+        z = 0.2 - 150j
+        expected = mp_log_theta1_direct(z, (h + 300j) / k)  # log|theta1| is 236 and 1649: theta1 leaves double range
+        diff = log_theta1_by_residue_classes(params, z, TIGHT) - expected
+        assert abs(complex(diff.real, math.remainder(diff.imag, 2 * math.pi))) <= 1e-14 * abs(expected)
 
     def test_truncation_monotonicity(self):
         params = TransformParams(H=2, h=1, k=3, v=1.1)
