@@ -44,8 +44,9 @@ from . import _RESIDUE_NAMES as __all__  # the package's lazily loaded names
 from ._record import record
 from .dedekind import dedekind_sum_fast
 from .errors import DomainError, GeometryError, QuadratureError, TruncationError, ValidationError
-from .modular import TransformParams, require_int
+from .modular import ModularMatrix, TransformParams, require_int
 from .theta import DEFAULT_CONTROL, TruncationControl, _product_cutoff
+from .transform import _theta_law_log
 
 _TWO_PI = 2.0 * math.pi
 _LOG_SUM_HEAD = 0.75  # geometric_log_sum takes the head sum_n a^n/n in closed form for |a| above this
@@ -162,28 +163,28 @@ def _swap(p: VerifierParams) -> tuple[int, float, complex]:
 
 # The closed-form residues evaluate a few scalars each, so they keep cmath and
 # math: a ratio e^p/(1 - e^q) costs ~15 us in numpy's array form on a scalar, ~0.6 us in cmath.
+def _expm1(x: float, y: float) -> complex:  # e^(x + iy) - 1 with no digit lost as x + iy -> 0
+    return complex(math.expm1(x) * math.cos(y) - 2 * math.sin(y / 2) ** 2, math.exp(x) * math.sin(y))
+
+
 def _imag_family_residue(n: int, k: int, g: int, v: float, z: complex, where: tuple) -> complex:
-    """residue_at_imag_pole's formula at pole n of (g, k, v, z), in 2k + 1 complex exponentials.  A DomainError
+    """residue_at_imag_pole's formula at pole n of (g, k, v, z), in 3 complex exponentials (2 at k = 1).  A DomainError
     names the call where = (name, v, z, n) when e^{2 pi i n z} overflows or e^{-2 pi |n v|} = |e^beta| rounds to 1."""
     try:
         e_plus, e_minus = cmath.exp(2j * math.pi * n * z), cmath.exp(-2j * math.pi * n * z)
-        beta, coth_arg = complex(-_TWO_PI * n * v), math.pi * n * v
-        e = math.exp(-2 * abs(coth_arg))  # coth(coth_arg) from e^(-2 |coth_arg|)
+        beta, coth_arg = -_TWO_PI * n * v, math.pi * n * v
+        e = math.exp(-2 * abs(coth_arg))  # e^(-|beta|), for coth(coth_arg) and for every ratio below
         res = (1j / (4 * math.pi * n)) * math.copysign((1 + e) / (1 - e), coth_arg)
     except (OverflowError, ZeroDivisionError):
         raise DomainError("{} at v={}, z={}, n={}: an exponential or coth leaves double range".format(*where)) from None
-    # every ratio e^p/(1 - e^beta) shares one denominator; where Re beta > 0 it is -e^(p - beta)/(1 - e^-beta),
-    # so nothing overflows, and for p = beta or 0 the numerator is the denominator's exponential or 1
-    flip = beta.real > 0
-    e_beta = cmath.exp(-beta if flip else beta)
-    den = 1 - e_beta
-    if k > 1:
-        block = 0j
-        for j in range(1, k):
-            ratio = -cmath.exp(beta * j / k - beta) / den if flip else cmath.exp(beta * j / k) / den
-            block += cmath.exp(2j * math.pi * n * g * j / k) * ratio
+    # a ratio e^p/(1 - e^beta) is -e^(p - beta)/(1 - e) where beta > 0 (sign -1), so nothing overflows
+    sign, den = (-1 if beta > 0 else 1), 1 - e
+    if k > 1:  # sum_{j<k} e^(2 pi i n g j/k) e^(beta j/k), with j -> k - j where sign < 0, is geometric in rho = e^L:
+        # rho (1 - rho^(k-1))/(1 - rho) with Re L = x < 0 and, as e^(2 pi i n g) = 1, rho^(k-1) = e^((k-1) x - i y)
+        x, y = sign * beta / k, sign * _TWO_PI * (n * g % k) / k
+        block = sign * cmath.exp(complex(x, y)) * _expm1((k - 1) * x, -y) / (_expm1(x, y) * den)
         res += (1j / (2 * math.pi * n)) * (1 + 2 * e_plus) * block
-    exp_part = e_plus * (-1 / den if flip else e_beta / den) + e_minus * (-e_beta / den if flip else 1 / den)
+    exp_part = e_plus * (-1 / den if sign < 0 else e / den) + e_minus * (-e / den if sign < 0 else 1 / den)
     return res + (1j / (2 * math.pi * n)) * exp_part
 
 
@@ -570,6 +571,17 @@ def _class_log_sum(k: int, h: int, v: complex, z: complex, cap: int | Truncation
     return total
 
 
+def _class_expansion(k: int, h: int, v: complex, z: complex, cap: int | TruncationControl, where: tuple,
+                     needs=None) -> complex:
+    """log_theta1_by_residue_classes' expansion at (h, v, z): its closed part less _class_log_sum's sums.
+    A class term a_mu e^(+-2 pi i z) that overflows raises DomainError naming the call where = (name, v, z)."""
+    closed = -0.5j * math.pi + 1j * math.pi * z + 1j * math.pi * (1j * v + h) / (4 * k)
+    try:
+        return closed - _class_log_sum(k, h, v, z, cap, needs)
+    except OverflowError:
+        raise DomainError("{} at v={}, z={}: a_mu e^(+-2 pi i z) overflows".format(*where)) from None
+
+
 def log_theta1_by_residue_classes(
     params: TransformParams, z: complex, ctl: TruncationControl = DEFAULT_CONTROL
 ) -> complex:
@@ -584,6 +596,7 @@ def log_theta1_by_residue_classes(
     log_theta1(z, (h + iv)/k) modulo 2 pi i.  Requires Re v > 0 and
     |Im z| < Re v so every S converges (after continuation of its geometric
     head); z exactly on a branch cut or the zero lattice raises DomainError.
+    log_identity_residual takes this expansion at both of its points.
     """
     v = complex(params.v)
     if not v.real > 0:
@@ -591,60 +604,36 @@ def log_theta1_by_residue_classes(
     zz = complex(z)
     if abs(zz.imag) >= v.real:
         raise DomainError(f"|Im z| = {abs(zz.imag):.6g} must stay below Re v = {v.real:.6g}")
-    closed = -0.5j * math.pi + 1j * math.pi * zz + 1j * math.pi * (1j * v + params.h) / (4 * params.k)
-    try:
-        return closed - _class_log_sum(params.k, params.h, v, zz, ctl)
-    except OverflowError:  # a class term a_mu e^(+-2 pi i z)
-        raise DomainError(f"log_theta1_by_residue_classes at v={v}, z={zz}: a_mu e^(+-2 pi i z) overflows") from None
+    return _class_expansion(params.k, params.h, v, zz, ctl, ("log_theta1_by_residue_classes", v, zz))
 
 
 def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
-    """|LHS - RHS| of the logarithmic transformation identity at (h, k, H, v, z),
-    with the imaginary part of the difference reduced modulo 2 pi.
+    """|swap - main - L|, the imaginary part reduced modulo 2 pi: the transformation law at
+    A = (H, -(H h + 1)/k; k, -h) and tau = (h + iv)/k, where c tau + d = iv, A tau = (H + i/v)/k and
+    z/(c tau + d) = -iz/v (Iseki's formula; Apostol, ch. 3).
 
-    The left side is the residue-class expansion of log theta1 (the sums of
-    log_theta1_by_residue_classes) taken at (H, 1/v, -iz/v) minus the same
-    expansion at (h, v, z), six double sums in all, with the closed terms
-
-        - i pi/2 + 3 i pi s(h,k) - (pi/(4k))(v - 1/v) + pi z^2 k / v
-        + i pi z - pi z / v,
-
-    the right side is -(1/2) log v.  Every inner n-sum stops at sum_cap
-    terms, or sooner where its tail is below 1e-16, and a sum_cap that leaves
-    a tail above IDENTITY_TOL raises TruncationError naming the terms needed;
-    the sums are the m -> infinity limits of the enclosed-residue totals, so
-    a small residual here is the identity the whole contour argument proves.
-    Each side is a sum of principal-branch logarithms, so the identity holds
-    only modulo 2 pi i.  Unlike log_theta1_by_residue_classes this does not
-    require |Re z| < 1 (that is, |Im z'| < 1/v on the swapped side): the
-    identity holds beyond it.
+    main and swap are log_theta1_by_residue_classes' expansions at (h, v, z) and at the swapped point
+    (H, 1/v, -iz/v), and L is the evaluator's own law factor, transform._theta_law_log(A, z, iv).  L less
+    the two closed parts (swap's minus main's) is the paper's -i pi/2 + 3 i pi s(h,k) - (pi/(4k))(v - 1/v)
+    + pi z^2 k/v + i pi z - pi z/v + (1/2) log v, modulo 2 pi i (a test keeps that form).  Every inner
+    n-sum stops at sum_cap terms, or sooner where its tail is below 1e-16, and a sum_cap that leaves a tail
+    above IDENTITY_TOL raises TruncationError naming the terms needed; the sums are the m -> infinity
+    limits of the enclosed-residue totals, so a small residual here is the law the whole contour argument
+    proves.  Each expansion is a sum of principal-branch logarithms, so the identity holds only modulo
+    2 pi i.  Unlike log_theta1_by_residue_classes this does not require |Re z| < 1 (|Im z'| < 1/v on the
+    swapped side): its sums converge, and the identity holds, for -1 < Re z < 1 + 1/k; past that a sum
+    diverges (DomainError).
     """
     require_int(sum_cap=sum_cap)
     if sum_cap < 1:
         raise ValidationError(f"sum_cap must be positive, got {sum_cap}")
-    z = complex(p.z)
-    v, k = p.v, p.k
-    s_hk = float(dedekind_sum_fast(p.h, p.k))
-    needs: list[int] = []
-    try:
-        main_sums = _class_log_sum(k, p.h, v, z, sum_cap, needs)
-        swap_sums = _class_log_sum(k, *_swap(p), sum_cap, needs)
-    except OverflowError:  # a class term a_mu e^(+-2 pi i z) at z or at the swapped -iz/v
-        raise DomainError(f"log_identity_residual at v={v}, z={z}: a_mu e^(+-2 pi i z) overflows") from None
+    z, needs = complex(p.z), []
+    where = ("log_identity_residual", p.v, z)
+    main = _class_expansion(p.k, p.h, p.v, z, sum_cap, where, needs)
+    swap = _class_expansion(p.k, *_swap(p), sum_cap, where, needs)
     if needs:  # a short cap is an error, not a residual
         raise TruncationError(f"log identity needs {max(needs)} terms, not {sum_cap}, for tails below {IDENTITY_TOL}")
-    lhs = (
-        swap_sums
-        - main_sums
-        - 0.5j * math.pi
-        + 3j * math.pi * s_hk
-        - (math.pi / (4 * k)) * (v - 1.0 / v)
-        + math.pi * z * z * k / v
-        + 1j * math.pi * z
-        - math.pi * z / v
-    )
-    rhs = -0.5 * math.log(v)
-    diff = lhs - rhs
+    diff = swap - main - _theta_law_log(ModularMatrix(p.H, -(p.H * p.h + 1) // p.k, p.k, -p.h), z, 1j * p.v)
     return abs(complex(diff.real, math.remainder(diff.imag, _TWO_PI)))
 
 

@@ -1,17 +1,22 @@
 import cmath
 import math
+import operator
 import random
 from collections import Counter
+from itertools import accumulate, repeat
 
 import mpmath as mp
 import numpy as np
 import pytest
 from conftest import mp_residue_kernel
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thetamod import residues
 from thetamod import (
     DomainError,
     GeometryError,
+    ModularMatrix,
     QuadratureError,
     TransformParams,
     TruncationError,
@@ -37,6 +42,7 @@ from thetamod import (
     verify_residues,
 )
 from thetamod.residues import CLOSURE_REL_TOL, EDGE_LIMITS, IDENTITY_TOL, nearest_pole_distance
+from thetamod.transform import _theta_law_log
 
 BASE = VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=2)
 
@@ -360,8 +366,9 @@ class TestKernelCost:
     @pytest.mark.parametrize("k, h, H", [(1, 0, 0), (2, 1, 1), (7, 3, 2)])
     @pytest.mark.parametrize("n", [3, -3])
     def test_closed_form_exponentials(self, k, h, H, n, monkeypatch):
-        # 2k + 1 complex exponentials a closed form, in both families and at both signs of Re beta;
-        # a denominator 1 - e^(+-beta) made again for each class takes 3k + 3
+        # 3 complex exponentials a closed form (2 at k = 1), in both families and at both signs of Re beta:
+        # e^(+-2 pi i n z) and the block's ratio e^L, whose geometric sum replaced a loop of 2 (k - 1) exponentials;
+        # e^(-|beta|) is the real one coth takes
         exp = cmath.exp
         counted = []
 
@@ -374,7 +381,7 @@ class TestKernelCost:
         for closed_form in (residue_at_imag_pole, residue_at_real_pole):
             counted.clear()
             closed_form(params, n)
-            assert len(counted) == 2 * k + 1
+            assert len(counted) == (3 if k > 1 else 2)
 
     def test_peak_memory_is_linear_in_the_points(self):
         # closure_residual's points at m = 64; at k = 1000 the classes go through in blocks
@@ -445,13 +452,17 @@ class TestClosedFormResidues:
             residue_at_imag_pole(p, -3)
 
 
+def mp_powers_sum(x, k):
+    """x + x^2 + ... + x^(k-1), term by term, each power the last times x: k - 1 products at 50 digits."""
+    return sum(accumulate(repeat(x, k - 1), operator.mul))
+
+
 def mp_imag_family(h, k, v, z, n):
     """residue_at_imag_pole's docstring formula at 50 digits."""
     with mp.workdps(50):
         v, z, c = mp.mpf(v), mp.mpc(z), 1j / (2 * mp.pi * n)
         q, ez = mp.exp(-2 * mp.pi * n * v), mp.exp(2j * mp.pi * n * z)
-        blocks = sum(mp.exp(2j * mp.pi * n * h * mu / k) * mp.exp(-2 * mp.pi * n * v * mu / k) / (1 - q)
-                     for mu in range(1, k))
+        blocks = mp_powers_sum(mp.exp(2j * mp.pi * n * h / k - 2 * mp.pi * n * v / k), k) / (1 - q)
         return complex(1j / (4 * mp.pi * n) * mp.coth(mp.pi * n * v) + c * (1 + 2 * ez) * blocks
                        + c * (ez * q / (1 - q) + 1 / (ez * (1 - q))))
 
@@ -461,31 +472,42 @@ def mp_real_family(H, k, v, z, n):
     with mp.workdps(50):
         v, z, c = mp.mpf(v), mp.mpc(z), 1 / (2j * mp.pi * n)
         q, ez = mp.exp(-2 * mp.pi * n / v), mp.exp(-2 * mp.pi * n * z / v)
-        blocks = sum(mp.exp(2j * mp.pi * n * H * w / k) * mp.exp(-2 * mp.pi * n * w / (k * v)) / (1 - q)
-                     for w in range(1, k))
+        blocks = mp_powers_sum(mp.exp(2j * mp.pi * n * H / k - 2 * mp.pi * n / (k * v)), k) / (1 - q)
         return complex(1 / (4j * mp.pi * n) * mp.coth(mp.pi * n / v) + c * (1 + 2 * ez) * blocks
                        + c * (ez / (1 - q) + q / (ez * (1 - q))))
 
 
+def worst_closed_form_errors(seed, ks, draws):
+    """Worst relative error of each family against its 50-digit formula over seeded draws: k from ks, h coprime,
+    v log-uniform in [0.1, 10], |Re z| <= 1.5, m <= 64; n is redrawn while a weight e^(2 pi |n| Im z) or
+    e^(2 pi |n| Re z / v) would pass e^700, where the closed forms raise DomainError instead (TestClosedFormResidues
+    covers that)."""
+    rng = random.Random(seed)
+    worst = {"imag": 0.0, "real": 0.0}
+    for _ in range(draws):
+        k = rng.choice(ks)
+        h = rng.choice([h for h in range(k) if math.gcd(h, k) == 1])
+        v = 10 ** rng.uniform(-1, 1)
+        z = complex(rng.uniform(-1.5, 1.5), rng.choice((-1, 1)) * rng.uniform(0.001, 0.999) * v)
+        p = VerifierParams(h=h, k=k, H=neg_mod_inverse(h, k), v=v, z=z, m=rng.randint(1, 64))
+        n = 0
+        while not n or 2 * math.pi * abs(n) * max(abs(z.imag), abs(z.real) / v) > 700:
+            n = rng.choice((-1, 1)) * rng.randint(1, p.m)
+        for family, closed, reference in (("imag", residue_at_imag_pole(p, n), mp_imag_family(h, k, v, z, n)),
+                                          ("real", residue_at_real_pole(p, n), mp_real_family(p.H, k, v, z, n))):
+            worst[family] = max(worst[family], abs(closed - reference) / abs(reference))
+    return worst
+
+
 class TestClosedFormsAgainstMpmath:
     def test_both_families_match_their_formulas_at_50_digits(self):
-        # seeded draws: k in {1, 2, 3, 5, 7, 13}, v log-uniform in [0.1, 10], |Re z| <= 1.5, m <= 64;
-        # n is redrawn while a weight e^(2 pi |n| Im z) or e^(2 pi |n| Re z / v) would pass e^700,
-        # where the closed forms raise DomainError instead (TestClosedFormResidues covers that)
-        rng = random.Random(26)
-        worst = {"imag": 0.0, "real": 0.0}
-        for _ in range(300):
-            k = rng.choice((1, 2, 3, 5, 7, 13))
-            h = rng.choice([h for h in range(k) if math.gcd(h, k) == 1])
-            v = 10 ** rng.uniform(-1, 1)
-            z = complex(rng.uniform(-1.5, 1.5), rng.choice((-1, 1)) * rng.uniform(0.001, 0.999) * v)
-            p = VerifierParams(h=h, k=k, H=neg_mod_inverse(h, k), v=v, z=z, m=rng.randint(1, 64))
-            n = 0
-            while not n or 2 * math.pi * abs(n) * max(abs(z.imag), abs(z.real) / v) > 700:
-                n = rng.choice((-1, 1)) * rng.randint(1, p.m)
-            for family, closed, reference in (("imag", residue_at_imag_pole(p, n), mp_imag_family(h, k, v, z, n)),
-                                              ("real", residue_at_real_pole(p, n), mp_real_family(p.H, k, v, z, n))):
-                worst[family] = max(worst[family], abs(closed - reference) / abs(reference))
+        worst = worst_closed_form_errors(26, (1, 2, 3, 5, 7, 13), 300)
+        assert worst["imag"] <= 1e-12 and worst["real"] <= 1e-12, worst
+
+    def test_large_k_matches_the_formulas_at_50_digits(self):
+        # the class block is one geometric sum at the phase 2 pi (n g mod k)/k; the loop before it took each
+        # e^(2 pi i n g j/k) at a phase up to 2 pi n g, and on these draws was off by up to 1.4e-9 (9.5e-14 now)
+        worst = worst_closed_form_errors(27, (100, 997), 80)
         assert worst["imag"] <= 1e-12 and worst["real"] <= 1e-12, worst
 
 
@@ -750,7 +772,60 @@ class TestEdgeProbes:
         assert errors[1] < errors[0]
 
 
+@st.composite
+def identity_points(draw):
+    """(h, k, H, v, z): k in {1, 2, 3, 5, 7, 10, 11, 13}, h coprime to k, v in [10^-0.5, 10^0.5], |Re z| <= 2.5
+    and 0.01 v <= |Im z| <= 0.9 v.  Re z and Im z/v are moved by 7.07e-4 off the simple fractions hypothesis
+    favours, where a class term can be exactly real and >= 1 (a branch cut) or 1 (a zero of theta1)."""
+    k = draw(st.sampled_from((1, 2, 3, 5, 7, 10, 11, 13)))
+    h = draw(st.sampled_from([h for h in range(k) if math.gcd(h, k) == 1]))
+    v = 10 ** draw(st.floats(-0.5, 0.5))
+    im_share = draw(st.sampled_from((-1, 1))) * (draw(st.floats(0.01, 0.9)) + 7.07e-4)
+    return h, k, neg_mod_inverse(h, k), v, complex(draw(st.floats(-2.5, 2.5)) + 7.07e-4, im_share * v)
+
+
+def identity_matrix(h, k, H):
+    """A = (H, -(H h + 1)/k; k, -h): at tau = (h + iv)/k, c tau + d = iv and A tau = (H + i/v)/k."""
+    return ModularMatrix(H, -(H * h + 1) // k, k, -h)
+
+
+def expansion_closed_part(h, k, v, z):
+    """The closed part of log_theta1_by_residue_classes' expansion at (h, v, z)."""
+    return -0.5j * math.pi + 1j * math.pi * z + 1j * math.pi * (1j * v + h) / (4 * k)
+
+
 class TestLogIdentity:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(point=identity_points())
+    def test_holds_over_k_wherever_its_sums_converge(self, point):
+        # the identity is the evaluator's law, so a wrong multiplier phase at c = k shows here (a phase off by
+        # 1/12 at k = 3 and 10 gave residuals of pi/12).  On the swapped side the sums of a_1 e^(2 pi i z') and
+        # e^(-2 pi i z') converge for -1 < Re z < 1 + 1/k, beyond |Re z| < 1; within 0.02 of either end a cap of
+        # 1000 leaves too long a tail, and past it a sum diverges
+        h, k, H, v, z = point
+        ends = (-1.0, 1.0 + 1.0 / k)
+        assume(min(abs(z.real - end) for end in ends) > 0.02)
+        params = VerifierParams(h=h, k=k, H=H, v=v, z=z, m=3)
+        if ends[0] < z.real < ends[1]:
+            assert log_identity_residual(params, 1000) < IDENTITY_TOL
+        else:
+            with pytest.raises(DomainError, match="geometric log sum diverges"):
+                log_identity_residual(params, 1000)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(point=identity_points())
+    def test_paper_terms_are_the_law_factor_less_the_closed_parts(self, point):
+        # the identity as the paper writes it: swapped sums - main sums + these closed terms = -(1/2) log v.  With
+        # the law factor, the same statement reads swap expansion - main expansion = L, so the paper's terms plus
+        # (1/2) log v are L less the two expansions' closed parts, modulo 2 pi i
+        h, k, H, v, z = point
+        paper = (-0.5j * math.pi + 3j * math.pi * float(dedekind_sum_fast(h, k)) - math.pi / (4 * k) * (v - 1 / v)
+                 + math.pi * z * z * k / v + 1j * math.pi * z - math.pi * z / v)
+        closed = expansion_closed_part(H, k, 1 / v, -1j * z / v) - expansion_closed_part(h, k, v, z)
+        law = _theta_law_log(identity_matrix(h, k, H), z, 1j * v)
+        diff = paper + 0.5 * math.log(v) - (law - closed)
+        assert abs(complex(diff.real, math.remainder(diff.imag, 2 * math.pi))) < 1e-12
+
     def test_small_triples(self):
         for h, k, H in ((1, 2, 1), (1, 3, 2)):
             params = VerifierParams(h=h, k=k, H=H, v=1.5, z=0.2 + 0.1j, m=2)
@@ -806,12 +881,11 @@ class TestLogIdentity:
         # the identity at (h, k, H, v) is the logarithm of the law at the
         # matrix (H, b; k, -h) with b = -(H h + 1)/k, evaluated at
         # tau = (h + iv)/k; both routes must agree that the statement holds
-        from thetamod import ModularMatrix, moebius_apply, verify_transformation
+        from thetamod import moebius_apply, verify_transformation
 
         for h, k, H in ((1, 2, 1), (1, 3, 2), (2, 5, 2)):
             for v in (1.2, 1.5):
-                b = -(H * h + 1) // k
-                mat = ModularMatrix(H, b, k, -h)
+                mat = identity_matrix(h, k, H)
                 tau = (h + 1j * v) / k
                 z = 0.1 + 0.05j
                 # change-of-variables bookkeeping: c tau + d = iv and
