@@ -547,39 +547,34 @@ def _log_sum_cap(a: complex, r: float, one_minus_r: float, cap: int | Truncation
         return cap
 
 
-def _class_log_sum(k: int, h: int, v: complex, z: complex, cap: int | TruncationControl, needs=None) -> complex:
-    """The sums of log_theta1_by_residue_classes at the point (h, v, z), added:
+def _class_expansion(k: int, h: int, v: complex, z: complex, cap: int | TruncationControl, where: tuple,
+                     needs=None) -> complex:
+    """log_theta1_by_residue_classes' expansion at the point (h, v, z): -i pi/2 + i pi z + i pi (iv + h)/(4k) less
     sum_{mu=1}^{k} S(a_mu) + S(a_mu e^{2 pi i z}) + S(a_{mu-1} e^{-2 pi i z}) with
     a_j = e^{2 pi i h j/k - 2 pi v j/k}, each S cut where _log_sum_cap says.  A short integer cap appends
     to needs the n with ratio^n <= IDENTITY_TOL (1 - r), _product_cutoff's rule for a tail below IDENTITY_TOL.
+    A class term a_mu e^(+-2 pi i z) that overflows raises DomainError naming the call where = (name, v, z).
     """
     v = complex(v)
     r = math.exp(-_TWO_PI * v.real)
     one_minus_r = -math.expm1(-_TWO_PI * v.real)  # stays nonzero where r rounds to 1
+    tail_tol = IDENTITY_TOL * one_minus_r
     # complex v keeps a residual phase in the ratio e^{-2 pi v}
     ratio = r * cmath.exp(-_TWO_PI * 1j * v.imag) if v.imag else r
     # each a_mu e^{+-2 pi i z} is one exponential of a summed exponent: it can be in range where e^{2 pi i z} is not
     log_a = [2j * math.pi * h * j / k - _TWO_PI * v * j / k for j in range(k + 1)]
     iz = 2j * math.pi * z
-    total = 0j
-    for mu in range(1, k + 1):
-        for x in map(cmath.exp, (log_a[mu], log_a[mu] + iz, log_a[mu - 1] - iz)):
-            terms = _log_sum_cap(x, r, one_minus_r, cap)
-            if needs is not None and terms == cap and (q := _log_sum_ratio(x, r)) ** cap > IDENTITY_TOL * one_minus_r:
-                needs.append(math.ceil(math.log(IDENTITY_TOL * one_minus_r) / math.log(q)))
-            total += geometric_log_sum(x, ratio, terms)
-    return total
-
-
-def _class_expansion(k: int, h: int, v: complex, z: complex, cap: int | TruncationControl, where: tuple,
-                     needs=None) -> complex:
-    """log_theta1_by_residue_classes' expansion at (h, v, z): its closed part less _class_log_sum's sums.
-    A class term a_mu e^(+-2 pi i z) that overflows raises DomainError naming the call where = (name, v, z)."""
-    closed = -0.5j * math.pi + 1j * math.pi * z + 1j * math.pi * (1j * v + h) / (4 * k)
+    closed, total = -0.5j * math.pi + 1j * math.pi * z + 1j * math.pi * (1j * v + h) / (4 * k), 0j
     try:
-        return closed - _class_log_sum(k, h, v, z, cap, needs)
+        for mu in range(1, k + 1):
+            for x in map(cmath.exp, (log_a[mu], log_a[mu] + iz, log_a[mu - 1] - iz)):
+                terms = _log_sum_cap(x, r, one_minus_r, cap)
+                if needs is not None and terms == cap and (q := _log_sum_ratio(x, r)) ** cap > tail_tol:
+                    needs.append(math.ceil(math.log(tail_tol) / math.log(q)))
+                total += geometric_log_sum(x, ratio, terms)
     except OverflowError:
         raise DomainError("{} at v={}, z={}: a_mu e^(+-2 pi i z) overflows".format(*where)) from None
+    return closed - total
 
 
 def log_theta1_by_residue_classes(

@@ -854,6 +854,14 @@ class TestLogIdentity:
         with pytest.raises(DomainError):
             log_identity_residual(params, 400)
 
+    @pytest.mark.xfail(raises=DomainError, strict=True,
+                       reason="a swapped class term is exactly e^pi on the cut; log theta1 is finite there")
+    def test_holds_where_a_class_term_sits_on_the_cut(self):
+        # the expansions hold modulo 2 pi i, so either limit of -log(1 - a) on the cut would do: 1e-9i to
+        # either side of this z the residual is below 1e-15.  Identity draws keep off such points
+        params = VerifierParams(h=1, k=2, H=1, v=1.0, z=1 - 0.5j, m=3)
+        assert log_identity_residual(params, 400) < IDENTITY_TOL
+
     def test_holds_beyond_unit_real_part(self):
         # |Re z| >= 1 puts |Im z'| = |Re z|/v beyond 1/v on the swapped side
         params = VerifierParams(h=1, k=2, H=1, v=1.5, z=1.3 + 0.1j, m=3)
@@ -919,11 +927,12 @@ class TestLogSumCut:
         # at v = 1e-3 the rounding cut lies past 400 terms, at 1e-5 past the 200 000-term cap of
         # _product_cutoff: both sums run to the cap, and no TruncationError escapes.  The identity then
         # needs more terms at v = 1e-3; at 1e-5 the swapped side's a_1 e^{2 pi i z'} = e^{2 pi (2e4 - 1e5/7)} overflows
-        cut = residues._class_log_sum(7, 3, v, 0.2 - v / 10 * 1j, 400)
+        z = 0.2 - v / 10 * 1j
+        cut = residues._class_expansion(7, 3, v, z, 400, ("_class_expansion", v, z))
         monkeypatch.setattr(residues, "_log_sum_cap", self.full_cap)
-        assert cut == residues._class_log_sum(7, 3, v, 0.2 - v / 10 * 1j, 400)
+        assert cut == residues._class_expansion(7, 3, v, z, 400, ("_class_expansion", v, z))
         monkeypatch.undo()
-        params = VerifierParams(h=3, k=7, H=2, v=v, z=0.2 - v / 10 * 1j, m=3)
+        params = VerifierParams(h=3, k=7, H=2, v=v, z=z, m=3)
         error, message = {1e-3: (TruncationError, "needs 3586 terms, not 400"),
                           1e-5: (DomainError, r"a_mu e\^\(\+-2 pi i z\) overflows")}[v]
         with pytest.raises(error, match=message):
