@@ -210,8 +210,6 @@ def _cmd_law_sweep(args) -> Report:
 def _cmd_verify_residues(args) -> Report:
     from .residues import IDENTITY_TOL, VerifierParams, verify_residues  # numpy loads only for this command
 
-    if math.gcd(args.h, args.k) != 1:
-        raise ValidationError(f"h={args.h} and k={args.k} must be coprime")
     H = neg_mod_inverse(args.h, args.k)
     r = verify_residues(VerifierParams(h=args.h, k=args.k, H=H, v=args.v, z=args.z, m=args.m), args.cap)
     poles = r.closure.poles

@@ -23,8 +23,8 @@ import math
 from fractions import Fraction
 
 from ._record import record
-from .errors import DomainError, ValidationError
-from .modular import ModularMatrix
+from .errors import ValidationError
+from .modular import ModularMatrix, require_coprime
 
 __all__ = [
     "dedekind_sum_naive",
@@ -35,15 +35,6 @@ __all__ = [
 ]
 
 
-def _validate_pair(h: int, k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(h, int) or isinstance(h, bool):
-        raise ValidationError(f"h must be an integer, got {h!r}")
-    if math.gcd(h, k) != 1:
-        raise DomainError(f"h={h} and k={k} must be coprime, gcd={math.gcd(h, k)}")
-
-
 def dedekind_sum_naive(h: int, k: int) -> Fraction:
     """s(h, k) = sum_{r=1}^{k-1} (r/k) * ((h r)/k - floor(h r / k) - 1/2).
 
@@ -52,7 +43,7 @@ def dedekind_sum_naive(h: int, k: int) -> Fraction:
     accumulation plus an exact rational tail, so the value is exact.  The
     bracket is the floor function, which makes reducing h modulo k harmless.
     """
-    _validate_pair(h, k)
+    require_coprime(h, k)
     h %= k
     if k == 1:
         return Fraction(0)
@@ -68,7 +59,7 @@ def dedekind_sum_fast(h: int, k: int) -> Fraction:
     and h' = h^-1 mod k, 12 k s(h, k) = h + h' + k (q_1 - q_2 + q_3 - ...) - k (3 if n is odd
     else 1).  O(log k) integer steps; equal to dedekind_sum_naive on every coprime pair with
     k <= 120, h in [-k, 2k)."""
-    _validate_pair(h, k)
+    require_coprime(h, k)
     h %= k
     if k == 1:
         return Fraction(0)

@@ -49,6 +49,16 @@ def require_int(**values) -> None:
             raise ValidationError(f"{name}={value!r} is not an integer")
 
 
+def require_coprime(h: int, k: int) -> None:
+    """Insist on integers h and k > 0 with gcd(h, k) = 1."""
+    if not type(h) is type(k) is int:  # require_int names a bad one
+        require_int(h=h, k=k)
+    if k <= 0:
+        raise ValidationError(f"k must be a positive integer, got {k!r}")
+    if math.gcd(h, k) != 1:
+        raise ValidationError(f"h={h} and k={k} must be coprime")
+
+
 @record
 class ModularMatrix:
     """Integer matrix (a, b; c, d) with a*d - b*c = 1 exactly."""
@@ -176,11 +186,8 @@ class TransformParams:
     v: complex
 
     def __post_init__(self) -> None:
-        require_int(H=self.H, h=self.h, k=self.k)
-        if self.k <= 0:
-            raise ValidationError(f"k must be a positive integer, got {self.k!r}")
-        if math.gcd(self.h, self.k) != 1:
-            raise ValidationError(f"h={self.h} and k={self.k} must be coprime")
+        require_int(H=self.H)
+        require_coprime(self.h, self.k)
         if (self.H * self.h + 1) % self.k != 0:
             raise ValidationError(f"H*h = {self.H * self.h} is not -1 modulo k={self.k}")
 
@@ -200,11 +207,5 @@ def transform_params_from_matrix(mat: ModularMatrix, tau: complex) -> TransformP
 
 def neg_mod_inverse(h: int, k: int) -> int:
     """The unique H in [0, k) with H*h = -1 (mod k); 0 when k = 1."""
-    if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
-        raise ValidationError(f"k must be a positive integer, got {k!r}")
-    require_int(h=h)
-    if k == 1:
-        return 0
-    if math.gcd(h, k) != 1:
-        raise DomainError(f"h={h} has no inverse modulo k={k} (gcd != 1)")
-    return (-pow(h, -1, k)) % k
+    require_coprime(h, k)
+    return -pow(h, -1, k) % k

@@ -45,12 +45,12 @@ from ._record import record
 from .dedekind import dedekind_sum_fast
 from .errors import DomainError, GeometryError, QuadratureError, TruncationError, ValidationError
 from .modular import ModularMatrix, TransformParams, require_int
-from .theta import DEFAULT_CONTROL, TruncationControl, _product_cutoff
+from .theta import _MAX_TERMS, DEFAULT_CONTROL, TruncationControl, _product_cutoff, _within_cap
 from .transform import _theta_law_log
 
 _TWO_PI = 2.0 * math.pi
 _LOG_SUM_HEAD = 0.75  # geometric_log_sum takes the head sum_n a^n/n in closed form for |a| above this
-_ROUNDING = TruncationControl(1e-16)  # a tail this small changes no digit of the log identity's O(1) sums
+_ROUNDING = 1e-16  # a tail this small changes no digit of the O(1) class sums
 
 
 @record
@@ -501,7 +501,8 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
     replaced by its closed form -log(1 - a) and only the remainder, whose
     terms shrink like (|a| |r|)^n, is summed; that remainder evaluation is the
     analytic continuation of the defining sum and agrees with it wherever both
-    converge.
+    converge.  A head on the branch cut (real a > 1) takes the cut's +i pi side of
+    -log(1 - a); the class expansions that use S hold modulo 2 pi i, so either side serves.
     """
     aa, rr = complex(a), complex(r)
     if not cmath.isfinite(aa):
@@ -515,8 +516,6 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
         raise DomainError(f"geometric log sum diverges: |a r| = {abs(aa) * abs(rr):.6g} is not below 1")
     if abs(1 - aa) < 1e-12:
         raise DomainError("geometric log sum hits the lattice: a = 1")
-    if aa.imag == 0.0 and aa.real >= 1.0:
-        raise DomainError(f"geometric log sum sits on the logarithmic branch cut: a = {aa.real:.6g} >= 1")
     if abs(aa) <= _LOG_SUM_HEAD:
         total, step = 0j, aa
     else:
@@ -531,50 +530,37 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
     return total
 
 
-def _log_sum_ratio(a: complex, r: float) -> float:  # q with S(a)'s n-th summand O(q^n): |a|, or |a| r past the head
-    return min(abs(a) if abs(a) <= _LOG_SUM_HEAD else abs(a) * r, 1.0 - 1e-12)
-
-
-def _log_sum_cap(a: complex, r: float, one_minus_r: float, cap: int | TruncationControl) -> int:
-    """Terms of S(a) to sum: until the tail of omitted summands is below a TruncationControl's tolerance,
-    or at most an integer cap, stopping sooner where that tail is below _ROUNDING's."""
-    ratio = _log_sum_ratio(a, r)
-    if not isinstance(cap, int):
-        return _product_cutoff((1.0 - ratio) / one_minus_r, ratio, cap)
-    try:  # a ratio that rounds to 1 has no cut (and geometric_log_sum rejects it)
-        return min(cap, _product_cutoff((1.0 - ratio) / one_minus_r, ratio, _ROUNDING)) if r < 1.0 else cap
-    except TruncationError:  # the cut lies past _product_cutoff's own term cap
-        return cap
-
-
-def _class_expansion(k: int, h: int, v: complex, z: complex, cap: int | TruncationControl, where: tuple,
-                     needs=None) -> complex:
-    """log_theta1_by_residue_classes' expansion at the point (h, v, z): -i pi/2 + i pi z + i pi (iv + h)/(4k) less
-    sum_{mu=1}^{k} S(a_mu) + S(a_mu e^{2 pi i z}) + S(a_{mu-1} e^{-2 pi i z}) with
-    a_j = e^{2 pi i h j/k - 2 pi v j/k}, each S cut where _log_sum_cap says.  A short integer cap appends
-    to needs the n with ratio^n <= IDENTITY_TOL (1 - r), _product_cutoff's rule for a tail below IDENTITY_TOL.
-    A class term a_mu e^(+-2 pi i z) that overflows raises DomainError naming the call where = (name, v, z).
+def _class_expansion(k: int, h: int, v: complex, z: complex, cap: int, tol: float,
+                     where: tuple) -> tuple[complex, float]:
+    """(expansion, need): log_theta1_by_residue_classes' expansion at the point (h, v, z), -i pi/2 + i pi z
+    + i pi (iv + h)/(4k) less sum_{mu=1}^{k} S(a_mu) + S(a_mu e^{2 pi i z}) + S(a_{mu-1} e^{-2 pi i z}) with
+    a_j = e^{2 pi i h j/k - 2 pi v j/k}, and need, the most terms any S takes for a tail below tol.  Each S runs
+    to min(cap, its count for a tail below _ROUNDING); both counts are theta._product_cutoff's, and a need past
+    cap is the caller's to raise.  Where e^{-2 pi v} rounds to 1 (1 - r^n = 0) need is past 3e13, and no S runs
+    while need is past cap.  A class term a_mu e^(+-2 pi i z) that overflows raises DomainError naming the call
+    where = (name, v, z).
     """
     v = complex(v)
     r = math.exp(-_TWO_PI * v.real)
     one_minus_r = -math.expm1(-_TWO_PI * v.real)  # stays nonzero where r rounds to 1
-    tail_tol = IDENTITY_TOL * one_minus_r
     # complex v keeps a residual phase in the ratio e^{-2 pi v}
     ratio = r * cmath.exp(-_TWO_PI * 1j * v.imag) if v.imag else r
     # each a_mu e^{+-2 pi i z} is one exponential of a summed exponent: it can be in range where e^{2 pi i z} is not
     log_a = [2j * math.pi * h * j / k - _TWO_PI * v * j / k for j in range(k + 1)]
     iz = 2j * math.pi * z
-    closed, total = -0.5j * math.pi + 1j * math.pi * z + 1j * math.pi * (1j * v + h) / (4 * k), 0j
+    closed, total, need = -0.5j * math.pi + 1j * math.pi * z + 1j * math.pi * (1j * v + h) / (4 * k), 0j, 0
     try:
         for mu in range(1, k + 1):
             for x in map(cmath.exp, (log_a[mu], log_a[mu] + iz, log_a[mu - 1] - iz)):
-                terms = _log_sum_cap(x, r, one_minus_r, cap)
-                if needs is not None and terms == cap and (q := _log_sum_ratio(x, r)) ** cap > tail_tol:
-                    needs.append(math.ceil(math.log(tail_tol) / math.log(q)))
-                total += geometric_log_sum(x, ratio, terms)
+                # S(x)'s n-th summand is O(q^n): q = |x|, or |x| r past geometric_log_sum's closed-form head
+                q = min(abs(x) if abs(x) <= _LOG_SUM_HEAD else abs(x) * r, 1.0 - 1e-12)
+                scale = (1.0 - q) / one_minus_r
+                need = max(need, _product_cutoff(scale, q, tol))
+                if r < 1.0 or need <= cap:
+                    total += geometric_log_sum(x, ratio, min(cap, _product_cutoff(scale, q, _ROUNDING)))
     except OverflowError:
         raise DomainError("{} at v={}, z={}: a_mu e^(+-2 pi i z) overflows".format(*where)) from None
-    return closed - total
+    return closed - total, need
 
 
 def log_theta1_by_residue_classes(
@@ -590,8 +576,10 @@ def log_theta1_by_residue_classes(
     where S(a) = sum_{n>=1} a^n / (n (1 - e^{-2 pi v n})).  Equals
     log_theta1(z, (h + iv)/k) modulo 2 pi i.  Requires Re v > 0 and
     |Im z| < Re v so every S converges (after continuation of its geometric
-    head); z exactly on a branch cut or the zero lattice raises DomainError.
-    log_identity_residual takes this expansion at both of its points.
+    head); a class term exactly at a = 1 (z on the zero lattice) raises DomainError.
+    Each S runs until its tail is below rounding (1e-16), at most theta._MAX_TERMS terms; ctl bounds the
+    terms needed, not the terms taken: an S that needs more than _MAX_TERMS terms for a tail below
+    ctl.tolerance raises TruncationError.  log_identity_residual takes this expansion at both of its points.
     """
     v = complex(params.v)
     if not v.real > 0:
@@ -599,7 +587,10 @@ def log_theta1_by_residue_classes(
     zz = complex(z)
     if abs(zz.imag) >= v.real:
         raise DomainError(f"|Im z| = {abs(zz.imag):.6g} must stay below Re v = {v.real:.6g}")
-    return _class_expansion(params.k, params.h, v, zz, ctl, ("log_theta1_by_residue_classes", v, zz))
+    value, need = _class_expansion(params.k, params.h, v, zz, _MAX_TERMS, ctl.tolerance,
+                                   ("log_theta1_by_residue_classes", v, zz))
+    _within_cap(need, ctl.tolerance)
+    return value
 
 
 def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
@@ -622,12 +613,13 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     require_int(sum_cap=sum_cap)
     if sum_cap < 1:
         raise ValidationError(f"sum_cap must be positive, got {sum_cap}")
-    z, needs = complex(p.z), []
+    z = complex(p.z)
     where = ("log_identity_residual", p.v, z)
-    main = _class_expansion(p.k, p.h, p.v, z, sum_cap, where, needs)
-    swap = _class_expansion(p.k, *_swap(p), sum_cap, where, needs)
-    if needs:  # a short cap is an error, not a residual
-        raise TruncationError(f"log identity needs {max(needs)} terms, not {sum_cap}, for tails below {IDENTITY_TOL}")
+    main, need = _class_expansion(p.k, p.h, p.v, z, sum_cap, IDENTITY_TOL, where)
+    swap, swap_need = _class_expansion(p.k, *_swap(p), sum_cap, IDENTITY_TOL, where)
+    need = max(need, swap_need)
+    if need > sum_cap:  # a short cap is an error, not a residual
+        raise TruncationError(f"log identity needs {need} terms, not {sum_cap}, for tails below {IDENTITY_TOL}")
     diff = swap - main - _theta_law_log(ModularMatrix(p.H, -(p.H * p.h + 1) // p.k, p.k, -p.h), z, 1j * p.v)
     return abs(complex(diff.real, math.remainder(diff.imag, _TWO_PI)))
 

@@ -211,25 +211,30 @@ def theta1_series(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CON
     return theta1_series_info(z, tau, ctl).value
 
 
-def _product_cutoff(deviation_scale: float, ratio: float, ctl: TruncationControl) -> int:
-    """Term count n so a geometric tail stays below tolerance.
+def _product_cutoff(deviation_scale: float, ratio: float, tolerance: float) -> float:
+    """Term count n so a geometric tail stays below tolerance: an int, or inf where the target underflows.
 
     Terms (or log-factor deviations) are bounded by deviation_scale * ratio^n
     with ratio < 1; the tail past n is deviation_scale * ratio^(n+1) / (1 - ratio).
+    The count has no cap: each caller applies its own (_within_cap for _MAX_TERMS).
     """
     if ratio >= 1.0:
         raise DomainError("geometric tail does not converge")
-    target = ctl.tolerance * (1.0 - ratio) / deviation_scale
+    target = tolerance * (1.0 - ratio) / deviation_scale
     if not target > 0.0:  # underflowed: the cut lies past any cap
-        raise TruncationError(f"geometric tail needs more terms than the cap {_MAX_TERMS} at tolerance {ctl.tolerance}")
+        return math.inf
     if target >= ratio:
         return 1
-    n = math.ceil(math.log(target) / math.log(ratio))
+    return max(1, math.ceil(math.log(target) / math.log(ratio)))
+
+
+def _within_cap(n: float, tolerance: float) -> int:
+    """A _product_cutoff count n at tolerance, if it is at most _MAX_TERMS; past that, TruncationError naming it."""
+    if n == math.inf:
+        raise TruncationError(f"geometric tail needs more terms than the cap {_MAX_TERMS} at tolerance {tolerance}")
     if n > _MAX_TERMS:
-        raise TruncationError(
-            f"geometric tail needs {n} terms for tolerance {ctl.tolerance} (cap {_MAX_TERMS})"
-        )
-    return max(1, n)
+        raise TruncationError(f"geometric tail needs {n} terms for tolerance {tolerance} (cap {_MAX_TERMS})")
+    return n
 
 
 def _triple_factors(z: complex, tau: complex, ctl: TruncationControl):
@@ -242,7 +247,7 @@ def _triple_factors(z: complex, tau: complex, ctl: TruncationControl):
     except (OverflowError, ValueError):  # ValueError: an infinite imaginary part
         raise DomainError(f"triple product factors leave double range at z={z}, tau={tau}") from None
     aq = abs(q2)
-    n_cap = 1 + _product_cutoff((1.0 + abs(w2)) * aq + abs(w2i), aq, ctl)
+    n_cap = 1 + _within_cap(_product_cutoff((1.0 + abs(w2)) * aq + abs(w2i), aq, ctl.tolerance), ctl.tolerance)
     q2n = 1.0 + 0j
     for _ in range(n_cap):
         q2prev = q2n  # Q^{2(n-1)}

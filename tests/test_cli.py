@@ -28,7 +28,7 @@ class TestScalarCommands:
 
     def test_dedekind_rejects_non_coprime(self, capsys):
         code, _, err = run_cli(capsys, "dedekind", "--h", "2", "--k", "4")
-        assert code == 3  # domain error: the sum is undefined off coprime pairs
+        assert code == 2  # a broken input invariant: the sum is defined on coprime pairs only
         assert "coprime" in err
 
     def test_multiplier_inversion(self, capsys):

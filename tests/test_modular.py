@@ -286,7 +286,7 @@ class TestNegModInverse:
         assert neg_mod_inverse(-3, 1) == 0
 
     def test_not_coprime(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="h=2 and k=4 must be coprime"):
             neg_mod_inverse(2, 4)
 
     def test_random_pairs(self):

@@ -776,7 +776,7 @@ class TestEdgeProbes:
 def identity_points(draw):
     """(h, k, H, v, z): k in {1, 2, 3, 5, 7, 10, 11, 13}, h coprime to k, v in [10^-0.5, 10^0.5], |Re z| <= 2.5
     and 0.01 v <= |Im z| <= 0.9 v.  Re z and Im z/v are moved by 7.07e-4 off the simple fractions hypothesis
-    favours, where a class term can be exactly real and >= 1 (a branch cut) or 1 (a zero of theta1)."""
+    favours, where a class term can be exactly 1 (a zero of theta1, which geometric_log_sum rejects)."""
     k = draw(st.sampled_from((1, 2, 3, 5, 7, 10, 11, 13)))
     h = draw(st.sampled_from([h for h in range(k) if math.gcd(h, k) == 1]))
     v = 10 ** draw(st.floats(-0.5, 0.5))
@@ -848,17 +848,23 @@ class TestLogIdentity:
                 log_identity_residual(params, cap)
         assert log_identity_residual(params, 30) < IDENTITY_TOL
 
-    def test_branch_cut_rejected(self):
-        # Re z = 0 with Im z > 0 puts the continued geometric head on [1, inf)
-        params = VerifierParams(h=1, k=2, H=1, v=1.5, z=0.3j, m=2)
-        with pytest.raises(DomainError):
-            log_identity_residual(params, 400)
+    def test_short_cap_names_the_swapped_sides_larger_need(self):
+        # here the swapped side's longest sum needs 45 terms and the main side's 6: every short cap names 45
+        params = VerifierParams(h=1, k=3, H=2, v=2.0, z=0.2 + 0.1j, m=2)
+        for cap in (4, 8, 44):
+            with pytest.raises(TruncationError, match=f"^log identity needs 45 terms, not {cap}, for tails below"):
+                log_identity_residual(params, cap)
+        assert log_identity_residual(params, 45) < IDENTITY_TOL
 
-    @pytest.mark.xfail(raises=DomainError, strict=True,
-                       reason="a swapped class term is exactly e^pi on the cut; log theta1 is finite there")
+    def test_holds_where_a_geometric_head_sits_on_the_branch_cut(self):
+        # Re z = 0 with Im z > 0 puts the continued geometric head on (1, inf), where -log(1 - a) takes the
+        # cut's +i pi side: the expansions hold modulo 2 pi i, so either side serves
+        params = VerifierParams(h=1, k=2, H=1, v=1.5, z=0.3j, m=2)
+        assert log_identity_residual(params, 400) < IDENTITY_TOL
+
     def test_holds_where_a_class_term_sits_on_the_cut(self):
-        # the expansions hold modulo 2 pi i, so either limit of -log(1 - a) on the cut would do: 1e-9i to
-        # either side of this z the residual is below 1e-15.  Identity draws keep off such points
+        # a swapped class term is exactly e^pi, on the cut; 1e-9i to either side of this z the residual is
+        # below 1e-15 too
         params = VerifierParams(h=1, k=2, H=1, v=1.0, z=1 - 0.5j, m=3)
         assert log_identity_residual(params, 400) < IDENTITY_TOL
 
@@ -907,30 +913,27 @@ class TestLogIdentity:
 
 class TestLogSumCut:
     # the replay grid's (h, k, H, v, z) for every h at k = 7, and the README example
-    # (the README example is h=1, k=2, v=1.5, z=0.2+0.1i); the reference runs every sum to the cap
+    # (the README example is h=1, k=2, v=1.5, z=0.2+0.1i); the reference sets _ROUNDING to 0, where no
+    # tail is small enough, so every sum runs to the cap
     POINTS = [(h, k, neg_mod_inverse(h, k), v, z) for k, hs in ((1, [0]), (2, [1]), (7, range(1, 7)))
               for h in hs for v in (0.8, 1.5) for z in (0.2 + 0.1j, 0.2 - 0.1j)]
-
-    @staticmethod
-    def full_cap(a, r, one_minus_r, cap):
-        return cap
 
     @pytest.mark.parametrize("h, k, H, v, z", POINTS)
     def test_rounding_cut_matches_every_sum_at_the_cap(self, h, k, H, v, z, monkeypatch):
         params = VerifierParams(h=h, k=k, H=H, v=v, z=z, m=3)
         cut = log_identity_residual(params, 400)
-        monkeypatch.setattr(residues, "_log_sum_cap", self.full_cap)
+        monkeypatch.setattr(residues, "_ROUNDING", 0.0)
         assert abs(cut - log_identity_residual(params, 400)) <= 1e-15
 
     @pytest.mark.parametrize("v", [1e-3, 1e-5])
     def test_cut_stays_at_the_cap_where_rounding_needs_more(self, v, monkeypatch):
-        # at v = 1e-3 the rounding cut lies past 400 terms, at 1e-5 past the 200 000-term cap of
-        # _product_cutoff: both sums run to the cap, and no TruncationError escapes.  The identity then
-        # needs more terms at v = 1e-3; at 1e-5 the swapped side's a_1 e^{2 pi i z'} = e^{2 pi (2e4 - 1e5/7)} overflows
+        # at v = 1e-3 the rounding cut lies past 400 terms, at 1e-5 past 200 000 terms: both sums run to
+        # the cap, and no TruncationError escapes.  The identity then needs more terms at v = 1e-3; at 1e-5
+        # the swapped side's a_1 e^{2 pi i z'} = e^{2 pi (2e4 - 1e5/7)} overflows
         z = 0.2 - v / 10 * 1j
-        cut = residues._class_expansion(7, 3, v, z, 400, ("_class_expansion", v, z))
-        monkeypatch.setattr(residues, "_log_sum_cap", self.full_cap)
-        assert cut == residues._class_expansion(7, 3, v, z, 400, ("_class_expansion", v, z))
+        cut = residues._class_expansion(7, 3, v, z, 400, IDENTITY_TOL, ("_class_expansion", v, z))
+        monkeypatch.setattr(residues, "_ROUNDING", 0.0)
+        assert cut == residues._class_expansion(7, 3, v, z, 400, IDENTITY_TOL, ("_class_expansion", v, z))
         monkeypatch.undo()
         params = VerifierParams(h=3, k=7, H=2, v=v, z=z, m=3)
         error, message = {1e-3: (TruncationError, "needs 3586 terms, not 400"),

@@ -567,11 +567,12 @@ class TestLogThetaResidueClasses:
         with pytest.raises(TruncationError, match="cap 200000"):
             log_theta1_by_residue_classes(params, 0.2)
 
-    def test_branch_cut_rejected(self):
-        # purely imaginary z with Im z > 0 puts a geometric head on [1, inf)
+    def test_holds_where_a_geometric_head_sits_on_the_branch_cut(self):
+        # purely imaginary z with Im z > 0 puts a geometric head on (1, inf): -log(1 - a) takes the cut's
+        # +i pi side, and the expansion holds modulo 2 pi i either way
         params = TransformParams(H=0, h=0, k=1, v=2.0)
-        with pytest.raises(DomainError):
-            log_theta1_by_residue_classes(params, 0.4j)
+        diff = log_theta1_by_residue_classes(params, 0.4j, TIGHT) - mp_log_theta1_direct(0.4j, 2j, dps=40)
+        assert abs(complex(diff.real, math.remainder(diff.imag, 2 * math.pi))) < 1e-14
 
 
 class TestLatticeDistance:
