@@ -126,7 +126,7 @@ def _verdict(passed: bool) -> str:
 
 
 def _cmd_eval(args) -> Report:
-    info = theta1_fast_info(args.z, args.tau, TruncationControl(tolerance=max(args.tol, 1e-15)))
+    info = theta1_fast_info(args.z, args.tau, TruncationControl(args.tol))
     trace = info.trace
     a, b, c, d = trace.matrix.entries()
     reduction = {
@@ -147,7 +147,7 @@ def _cmd_eval(args) -> Report:
 
 
 def _cmd_eta(args) -> Report:
-    info = eta_info(args.tau, TruncationControl(tolerance=max(args.tol, 1e-15)))
+    info = eta_info(args.tau, TruncationControl(args.tol))
     text = [f"eta({args.tau!r}) = {info.value!r}", *_bound_lines(info)]
     return Report({**_parts("tau", args.tau), "tolerance": args.tol}, [_value_row(info)], text)
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +56,8 @@ _ROUNDING = 1e-16  # a tail this small changes no digit of the O(1) class sums
 class VerifierParams(TransformParams):
     """Kernel parameters (h, k, H, v, z, m); the order N = m + 1/2 derives.
 
-    Constraints: those of TransformParams, v real positive with
+    Constraints: those of TransformParams, v real positive with 1/v finite
+    (the swap, the contour vertices +-1/v and the real poles divide by v),
     v > |Im z| > 0, and 1 <= m <= 64 (poles crowd the contour vertices at
     spacing ~1/(2m), so larger m would need more than double precision).
     """
@@ -69,8 +69,8 @@ class VerifierParams(TransformParams):
     def __post_init__(self) -> None:
         super().__post_init__()
         real = isinstance(self.v, (int, float)) and not isinstance(self.v, bool)
-        if not (real and math.isfinite(self.v) and self.v > 0):
-            raise ValidationError(f"v must be a positive real, got {self.v!r}")
+        if not (real and math.isfinite(self.v) and self.v > 0 and math.isfinite(1.0 / self.v)):
+            raise ValidationError(f"v must be a positive real with 1/v finite, got {self.v!r}")
         if not (isinstance(self.z, (int, float, complex)) and cmath.isfinite(self.z)):
             raise ValidationError(f"z must be a finite number, got {self.z!r}")
         zz = complex(self.z)
@@ -431,7 +431,8 @@ def contour_gap(p: VerifierParams) -> float:
     return abs(contour_integral(p) - (-math.log(p.v)))
 
 
-class EnclosedResidue(NamedTuple):
+@record
+class EnclosedResidue:
     """One enclosed pole, its circle radius and its quadrature residue."""
 
     family: str

@@ -36,8 +36,8 @@ from statistics import median
 from ._record import record
 from .dedekind import eta_multiplier, theta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
-from .modular import ModularMatrix, _affine, moebius_apply, principal_power, reduce_to_fundamental_domain
-from .modular import require_int, require_upper_half
+from .modular import ModularMatrix, _affine, moebius_apply, reduce_to_fundamental_domain, require_int
+from .modular import principal_power, require_upper_half  # principal_power unused: bench/layers.py wraps it here
 from .theta import DEFAULT_CONTROL, SeriesEval, TruncationControl, _carry_back, _law_log, _require_finite_z, eta
 from .theta import lattice_distance, theta1_series, theta1_series_info
 
@@ -189,9 +189,7 @@ def theta1_fast(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTR
     return theta1_fast_info(z, tau, ctl).value
 
 
-def verify_transformation(
-    mat: ModularMatrix, z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
-) -> float:
+def verify_transformation(mat: ModularMatrix, z: complex, tau: complex) -> float:
     """Relative residual of the law at (A, z, tau).
 
     The left side theta1(z/(c tau+d), A tau) is evaluated by the direct
@@ -199,22 +197,22 @@ def verify_transformation(
     series identity independent of the law being tested); the right side by
     transform_rhs.  Returns |lhs - rhs| / max(|lhs|, TINY); a side outside double range raises DomainError.
     """
-    rhs = transform_rhs(mat, z, tau, ctl)  # rejects c < 0 and tau off the upper half-plane
+    rhs = transform_rhs(mat, z, tau)  # rejects c < 0 and tau off the upper half-plane
     tau_image = moebius_apply(mat, tau)
     z_red, m, n, quasi_log = reduce_z(complex(z) / _affine(mat.c, mat.d, complex(tau)), tau_image)
-    lhs, _ = _carry_back(theta1_series(z_red, tau_image, ctl), 0.0, quasi_log, 0.0,
+    lhs, _ = _carry_back(theta1_series(z_red, tau_image), 0.0, quasi_log, 0.0,
                          lambda: f"verify_transformation at z={z}, tau={tau}: the left side", sign=(-1) ** (m + n))
     return abs(lhs - rhs) / max(abs(lhs), TINY)
 
 
-def verify_eta_transformation(
-    mat: ModularMatrix, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
-) -> float:
-    """Relative residual of eta(A tau) = eps(A) (-i(c tau+d))^{1/2} eta(tau).  eta reduces
-    tau first, so this tests the multipliers' consistency eps(M A) ~ eps(M) eps(A); c < 0 raises before any series."""
+def verify_eta_transformation(mat: ModularMatrix, tau: complex) -> float:
+    """Relative residual of eta(A tau) = eps(A) (-i(c tau+d))^{1/2} eta(tau), the right side carried by the
+    evaluator's law factor (theta._law_log, _carry_back).  eta reduces tau first, so this tests the multipliers'
+    consistency eps(M A) ~ eps(M) eps(A); c < 0 raises before any series."""
     t = require_upper_half(tau)
-    rhs = eta_multiplier(mat).value * principal_power(-1j * _affine(mat.c, mat.d, t), 0.5) * eta(t, ctl)
-    lhs = eta(moebius_apply(mat, t), ctl)
+    law = _law_log(eta_multiplier(mat), _affine(mat.c, mat.d, t))  # rejects c < 0 before any series
+    rhs = _carry_back(eta(t), 0.0, law, 0.0, lambda: f"verify_eta_transformation at tau={tau}", sign=1)[0]
+    lhs = eta(moebius_apply(mat, t))
     return abs(lhs - rhs) / max(abs(lhs), TINY)
 
 

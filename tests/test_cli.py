@@ -4,6 +4,7 @@ import json
 import math
 import random
 import statistics
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -280,6 +281,18 @@ class TestVerifyResidues:
         assert code == 2
         assert "coprime" in err
 
+    def test_v_with_an_infinite_reciprocal_exit_two(self, capsys):
+        # the swap, the contour vertices +-1/v and the real poles all divide by v
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
+            code, out, err = run_cli(
+                capsys,
+                "verify-residues",
+                "--m", "3", "--k", "2", "--h", "1", "--v", "1e-320", "--z", "0.2+1e-321i",
+            )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: v must be a positive real") and len(err.strip().splitlines()) == 1
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -438,6 +451,18 @@ class TestUsageErrors:
 
     def test_out_of_range_tolerance(self, capsys):
         assert run_cli(capsys, "verify-transform", "--count", "1", "--tol", "0.5")[0] == 2
+
+    @pytest.mark.parametrize("command", [("eval", "--z", "0.3+0.1i", "--tau", "0+1i"), ("eta", "--tau", "0+1i")])
+    def test_eval_and_eta_take_the_library_tolerance(self, capsys, command):
+        # --tol goes to TruncationControl as given: below its 1e-16 floor is a usage error, not a silent 1e-15
+        code, out, err = run_cli(capsys, *command, "--tol", "1e-20")
+        assert (code, out) == (2, "")
+        assert err == "error: tolerance must be in [1e-16, 1), got 1e-20\n"
+        code, out, _ = run_cli(capsys, *command, "--tol", "1e-16", "--format", "json")
+        document = json.loads(out)
+        assert code == 0 and document["params"]["tolerance"] == 1e-16
+        if command[0] == "eval":  # 8 terms at 1e-16, where 1e-15 stops at 6
+            assert document["results"][0]["terms"] == 8
 
 
 CSV_COMMANDS = [

@@ -47,6 +47,7 @@ RECORDS = [
     (OriginResidue, "compact assembled parts", (1 + 1j, 0.5 + 1j, {"exp_terms": -0.5}), (1 + 1j, 0.5 + 1j, {})),
     (ResidueReport, "pole closed_form oracle", (1j, 0.5, 0.5 + 1e-12), (1j, 0.5, 0.5)),
     (OriginReport, "origin oracle", (ORIGIN, 0.5 + 1j), (ORIGIN, 0.5)),
+    (EnclosedResidue, "family n pole radius residue", ("origin", 0, 0j, 0.1, 0.5 + 1j), ("imag", 1, 0.5j, 0.1, 1j)),
     (ClosureReport, "contour residue_sum poles", (1j, 0.5 + 1j, POLES), (1j, 0.5 + 1j, ())),
     (ResidueVerification, "origin closure closed_forms identity gap closure_tol passed",
      (ORIGIN, CLOSURE, (0.5 + 1j,), 1e-13, 2.0, 1e-8, True), (ORIGIN, CLOSURE, (0.5 + 1j,), 1e-13, 2.0, 1e-8, False)),
@@ -70,7 +71,7 @@ def test_table_covers_every_record_class():
         found |= {value for value in vars(module).values()
                   if isinstance(value, type) and "__record_fields__" in vars(value)}
     assert found == {row[0] for row in RECORDS}
-    assert len(RECORDS) == 16
+    assert len(RECORDS) == 17
 
 
 @pytest.mark.parametrize("cls, names, values, other", RECORDS, ids=[row[0].__name__ for row in RECORDS])
@@ -122,9 +123,11 @@ def test_defaults():
         (lambda: TruncationControl(1.0), r"tolerance must be in \[1e-16, 1\)"),
         (lambda: VerifierParams(H=1, h=1, k=2, v=1.5, z=0.2 + 0.1j, m=65), r"m must be an integer in \[1, 64\]"),
         (lambda: VerifierParams(H=1, h=1, k=2, v=-1.5, z=0.2 + 0.1j, m=3), "v must be a positive real"),
+        (lambda: VerifierParams(H=1, h=1, k=2, v=1e-320, z=0.2 + 1e-321j, m=3), "v must be a positive real"),
         (lambda: VerifierParams(H=1, h=2, k=2, v=1.5, z=0.2 + 0.1j, m=3), "must be coprime"),
     ],
-    ids=["determinant", "float entry", "k zero", "congruence", "tolerance", "m 65", "negative v", "base check"],
+    ids=["determinant", "float entry", "k zero", "congruence", "tolerance", "m 65", "negative v", "1/v infinite",
+         "base check"],
 )
 def test_validation_raises_its_error(call, match):
     with pytest.raises(ValidationError, match=match):

@@ -36,7 +36,7 @@ from thetamod import (
     verify_eta_transformation,
     verify_transformation,
 )
-from thetamod import transform
+from thetamod import modular, transform
 from thetamod.modular import _affine
 from thetamod.transform import _theta_law_log, random_modular_matrix, random_tau, random_z
 
@@ -385,6 +385,16 @@ class TestVerifyTransformation:
     def test_eta_sweep(self):
         result = transform_sweep(count=50, seed=17, kind="eta")
         assert result.max_residual < 1e-10
+
+    def test_eta_law_side_takes_the_evaluators_law_factor(self, monkeypatch):
+        # the right side goes through theta._law_log and _carry_back, as eta_info's does; principal_power stays
+        # importable from transform, and raising=True makes setattr fail if it were gone
+        def called(*args):
+            raise AssertionError("principal_power called")
+
+        monkeypatch.setattr(modular, "principal_power", called)
+        monkeypatch.setattr(transform, "principal_power", called)
+        assert transform_sweep(200, 20260811, "eta").max_residual < 1e-10
 
     @pytest.mark.parametrize("count", [2.5, True, "3", 0, -1])
     def test_sweep_count_must_be_a_positive_int(self, count):
