@@ -32,11 +32,23 @@ __all__ = [
 ]
 
 
+def require_finite(value, name: str) -> complex:
+    """value as a complex number: one that complex() rejects is a ValidationError, one past double range
+    or with an inf or nan part a DomainError, each naming the argument."""
+    try:
+        number = complex(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an int past double range; its repr may be too long to print
+        raise DomainError(f"{name} must be finite, got a value past double range") from None
+    if not cmath.isfinite(number):
+        raise DomainError(f"{name} must be finite, got {number}")
+    return number
+
+
 def require_upper_half(tau: complex) -> complex:
-    """Return tau as a complex number, insisting on Im tau > 0."""
-    t = complex(tau)
-    if not (math.isfinite(t.real) and math.isfinite(t.imag)):
-        raise DomainError(f"tau must be finite, got {t}")
+    """Return tau as a complex number (require_finite), insisting on Im tau > 0."""
+    t = require_finite(tau, "tau")
     if not t.imag > 0:
         raise DomainError(f"tau must lie in the upper half plane, got {t}")
     return t
@@ -126,13 +138,13 @@ def principal_power(base: complex, exponent: complex) -> complex:
     Negative real bases get argument +pi, including values that arrive with a
     negative-zero imaginary part from upstream arithmetic.
     """
-    b = complex(base)
+    b, e = require_finite(base, "base"), require_finite(exponent, "exponent")
     if b == 0:
         raise DomainError("0 cannot be raised to a complex power on the principal branch")
     if b.imag == 0.0:
         b = complex(b.real, 0.0)  # clears -0.0 so Arg lands on +pi, not -pi
     try:
-        return cmath.exp(complex(exponent) * cmath.log(b))
+        return cmath.exp(e * cmath.log(b))
     except OverflowError:
         raise DomainError(f"{b}**{exponent} leaves double range") from None
 

@@ -43,7 +43,7 @@ from . import _RESIDUE_NAMES as __all__  # the package's lazily loaded names
 from ._record import record
 from .dedekind import dedekind_sum_fast
 from .errors import DomainError, GeometryError, QuadratureError, TruncationError, ValidationError
-from .modular import ModularMatrix, TransformParams, require_int
+from .modular import ModularMatrix, TransformParams, require_finite, require_int
 from .theta import _MAX_TERMS, DEFAULT_CONTROL, TruncationControl, _product_cutoff, _within_cap
 from .transform import _theta_law_log
 
@@ -68,13 +68,14 @@ class VerifierParams(TransformParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        real = isinstance(self.v, (int, float)) and not isinstance(self.v, bool)
-        if not (real and math.isfinite(self.v) and self.v > 0 and math.isfinite(1.0 / self.v)):
+        if not isinstance(self.v, (int, float)) or isinstance(self.v, bool):
+            raise ValidationError(f"v must be a real number, got {self.v!r}")
+        if not isinstance(self.z, (int, float, complex)):
+            raise ValidationError(f"z must be a number, got {self.z!r}")
+        v, zz = require_finite(self.v, "v").real, require_finite(self.z, "z")
+        if not (v > 0 and math.isfinite(1.0 / v)):
             raise ValidationError(f"v must be a positive real with 1/v finite, got {self.v!r}")
-        if not (isinstance(self.z, (int, float, complex)) and cmath.isfinite(self.z)):
-            raise ValidationError(f"z must be a finite number, got {self.z!r}")
-        zz = complex(self.z)
-        if not 0.0 < abs(zz.imag) < self.v:
+        if not 0.0 < abs(zz.imag) < v:
             raise ValidationError(f"need v > |Im z| > 0, got v={self.v}, Im z={zz.imag}")
         require_int(m=self.m)
         if not 1 <= self.m <= 64:
@@ -115,7 +116,10 @@ def eval_kernel(p: VerifierParams, x):
     raises DomainError.
     """
     # a point becomes a 1-element array: the ufunc loops of an array, not numpy scalar math
-    xx = np.array(x, dtype=complex, ndmin=1)
+    try:
+        xx = np.array(x, dtype=complex, ndmin=1)
+    except (TypeError, ValueError, OverflowError):  # not a number, or an int past double range: names x
+        xx = np.array(require_finite(x, "x"), ndmin=1)
     k, v, z, scale = p.k, p.v, complex(p.z), _TWO_PI * p.order
     with np.errstate(all="ignore"):  # one finiteness check below instead, which also rejects a non-finite x
         pnx = scale * xx
@@ -297,9 +301,10 @@ def circle_residue(func, pole: complex, radius: float) -> complex:
     accurate for integrands analytic in a punctured neighbourhood; serves as
     the oracle for every closed-form residue.
     """
-    if not (cmath.isfinite(pole) and math.isfinite(radius) and radius > 0):
-        raise ValidationError(f"need a finite pole and a finite positive radius, got {pole}, {radius}")
-    return complex(_circle_sums(func, pole, radius))
+    centre, r = require_finite(pole, "pole"), require_finite(radius, "radius")
+    if not (r.real > 0 and r.imag == 0):
+        raise ValidationError(f"radius must be a positive real, got {radius}")
+    return complex(_circle_sums(func, centre, r.real))
 
 
 @record
@@ -433,12 +438,11 @@ def contour_gap(p: VerifierParams) -> float:
 
 @record
 class EnclosedResidue:
-    """One enclosed pole, its circle radius and its quadrature residue."""
+    """One enclosed pole and its quadrature residue."""
 
     family: str
     n: int
     pole: complex
-    radius: float
     residue: complex
 
 
@@ -469,7 +473,7 @@ def closure_residual(p: VerifierParams) -> ClosureReport:
     centres = [pole for *_, pole in enclosed]
     radii = [_circle_radius(p, family) for family, *_ in enclosed]
     found = _circle_sums(lambda x: eval_kernel(p, x), centres, radii).tolist()
-    poles = tuple(EnclosedResidue(*e, r, q) for e, r, q in zip(enclosed, radii, found))
+    poles = tuple(EnclosedResidue(*e, q) for e, q in zip(enclosed, found))
     return ClosureReport(contour=contour_integral(p), residue_sum=sum(found), poles=poles)
 
 
@@ -505,9 +509,7 @@ def geometric_log_sum(a: complex, r: float | complex, cap: int) -> complex:
     converge.  A head on the branch cut (real a > 1) takes the cut's +i pi side of
     -log(1 - a); the class expansions that use S hold modulo 2 pi i, so either side serves.
     """
-    aa, rr = complex(a), complex(r)
-    if not cmath.isfinite(aa):
-        raise ValidationError(f"a must be finite, got a = {aa}")
+    aa, rr = require_finite(a, "a"), require_finite(r, "r")
     if not abs(rr) < 1.0:
         raise DomainError(f"|r| must be in [0, 1), got r = {rr}")
     require_int(cap=cap)
@@ -582,10 +584,9 @@ def log_theta1_by_residue_classes(
     terms needed, not the terms taken: an S that needs more than _MAX_TERMS terms for a tail below
     ctl.tolerance raises TruncationError.  log_identity_residual takes this expansion at both of its points.
     """
-    v = complex(params.v)
+    v, zz = require_finite(params.v, "v"), require_finite(z, "z")
     if not v.real > 0:
         raise DomainError(f"Re v must be positive, got v={v}")
-    zz = complex(z)
     if abs(zz.imag) >= v.real:
         raise DomainError(f"|Im z| = {abs(zz.imag):.6g} must stay below Re v = {v.real:.6g}")
     value, need = _class_expansion(params.k, params.h, v, zz, _MAX_TERMS, ctl.tolerance,
@@ -594,7 +595,7 @@ def log_theta1_by_residue_classes(
     return value
 
 
-def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
+def log_identity_residual(p: VerifierParams, sum_cap: int = _MAX_TERMS) -> float:
     """|swap - main - L|, the imaginary part reduced modulo 2 pi: the transformation law at
     A = (H, -(H h + 1)/k; k, -h) and tau = (h + iv)/k, where c tau + d = iv, A tau = (H + i/v)/k and
     z/(c tau + d) = -iz/v (Iseki's formula; Apostol, ch. 3).
@@ -603,13 +604,13 @@ def log_identity_residual(p: VerifierParams, sum_cap: int = 400) -> float:
     (H, 1/v, -iz/v), and L is the evaluator's own law factor, transform._theta_law_log(A, z, iv).  L less
     the two closed parts (swap's minus main's) is the paper's -i pi/2 + 3 i pi s(h,k) - (pi/(4k))(v - 1/v)
     + pi z^2 k/v + i pi z - pi z/v + (1/2) log v, modulo 2 pi i (a test keeps that form).  Every inner
-    n-sum stops at sum_cap terms, or sooner where its tail is below 1e-16, and a sum_cap that leaves a tail
-    above IDENTITY_TOL raises TruncationError naming the terms needed; the sums are the m -> infinity
-    limits of the enclosed-residue totals, so a small residual here is the law the whole contour argument
-    proves.  Each expansion is a sum of principal-branch logarithms, so the identity holds only modulo
-    2 pi i.  Unlike log_theta1_by_residue_classes this does not require |Re z| < 1 (|Im z'| < 1/v on the
-    swapped side): its sums converge, and the identity holds, for -1 < Re z < 1 + 1/k; past that a sum
-    diverges (DomainError).
+    n-sum stops at sum_cap terms (by default theta._MAX_TERMS, the cap of every geometric tail), or sooner
+    where its tail is below 1e-16, and a sum_cap that leaves a tail above IDENTITY_TOL raises TruncationError
+    naming the terms needed; the sums are the m -> infinity limits of the enclosed-residue totals, so a small
+    residual here is the law the whole contour argument proves.  Each expansion is a sum of principal-branch
+    logarithms, so the identity holds only modulo 2 pi i.  Unlike log_theta1_by_residue_classes this does not
+    require |Re z| < 1 (|Im z'| < 1/v on the swapped side): its sums converge, and the identity holds, for
+    -1 < Re z < 1 + 1/k; past that a sum diverges (DomainError).
     """
     require_int(sum_cap=sum_cap)
     if sum_cap < 1:
@@ -642,14 +643,15 @@ class ResidueVerification:
     passed: bool
 
 
-def verify_residues(p: VerifierParams, cap: int = 400) -> ResidueVerification:
+def verify_residues(p: VerifierParams) -> ResidueVerification:
     """Each closed form against closure's circle residue (every circle integrated once), closure within
-    CLOSURE_REL_TOL, the log identity (inner sums cut at cap terms) within IDENTITY_TOL, and the contour gap."""
+    CLOSURE_REL_TOL, the log identity (each inner sum as long as its tail needs) within IDENTITY_TOL, and the
+    contour gap."""
     closure = closure_residual(p)
     origin = residue_at_origin(p)
     closed = (origin.assembled,) + tuple(_CLOSED_FORMS[e.family](p, e.n) for e in closure.poles[1:])
     tol = CLOSURE_REL_TOL * 2 * math.pi * sum(abs(e.residue) for e in closure.poles)
-    identity = log_identity_residual(p, cap)
+    identity = log_identity_residual(p)
     gap = abs(closure.contour - (-math.log(p.v)))
     passed = closure.residual < tol and identity < IDENTITY_TOL
     return ResidueVerification(origin, closure, closed, identity, gap, tol, passed)

@@ -30,7 +30,7 @@ import math
 from ._record import record
 from .dedekind import MultiplierValue, eta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
-from .modular import reduce_to_fundamental_domain, require_upper_half
+from .modular import reduce_to_fundamental_domain, require_finite, require_upper_half
 
 __all__ = [
     "TruncationControl",
@@ -82,24 +82,16 @@ class SeriesEval:
 
 def lattice_distance(z: complex, tau: complex) -> float:
     """Distance from z to the nearest zero-lattice point m + n tau."""
-    t = require_upper_half(tau)
-    zz = complex(z)
-    try:  # round() of an infinite or nan quotient raises
+    t, zz = require_upper_half(tau), require_finite(z, "z")
+    try:  # round() of an infinite quotient or remainder raises
         n0 = round(zz.imag / t.imag)
         rems = [zz - (n0 + dn) * t for dn in (-1, 0, 1)]
         return min(abs(rem - (round(rem.real) + dm)) for rem in rems for dm in (-1, 0, 1))
-    except (OverflowError, ValueError):
+    except OverflowError:
         raise DomainError(f"no lattice point m + n tau within double range of z={zz}, tau={t}") from None
 
 
 _EPS = 2.0 ** -52
-
-
-def _require_finite_z(z: complex) -> complex:
-    zz = complex(z)
-    if not cmath.isfinite(zz):
-        raise DomainError(f"z must be finite, got {zz}")
-    return zz
 
 
 def _running_error(steps: float, exponent: float, magnitude: float) -> float:
@@ -202,7 +194,7 @@ def _theta1_sum(z: complex, t: complex, lead: complex, ctl: TruncationControl) -
 
 def theta1_series_info(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL) -> SeriesEval:
     """theta1 by the two-sided series, with term count and certified error bound."""
-    value, terms, error_bound = _theta1_sum(_require_finite_z(z), require_upper_half(tau), 0j, ctl)
+    value, terms, error_bound = _theta1_sum(require_finite(z, "z"), require_upper_half(tau), 0j, ctl)
     return SeriesEval(-1j * value, terms, error_bound)
 
 
@@ -261,8 +253,7 @@ def theta1_product(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CO
     The n = 1 third factor is (1 - w^-2), independent of the nome, so the
     product vanishes identically on z = m + n tau as the series does.
     """
-    t = require_upper_half(tau)
-    zz = complex(z)
+    t, zz = require_upper_half(tau), require_finite(z, "z")
     prod = 1.0 + 0j
     for a, b, c in _triple_factors(zz, t, ctl):
         prod *= a * b * c
@@ -277,8 +268,7 @@ def jacobi_triple_product_check(
     Returns (lhs, rhs), each truncated to the control's tolerance; callers
     assert closeness.
     """
-    ww = complex(w)
-    qq = complex(q)
+    ww, qq = require_finite(w, "w"), require_finite(q, "q")
     if ww == 0:
         raise DomainError("w must be nonzero")
     if abs(qq) >= 1:
@@ -336,8 +326,7 @@ def log_theta1(z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTRO
     theta1; the sum itself may differ from the principal log of theta1 by a
     multiple of 2 pi i.  Points within 1e-8 of the zero lattice are rejected.
     """
-    t = require_upper_half(tau)
-    zz = complex(z)
+    t, zz = require_upper_half(tau), require_finite(z, "z")
     if lattice_distance(zz, t) < 1e-8:
         raise DomainError(f"z={zz} is within 1e-8 of the zero lattice m + n tau")
     total = -0.5j * math.pi + 1j * math.pi * zz + 0.25j * math.pi * t

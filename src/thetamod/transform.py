@@ -36,9 +36,9 @@ from statistics import median
 from ._record import record
 from .dedekind import eta_multiplier, theta_multiplier
 from .errors import DomainError, TruncationError, ValidationError
-from .modular import ModularMatrix, _affine, moebius_apply, reduce_to_fundamental_domain, require_int
+from .modular import ModularMatrix, _affine, moebius_apply, reduce_to_fundamental_domain, require_finite, require_int
 from .modular import principal_power, require_upper_half  # principal_power unused: bench/layers.py wraps it here
-from .theta import DEFAULT_CONTROL, SeriesEval, TruncationControl, _carry_back, _law_log, _require_finite_z, eta
+from .theta import DEFAULT_CONTROL, SeriesEval, TruncationControl, _carry_back, _law_log, eta
 from .theta import lattice_distance, theta1_series, theta1_series_info
 
 __all__ = [
@@ -72,8 +72,7 @@ def transform_rhs(
     mat: ModularMatrix, z: complex, tau: complex, ctl: TruncationControl = DEFAULT_CONTROL
 ) -> complex:
     """Right side of the law, eps1 (-i(c tau+d))^{1/2} e^{pi i c z^2/(c tau+d)} theta1(z, tau), c >= 0 (_carry_back)."""
-    t = require_upper_half(tau)
-    zz = complex(z)
+    t, zz = require_upper_half(tau), require_finite(z, "z")
     law = _theta_law_log(mat, zz, _affine(mat.c, mat.d, t))
     return _carry_back(theta1_series(zz, t, ctl), 0.0, law, 0.0, lambda: f"transform_rhs at z={zz}, tau={t}", sign=1)[0]
 
@@ -87,8 +86,7 @@ def reduce_z(z: complex, tau: complex) -> tuple[complex, int, int, complex]:
     its real part can leave double range on its own.  A non-finite z or exponent, or a
     shift z - n tau rounded where its real part reaches 2**52 (no digit of z left), raises DomainError.
     """
-    t = require_upper_half(tau)
-    zz = _require_finite_z(z)
+    t, zz = require_upper_half(tau), require_finite(z, "z")
     try:  # round() of an infinite quotient or shift raises OverflowError
         n = round(zz.imag / t.imag)
         partial = zz - n * t
@@ -125,8 +123,7 @@ def reduce_theta_arguments(z: complex, tau: complex) -> ReductionTrace:
     Applies the transformation law in the inverse direction for the
     reduction matrix (c >= 0).
     """
-    t = require_upper_half(tau)
-    zz = _require_finite_z(z)
+    t, zz = require_upper_half(tau), require_finite(z, "z")
     mat, tau_red, den = reduce_to_fundamental_domain(t)
     try:  # reduce_z names the image z/(c tau + d), a point the caller never passed
         z_red, m_shift, n_shift, quasi_log = reduce_z(zz / den, tau_red)

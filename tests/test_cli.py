@@ -293,6 +293,10 @@ class TestVerifyResidues:
         assert (code, out) == (2, "")
         assert err.startswith("error: v must be a positive real") and len(err.strip().splitlines()) == 1
 
+    def test_cap_option_is_gone(self, capsys):
+        argv = ("verify-residues", "--m", "3", "--k", "2", "--h", "1", "--v", "1.5", "--z", "0.2+0.1i", "--cap", "400")
+        assert run_cli(capsys, *argv)[0] == 2
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -331,22 +335,17 @@ class TestVerifyResidues:
         assert code == 1
         assert "result: FAIL" in out
 
-    @pytest.mark.parametrize("v, code", [("120", 0), ("500", 3)])
+    @pytest.mark.parametrize("v, code", [("120", 0), ("500", 0)])
     def test_ratio_that_underflows_to_zero(self, capsys, v, code):
         # e^{-2 pi v} is 0 in double precision: the log sums take r = 0.  At v = 500 the swapped
-        # ratio e^{-2 pi/500} needs 1513 terms, more than the default cap of 400: a short cap is a
-        # truncation error (exit 3), not a failed identity, and --cap 2000 passes
+        # ratio e^{-2 pi/500} needs 1513 terms, which each sum takes: the command sets no cap of its own
         argv = ("verify-residues", "--m", "3", "--k", "1", "--h", "0", "--v", v, "--z", "0.2-0.1i", "--format", "json")
-        code_out, out, err = run_cli(capsys, *argv)
+        code_out, out, _ = run_cli(capsys, *argv)
         assert code_out == code
-        if code == 3:
-            assert out == ""
-            assert err == "error: log identity needs 1513 terms, not 400, for tails below 1e-08\n"
-            code_out, out, _ = run_cli(capsys, *argv, "--cap", "2000")
-            assert code_out == 0
         report = json.loads(out)
+        assert "cap" not in report["params"]
         assert report["closure_residual"] < 1e-10
-        assert report["identity_residual"] < (1e-12 if code == 0 else 1e-11)  # 4.4e-13 at v = 120, 1.4e-12 at 500
+        assert report["identity_residual"] < (1e-12 if v == "120" else 1e-11)  # 4.4e-13 at v = 120, 1.3e-12 at 500
 
     def test_kernel_out_of_range_exit_three(self, capsys):
         # the weighted blocks overflow at v = 0.01: one error line, no numpy warnings
@@ -454,15 +453,17 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", [("eval", "--z", "0.3+0.1i", "--tau", "0+1i"), ("eta", "--tau", "0+1i")])
     def test_eval_and_eta_take_the_library_tolerance(self, capsys, command):
-        # --tol goes to TruncationControl as given: below its 1e-16 floor is a usage error, not a silent 1e-15
-        code, out, err = run_cli(capsys, *command, "--tol", "1e-20")
-        assert (code, out) == (2, "")
-        assert err == "error: tolerance must be in [1e-16, 1), got 1e-20\n"
-        code, out, _ = run_cli(capsys, *command, "--tol", "1e-16", "--format", "json")
-        document = json.loads(out)
-        assert code == 0 and document["params"]["tolerance"] == 1e-16
-        if command[0] == "eval":  # 8 terms at 1e-16, where 1e-15 stops at 6
-            assert document["results"][0]["terms"] == 8
+        # --tol goes to TruncationControl as given, and only it checks the range: below its 1e-16 floor is a
+        # usage error, not a silent 1e-15, and 0.01, above the (0, 1e-3] of the residual thresholds, runs
+        for text in ("1e-20", "nan", "1"):
+            code, out, err = run_cli(capsys, *command, "--tol", text)
+            assert (code, out, err) == (2, "", f"error: tolerance must be in [1e-16, 1), got {float(text)}\n")
+        for tol, terms in ((1e-16, 8), (0.01, 2)):  # eval's terms: 1e-15 stops at 6
+            code, out, _ = run_cli(capsys, *command, "--tol", str(tol), "--format", "json")
+            document = json.loads(out)
+            assert code == 0 and document["params"]["tolerance"] == tol
+            if command[0] == "eval":
+                assert document["results"][0]["terms"] == terms
 
 
 CSV_COMMANDS = [

@@ -27,7 +27,7 @@ from thetamod.transform import FastEval, ReductionTrace, SweepCase, SweepResult
 
 TRACE = ReductionTrace(S_INVERSION, 1j, 0.1 + 0j, (0, 1), 0.5j)
 ORIGIN = OriginResidue(1 + 1j, 0.5 + 1j, {"exp_terms": -0.5})
-POLES = (EnclosedResidue("origin", 0, 0j, 0.1, 0.5 + 1j),)
+POLES = (EnclosedResidue("origin", 0, 0j, 0.5 + 1j),)
 CLOSURE = ClosureReport(1j, 0.5 + 1j, POLES)
 CASE = SweepCase(IDENTITY, 0.1 + 0j, 1j, 1e-16)
 
@@ -47,7 +47,7 @@ RECORDS = [
     (OriginResidue, "compact assembled parts", (1 + 1j, 0.5 + 1j, {"exp_terms": -0.5}), (1 + 1j, 0.5 + 1j, {})),
     (ResidueReport, "pole closed_form oracle", (1j, 0.5, 0.5 + 1e-12), (1j, 0.5, 0.5)),
     (OriginReport, "origin oracle", (ORIGIN, 0.5 + 1j), (ORIGIN, 0.5)),
-    (EnclosedResidue, "family n pole radius residue", ("origin", 0, 0j, 0.1, 0.5 + 1j), ("imag", 1, 0.5j, 0.1, 1j)),
+    (EnclosedResidue, "family n pole residue", ("origin", 0, 0j, 0.5 + 1j), ("imag", 1, 0.5j, 1j)),
     (ClosureReport, "contour residue_sum poles", (1j, 0.5 + 1j, POLES), (1j, 0.5 + 1j, ())),
     (ResidueVerification, "origin closure closed_forms identity gap closure_tol passed",
      (ORIGIN, CLOSURE, (0.5 + 1j,), 1e-13, 2.0, 1e-8, True), (ORIGIN, CLOSURE, (0.5 + 1j,), 1e-13, 2.0, 1e-8, False)),

@@ -76,29 +76,28 @@ class TestVerifierParams:
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, error",
     [
-        lambda: VerifierParams(h=1.0, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=2),
-        lambda: VerifierParams(h=1, k=2, H=1.0, v=1.5, z=0.2 + 0.1j, m=2),
-        lambda: VerifierParams(h=1, k=2, H=1, v=True, z=0.2 + 0.1j, m=2),
-        lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z="x", m=2),
-        lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=True),
-        lambda: neg_mod_inverse(1.0, 3),
-        lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z=complex(math.inf, 0.1), m=2),
-        lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z=complex(math.nan, 0.1), m=2),
-        lambda: circle_residue(lambda x: 1 / x, 0j, math.inf),
-        lambda: circle_residue(lambda x: 1 / x, complex(math.nan, 0.0), 0.3),
-        lambda: geometric_log_sum(math.nan, 0.5, 10),
-        lambda: geometric_log_sum(0.5, 0.5, 2.5),
-        lambda: log_identity_residual(BASE, 2.5),
-        lambda: verify_residues(BASE, 2.5),
+        (lambda: VerifierParams(h=1.0, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=2), ValidationError),
+        (lambda: VerifierParams(h=1, k=2, H=1.0, v=1.5, z=0.2 + 0.1j, m=2), ValidationError),
+        (lambda: VerifierParams(h=1, k=2, H=1, v=True, z=0.2 + 0.1j, m=2), ValidationError),
+        (lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z="x", m=2), ValidationError),
+        (lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z=0.2 + 0.1j, m=True), ValidationError),
+        (lambda: neg_mod_inverse(1.0, 3), ValidationError),
+        # a number that is not finite passes the type rules and is a DomainError (modular.require_finite)
+        (lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z=complex(math.inf, 0.1), m=2), DomainError),
+        (lambda: VerifierParams(h=1, k=2, H=1, v=1.5, z=complex(math.nan, 0.1), m=2), DomainError),
+        (lambda: circle_residue(lambda x: 1 / x, 0j, math.inf), DomainError),
+        (lambda: circle_residue(lambda x: 1 / x, complex(math.nan, 0.0), 0.3), DomainError),
+        (lambda: geometric_log_sum(math.nan, 0.5, 10), DomainError),
+        (lambda: geometric_log_sum(0.5, 0.5, 2.5), ValidationError),
+        (lambda: log_identity_residual(BASE, 2.5), ValidationError),
     ],
     ids=["float h", "float H", "bool v", "str z", "bool m", "float h inverse", "inf z", "nan z",
-         "inf radius", "nan pole", "nan log sum a", "float log sum cap", "float identity cap",
-         "float verify cap"],
+         "inf radius", "nan pole", "nan log sum a", "float log sum cap", "float identity cap"],
 )
-def test_parameter_types_raise_validation_error(call):
-    with pytest.raises(ValidationError):
+def test_parameter_types_raise_validation_error(call, error):
+    with pytest.raises(error):
         call()
 
 
